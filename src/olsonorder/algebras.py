@@ -17,6 +17,13 @@ Every backend in this module is exact: payloads are integers, bitmasks or
 `fractions.Fraction` values, equality is literal, and no floating point is
 involved.  Elements are owned by the backend instance that created them;
 mixing instances raises instead of coercing, even when parameters agree.
+
+Meets and joins are dual, and each duality is written once with the
+order direction as a parameter: `join_many`/`meet_many` share one n-ary
+bound that folds the binary bound on lattice backends and scans the
+carrier elsewhere, and the binary bounds of the table and restricted
+tribe backends call that same scan.  The set and quotient backends share
+one bitmask arithmetic against a top mask.
 """
 
 from __future__ import annotations
@@ -108,13 +115,17 @@ class EffectAlgebra(ABC):
     def leq(self, a: EffectElement, b: EffectElement) -> bool:
         """Induced order: a <= b iff a + c = b for some c."""
 
-    @abstractmethod
     def meet(self, a: EffectElement, b: EffectElement) -> EffectElement | None:
-        """Greatest lower bound in the carrier, or None when it does not exist."""
+        """Greatest lower bound in the carrier, or None when it does not exist.
 
-    @abstractmethod
+        Lattice backends override this with direct arithmetic; the
+        fallback scans the carrier.
+        """
+        return self._carrier_bound([a, b], lower=True)
+
     def join(self, a: EffectElement, b: EffectElement) -> EffectElement | None:
         """Least upper bound in the carrier, or None when it does not exist."""
+        return self._carrier_bound([a, b], lower=False)
 
     def diff(self, b: EffectElement, a: EffectElement) -> EffectElement:
         """The unique c with a + c = b; requires a <= b.
@@ -135,37 +146,40 @@ class EffectAlgebra(ABC):
         bound can exist even when intermediate binary joins do not, so the
         whole carrier is scanned.
         """
-        got = list(items)
-        if not got:
-            return self.zero
-        if self.lattice_guaranteed:
-            acc = got[0]
-            for item in got[1:]:
-                acc = self.join(acc, item)
-                if acc is None:
-                    return None
-            return acc
-        ubs = [u for u in self.elements() if all(self.leq(a, u) for a in got)]
-        for u in ubs:
-            if all(self.leq(u, v) for v in ubs):
-                return u
-        return None
+        return self._bound_many(items, lower=False)
 
     def meet_many(self, items: Iterable[EffectElement]) -> EffectElement | None:
         """Greatest lower bound of finitely many elements, None if there is none."""
+        return self._bound_many(items, lower=True)
+
+    def _bound_many(self, items: Iterable[EffectElement], lower: bool) -> EffectElement | None:
         got = list(items)
         if not got:
-            return self.one
-        if self.lattice_guaranteed:
-            acc = got[0]
-            for item in got[1:]:
-                acc = self.meet(acc, item)
-                if acc is None:
-                    return None
-            return acc
-        lbs = [u for u in self.elements() if all(self.leq(u, a) for a in got)]
-        for u in lbs:
-            if all(self.leq(v, u) for v in lbs):
+            return self.one if lower else self.zero
+        if not self.lattice_guaranteed:
+            return self._carrier_bound(got, lower)
+        binary = self.meet if lower else self.join
+        acc = got[0]
+        for item in got[1:]:
+            acc = binary(acc, item)
+            if acc is None:
+                return None
+        return acc
+
+    def _carrier_bound(self, items: list[EffectElement], lower: bool) -> EffectElement | None:
+        """Greatest common lower bound (lower) or least common upper bound
+        of items, found by scanning the carrier; None when it does not exist."""
+        for a in items:
+            self._payload(a)
+        leq = self.leq
+
+        def le(a: EffectElement, b: EffectElement) -> bool:
+            # the order of the bound's direction: reversed for upper bounds
+            return leq(a, b) if lower else leq(b, a)
+
+        bounds = [u for u in self.elements() if all(le(u, a) for a in items)]
+        for u in bounds:
+            if all(le(v, u) for v in bounds):
                 return u
         return None
 
@@ -296,34 +310,22 @@ class MVChain(EffectAlgebra):
         return self.element(_parse_rational(obj))
 
 
-class FiniteSetAlgebra(EffectAlgebra):
-    """The Boolean algebra of subsets of {0, ..., omega-1}.
+class _BitmaskAlgebra(EffectAlgebra):
+    """Boolean algebra of the submasks of a top bitmask over the ground
+    set {0, ..., omega-1}; subclasses set omega.
 
-    Payloads are bitmasks; addition is disjoint union, every element is
-    sharp, and the order is set inclusion.
+    Addition is disjoint union, the order is inclusion, every element is
+    sharp, and meets and joins are intersection and union.
     """
 
-    kind = "set_algebra"
     lattice_guaranteed = True
 
-    def __init__(self, omega: int) -> None:
-        if not isinstance(omega, int) or omega < 1:
-            raise InvalidAlgebra("set_algebra needs an integer ground-set size >= 1")
-        self.omega = omega
-        self.full_mask = (1 << omega) - 1
+    def __init__(self, top: int) -> None:
+        self._top = top
         self.zero = self._wrap(0)
-        self.one = self._wrap(self.full_mask)
+        self.one = self._wrap(top)
 
-    def subset(self, points: Iterable[int]) -> EffectElement:
-        mask = 0
-        for p in points:
-            if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < self.omega:
-                raise SetOutOfRange(f"point {p!r} outside ground set of size {self.omega}")
-            mask |= 1 << p
-        return self._wrap(mask)
-
-    def points(self, a: EffectElement) -> tuple[int, ...]:
-        mask = self._payload(a)
+    def _mask_points(self, mask: int) -> tuple[int, ...]:
         return tuple(p for p in range(self.omega) if mask >> p & 1)
 
     def add(self, a, b):
@@ -331,7 +333,7 @@ class FiniteSetAlgebra(EffectAlgebra):
         return self._wrap(pa | pb) if pa & pb == 0 else None
 
     def complement(self, a):
-        return self._wrap(self.full_mask ^ self._payload(a))
+        return self._wrap(self._top ^ self._payload(a))
 
     def leq(self, a, b):
         pa, pb = self._payload(a), self._payload(b)
@@ -354,12 +356,42 @@ class FiniteSetAlgebra(EffectAlgebra):
         return True
 
     def elements(self):
-        for mask in range(1 << self.omega):
-            yield self._wrap(mask)
+        """Every submask of the top mask, in increasing order."""
+        live = self._mask_points(self._top)
+        for bits in range(1 << len(live)):
+            yield self._wrap(sum(1 << p for i, p in enumerate(live) if bits >> i & 1))
 
     @property
     def size(self):
-        return 1 << self.omega
+        return 1 << self._top.bit_count()
+
+
+class FiniteSetAlgebra(_BitmaskAlgebra):
+    """The Boolean algebra of subsets of {0, ..., omega-1}.
+
+    Payloads are bitmasks; addition is disjoint union, every element is
+    sharp, and the order is set inclusion.
+    """
+
+    kind = "set_algebra"
+
+    def __init__(self, omega: int) -> None:
+        if not isinstance(omega, int) or omega < 1:
+            raise InvalidAlgebra("set_algebra needs an integer ground-set size >= 1")
+        self.omega = omega
+        self.full_mask = (1 << omega) - 1
+        super().__init__(self.full_mask)
+
+    def subset(self, points: Iterable[int]) -> EffectElement:
+        mask = 0
+        for p in points:
+            if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < self.omega:
+                raise SetOutOfRange(f"point {p!r} outside ground set of size {self.omega}")
+            mask |= 1 << p
+        return self._wrap(mask)
+
+    def points(self, a: EffectElement) -> tuple[int, ...]:
+        return self._mask_points(self._payload(a))
 
     def describe(self):
         return {"kind": "set_algebra", "omega": self.omega}
@@ -383,8 +415,9 @@ class TableEffectAlgebra(EffectAlgebra):
 
     The table is validated eagerly against axioms (i)-(iv); the induced
     order, complements and a difference map are precomputed.  Meets and
-    joins are exhaustive scans and may not exist, so `lattice_guaranteed`
-    stays False and lattice clients must certify nonexistence themselves.
+    joins are the inherited carrier scans and may not exist, so
+    `lattice_guaranteed` stays False and lattice clients must certify
+    nonexistence themselves.
     """
 
     kind = "table"
@@ -477,29 +510,6 @@ class TableEffectAlgebra(EffectAlgebra):
 
     def leq(self, a, b):
         return self._payload(b) in self._upper[self._payload(a)]
-
-    def _bound(self, pa: int, pb: int, lower: bool) -> int | None:
-        if lower:
-            # greatest element of the common lower bounds, if any
-            candidates = [c for c in range(self.m)
-                          if pa in self._upper[c] and pb in self._upper[c]]
-            best = [c for c in candidates
-                    if all(c in self._upper[d] for d in candidates)]
-        else:
-            # least element of the common upper bounds, if any
-            candidates = [c for c in range(self.m)
-                          if c in self._upper[pa] and c in self._upper[pb]]
-            best = [c for c in candidates
-                    if all(d in self._upper[c] for d in candidates)]
-        return best[0] if best else None
-
-    def meet(self, a, b):
-        got = self._bound(self._payload(a), self._payload(b), lower=True)
-        return None if got is None else self._wrap(got)
-
-    def join(self, a, b):
-        got = self._bound(self._payload(a), self._payload(b), lower=False)
-        return None if got is None else self._wrap(got)
 
     def diff(self, b, a):
         pa, pb = self._payload(a), self._payload(b)
@@ -685,33 +695,17 @@ class FiniteTribe(EffectAlgebra):
     def leq(self, a, b):
         return all(x <= y for x, y in zip(self._payload(a), self._payload(b)))
 
-    def _scan_bound(self, fa, fb, lower: bool):
-        if lower:
-            cands = [c for c in self._carrier_values()
-                     if all(x <= y for x, y in zip(c, fa))
-                     and all(x <= y for x, y in zip(c, fb))]
-        else:
-            cands = [c for c in self._carrier_values()
-                     if all(x >= y for x, y in zip(c, fa))
-                     and all(x >= y for x, y in zip(c, fb))]
-        for c in cands:
-            if lower and all(all(x <= y for x, y in zip(d, c)) for d in cands):
-                return self._wrap(c)
-            if not lower and all(all(x >= y for x, y in zip(d, c)) for d in cands):
-                return self._wrap(c)
-        return None
-
     def meet(self, a, b):
+        if self.carrier is not None:
+            return self._carrier_bound([a, b], lower=True)
         fa, fb = self._payload(a), self._payload(b)
-        if self.carrier is None:
-            return self._wrap(tuple(min(x, y) for x, y in zip(fa, fb)))
-        return self._scan_bound(fa, fb, lower=True)
+        return self._wrap(tuple(min(x, y) for x, y in zip(fa, fb)))
 
     def join(self, a, b):
+        if self.carrier is not None:
+            return self._carrier_bound([a, b], lower=False)
         fa, fb = self._payload(a), self._payload(b)
-        if self.carrier is None:
-            return self._wrap(tuple(max(x, y) for x, y in zip(fa, fb)))
-        return self._scan_bound(fa, fb, lower=False)
+        return self._wrap(tuple(max(x, y) for x, y in zip(fa, fb)))
 
     def diff(self, b, a):
         fa, fb = self._payload(a), self._payload(b)
@@ -770,17 +764,16 @@ def restricted_sum_tribe(omega: int = 2, den: int = 4) -> FiniteTribe:
     return FiniteTribe(omega, den, carrier=carrier)
 
 
-class QuotientBooleanAlgebra(EffectAlgebra):
+class QuotientBooleanAlgebra(_BitmaskAlgebra):
     """Subsets of a finite ground set modulo a principal null-set ideal.
 
     Two sets are identified when their symmetric difference lies inside
     the null set N; the canonical representative of a class is A minus N.
     The quotient is again Boolean, so every element is sharp and meets
-    and joins always exist.
+    and joins always exist.  Classes are bitmasks below the live mask.
     """
 
     kind = "quotient"
-    lattice_guaranteed = True
 
     def __init__(self, omega: int, null_points: Iterable[int]) -> None:
         self.base = FiniteSetAlgebra(omega)
@@ -794,9 +787,8 @@ class QuotientBooleanAlgebra(EffectAlgebra):
             raise InvalidAlgebra("null set cannot be the whole ground set")
         self.null_mask = null_mask
         self.live_mask = self.base.full_mask & ~null_mask
-        self.live_points = tuple(p for p in range(omega) if self.live_mask >> p & 1)
-        self.zero = self._wrap(0)
-        self.one = self._wrap(self.live_mask)
+        self.live_points = self._mask_points(self.live_mask)
+        super().__init__(self.live_mask)
 
     def quotient_map(self, a: EffectElement | Iterable[int]) -> EffectElement:
         """Class of a subset of the ground set; accepts base elements or indices."""
@@ -807,51 +799,10 @@ class QuotientBooleanAlgebra(EffectAlgebra):
         return self._wrap(mask & self.live_mask)
 
     def null_points_list(self) -> tuple[int, ...]:
-        return tuple(p for p in range(self.omega) if self.null_mask >> p & 1)
+        return self._mask_points(self.null_mask)
 
     def class_points(self, a: EffectElement) -> tuple[int, ...]:
-        mask = self._payload(a)
-        return tuple(p for p in range(self.omega) if mask >> p & 1)
-
-    def add(self, a, b):
-        pa, pb = self._payload(a), self._payload(b)
-        return self._wrap(pa | pb) if pa & pb == 0 else None
-
-    def complement(self, a):
-        return self._wrap(self.live_mask ^ self._payload(a))
-
-    def leq(self, a, b):
-        pa, pb = self._payload(a), self._payload(b)
-        return pa & pb == pa
-
-    def meet(self, a, b):
-        return self._wrap(self._payload(a) & self._payload(b))
-
-    def join(self, a, b):
-        return self._wrap(self._payload(a) | self._payload(b))
-
-    def diff(self, b, a):
-        pa, pb = self._payload(a), self._payload(b)
-        if pa & pb != pa:
-            raise InvalidAlgebra("diff requires a <= b")
-        return self._wrap(pb & ~pa)
-
-    def is_sharp(self, a):
-        self._payload(a)
-        return True
-
-    def elements(self):
-        live = self.live_points
-        for bits in range(1 << len(live)):
-            mask = 0
-            for i, p in enumerate(live):
-                if bits >> i & 1:
-                    mask |= 1 << p
-            yield self._wrap(mask)
-
-    @property
-    def size(self):
-        return 1 << len(self.live_points)
+        return self._mask_points(self._payload(a))
 
     def describe(self):
         return {

@@ -40,7 +40,7 @@ from .hilbert import (
     spectral_measure,
     spectral_meet,
 )
-from .lattice import compare, olson_join, olson_meet
+from .lattice import compare, olson_join, olson_meet, order_verdict
 from .serialize import (
     algebra_from_json,
     bound_to_json,
@@ -181,17 +181,7 @@ def _cmd_spectral(args) -> int:
         if len(mats) != 2:
             raise ParseError("spectral cmp takes exactly two matrices")
         a, b = mats
-        fwd = spectral_leq(a, b, tol)
-        bwd = spectral_leq(b, a, tol)
-        verdict = (
-            "equal"
-            if fwd and bwd
-            else "less_or_equal"
-            if fwd
-            else "greater_or_equal"
-            if bwd
-            else "incomparable"
-        )
+        verdict = order_verdict(spectral_leq(a, b, tol), spectral_leq(b, a, tol))
         _emit({"verdict": verdict, "loewner": loewner_leq(a, b, tol)}, args)
         return 3 if verdict == "incomparable" else 0
     op = spectral_meet if args.op == "meet" else spectral_join

@@ -165,12 +165,6 @@ class SpectralMeasure:
     def dim(self) -> int:
         return int(self.cumulative.shape[1])
 
-    def cumulative_at(self, t: float) -> np.ndarray:
-        idx = int(np.searchsorted(self.grid, t + self._slack, side="right")) - 1
-        if idx < 0:
-            return np.zeros_like(self.cumulative[0])
-        return self.cumulative[idx]
-
     def cumulative_stack_at(self, ts: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.grid, np.asarray(ts) + self._slack, side="right") - 1
         out = self.cumulative[np.clip(idx, 0, len(self.grid) - 1)]

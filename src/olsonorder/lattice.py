@@ -6,23 +6,24 @@ are step functions with jumps on a finite merged grid, so sampling the
 grid, one interior point per gap, and one point on each side is
 exhaustive.
 
-Meets are computed two independent ways and cross-checked: pointwise
-joins of open resolutions at grid points packaged through
-left_regularize, and pointwise joins of closed resolutions evaluated
-inside the gaps (the finite form of the inf-from-the-right
+A join is a meet with the order reversed, so one code path serves both,
+with the direction as its parameter and the backend's n-ary bound
+(join_many for meets, meet_many for joins) as its pointwise step.  The
+bound is computed two independent ways and cross-checked: at grid
+points on open resolutions packaged through left_regularize, and inside
+the gaps on closed resolutions (the finite form of the inf-from-the-right
 regularization; a right-continuous step attains that inf throughout the
-open gap).  Joins are dual.  When some pointwise bound does not exist in
-the backend, existence of the observable meet/join is settled by
-exhaustive enumeration of all observables on the merged grid, which is
-sound and complete: any lower or upper bound can be moved onto the grid
-without leaving the bounding set.
+open gap).  When some pointwise bound does not exist in the backend,
+existence is settled by exhaustive enumeration of all observables on
+the merged grid, which is sound and complete: any lower or upper bound
+can be moved onto the grid without leaving the bounding set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebras import EffectAlgebra, EffectElement
 from .errors import (
@@ -112,6 +113,14 @@ def _order_samples(grid: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return (below, *grid, *interior_samples(grid))
 
 
+def _agreed(open_ok: bool, closed_ok: bool) -> bool:
+    if open_ok != closed_ok:
+        raise InvalidAlgebra(
+            "open and closed interval tests disagree; backend order is inconsistent"
+        )
+    return open_ok
+
+
 def olson_leq(x: SimpleObservable, y: SimpleObservable) -> bool:
     """x is spectrally below y: y((-inf,t)) <= x((-inf,t)) for all t.
 
@@ -127,38 +136,42 @@ def olson_leq(x: SimpleObservable, y: SimpleObservable) -> bool:
     closed_ok = all(
         alg.leq(y.resolution_closed(t), x.resolution_closed(t)) for t in samples
     )
-    if open_ok != closed_ok:
-        raise InvalidAlgebra(
-            "open and closed interval tests disagree; backend order is inconsistent"
-        )
-    return open_ok
+    return _agreed(open_ok, closed_ok)
 
 
-def _refuting_grid_point(
-    x: SimpleObservable, y: SimpleObservable, grid: Sequence[Fraction]
-) -> Fraction:
-    """First grid point where the defining inequality of x-below-y fails."""
-    alg = x.algebra
-    for t in grid:
-        if not alg.leq(y.resolution_open(t), x.resolution_open(t)):
-            return t
-        if not alg.leq(y.resolution_closed(t), x.resolution_closed(t)):
-            return t
-    raise InvalidAlgebra("refuted comparison has no grid witness; order is inconsistent")
+def order_verdict(fwd: bool, bwd: bool) -> str:
+    """Two-sided verdict from the one-sided tests x <= y (fwd) and y <= x (bwd)."""
+    if fwd and bwd:
+        return "equal"
+    if fwd:
+        return "less_or_equal"
+    return "greater_or_equal" if bwd else "incomparable"
 
 
 def compare(x: SimpleObservable, y: SimpleObservable) -> OlsonComparison:
+    """Both directions of olson_leq in one walk over the order samples.
+
+    The witness is the first merged-grid point refuting y-below-x for
+    less_or_equal, x-below-y otherwise.
+    """
     xs = _family((x, y))
+    leq = xs[0].algebra.leq
     grid = merged_grid(xs)
-    leq_ok = olson_leq(x, y)
-    geq_ok = olson_leq(y, x)
-    if leq_ok and geq_ok:
-        return OlsonComparison("equal", None)
-    if leq_ok:
-        return OlsonComparison("less_or_equal", _refuting_grid_point(y, x, grid))
-    if geq_ok:
-        return OlsonComparison("greater_or_equal", _refuting_grid_point(x, y, grid))
-    return OlsonComparison("incomparable", _refuting_grid_point(x, y, grid))
+    # per sample: x-below-y open and closed, then y-below-x open and closed
+    tests = []
+    for t in _order_samples(grid):
+        xo, yo = x.resolution_open(t), y.resolution_open(t)
+        xc, yc = x.resolution_closed(t), y.resolution_closed(t)
+        tests.append((leq(yo, xo), leq(yc, xc), leq(xo, yo), leq(xc, yc)))
+    fwd_open, fwd_closed, bwd_open, bwd_closed = map(all, zip(*tests))
+    verdict = order_verdict(_agreed(fwd_open, fwd_closed), _agreed(bwd_open, bwd_closed))
+    if verdict == "equal":
+        return OlsonComparison(verdict, None)
+    side = 2 if verdict == "less_or_equal" else 0
+    for t, row in zip(grid, tests[1:]):
+        if not (row[side] and row[side + 1]):
+            return OlsonComparison(verdict, t)
+    raise InvalidAlgebra("refuted comparison has no grid witness; order is inconsistent")
 
 
 # -- regularization of monotone grid families --------------------------------
@@ -221,60 +234,52 @@ def right_regularize(
 # -- meets and joins ----------------------------------------------------------
 
 
-def _meet_open_route(
-    alg: EffectAlgebra,
+def _open_route(
+    bound_many: Callable[[list[EffectElement]], EffectElement | None],
     xs: Sequence[SimpleObservable],
     grid: Sequence[Fraction],
 ) -> SimpleObservable | None:
     vals = []
     for t in grid:
-        v = alg.join_many([x.resolution_open(t) for x in xs])
+        v = bound_many([x.resolution_open(t) for x in xs])
         if v is None:
             return None
         vals.append(v)
-    return left_regularize(alg, tuple(zip(grid, vals))).to_observable()
+    return left_regularize(xs[0].algebra, tuple(zip(grid, vals))).to_observable()
 
 
-def _meet_closed_route(
-    alg: EffectAlgebra,
+def _closed_route(
+    bound_many: Callable[[list[EffectElement]], EffectElement | None],
     xs: Sequence[SimpleObservable],
     grid: Sequence[Fraction],
 ) -> SimpleObservable | None:
     vals = []
     for s in interior_samples(grid):
-        v = alg.join_many([x.resolution_closed(s) for x in xs])
+        v = bound_many([x.resolution_closed(s) for x in xs])
         if v is None:
             return None
         vals.append(v)
-    return from_closed_values(alg, tuple(zip(grid, vals)))
+    return from_closed_values(xs[0].algebra, tuple(zip(grid, vals)))
 
 
-def _join_open_route(
-    alg: EffectAlgebra,
-    xs: Sequence[SimpleObservable],
-    grid: Sequence[Fraction],
-) -> SimpleObservable | None:
-    vals = []
-    for t in grid:
-        v = alg.meet_many([x.resolution_open(t) for x in xs])
-        if v is None:
-            return None
-        vals.append(v)
-    return left_regularize(alg, tuple(zip(grid, vals))).to_observable()
-
-
-def _join_closed_route(
-    alg: EffectAlgebra,
-    xs: Sequence[SimpleObservable],
-    grid: Sequence[Fraction],
-) -> SimpleObservable | None:
-    vals = []
-    for s in interior_samples(grid):
-        v = alg.meet_many([x.resolution_closed(s) for x in xs])
-        if v is None:
-            return None
-        vals.append(v)
-    return from_closed_values(alg, tuple(zip(grid, vals)))
+def _olson_bound(xs: Iterable[SimpleObservable], cap: int, lower: bool) -> BoundResult:
+    """Meet (lower) or join of a family: both routes, cross-checked, with
+    the enumeration oracle deciding when a pointwise bound is missing."""
+    family = _family(xs)
+    alg = family[0].algebra
+    grid = merged_grid(family)
+    pointwise = alg.join_many if lower else alg.meet_many
+    via_open = _open_route(pointwise, family, grid)
+    via_closed = _closed_route(pointwise, family, grid)
+    if via_open is not None and via_closed is not None:
+        if via_open != via_closed:
+            bound, dual = ("meet", "joins") if lower else ("join", "meets")
+            raise InvalidAlgebra(
+                f"open and closed {bound} routes disagree; backend {dual} are inconsistent"
+            )
+        return BoundResult(True, via_open, "elementwise")
+    oracle = brute_force_meet if lower else brute_force_join
+    return oracle(family, cap=cap)
 
 
 def olson_meet(
@@ -289,18 +294,7 @@ def olson_meet(
     If some pointwise join is missing, existence is settled by the
     exhaustive grid-observable oracle and its answer is returned.
     """
-    family = _family(xs)
-    alg = family[0].algebra
-    grid = merged_grid(family)
-    via_open = _meet_open_route(alg, family, grid)
-    via_closed = _meet_closed_route(alg, family, grid)
-    if via_open is not None and via_closed is not None:
-        if via_open != via_closed:
-            raise InvalidAlgebra(
-                "open and closed meet routes disagree; backend joins are inconsistent"
-            )
-        return BoundResult(True, via_open, "elementwise")
-    return brute_force_meet(family, cap=cap)
+    return _olson_bound(xs, cap, lower=True)
 
 
 def olson_join(
@@ -308,18 +302,7 @@ def olson_join(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> BoundResult:
     """Least upper bound; dual of olson_meet in every respect."""
-    family = _family(xs)
-    alg = family[0].algebra
-    grid = merged_grid(family)
-    via_open = _join_open_route(alg, family, grid)
-    via_closed = _join_closed_route(alg, family, grid)
-    if via_open is not None and via_closed is not None:
-        if via_open != via_closed:
-            raise InvalidAlgebra(
-                "open and closed join routes disagree; backend meets are inconsistent"
-            )
-        return BoundResult(True, via_open, "elementwise")
-    return brute_force_join(family, cap=cap)
+    return _olson_bound(xs, cap, lower=False)
 
 
 # -- exhaustive oracles -------------------------------------------------------
@@ -341,12 +324,13 @@ def enumerate_grid_observables(
     pts = tuple(sorted({Fraction(t) for t in grid}))
     if not pts:
         raise EmptyFamily("grid must be nonempty")
-    elems = tuple(algebra.elements())
-    bound = len(elems) ** (len(pts) - 1)
+    bound = algebra.size ** (len(pts) - 1)
     if bound > cap:
         raise CertificationTooLarge(
             f"up to {bound} grid observables exceeds cap {cap}"
         )
+    # a one-point grid carries only the constant chain (one,)
+    elems = tuple(algebra.elements()) if len(pts) > 1 else ()
 
     def chains(prev: EffectElement, remaining: int):
         if remaining == 1:
@@ -361,6 +345,32 @@ def enumerate_grid_observables(
         yield from_closed_values(algebra, tuple(zip(pts, chain)))
 
 
+def _brute_force(xs: Iterable[SimpleObservable], cap: int, lower: bool) -> BoundResult:
+    """Greatest lower (lower) or least upper bound among the grid
+    observables; without one, the maximal lower or minimal upper bounds
+    in enumeration order."""
+    family = _family(xs)
+    alg = family[0].algebra
+    grid = merged_grid(family)
+
+    def le(g: SimpleObservable, h: SimpleObservable) -> bool:
+        # the order of the bound's direction: reversed for joins
+        return olson_leq(g, h) if lower else olson_leq(h, g)
+
+    bounds = [
+        g
+        for g in enumerate_grid_observables(alg, grid, cap=cap)
+        if all(le(g, x) for x in family)
+    ]
+    for g in bounds:
+        if all(le(h, g) for h in bounds):
+            return BoundResult(True, g, "exhaustive")
+    frontier = tuple(
+        g for g in bounds if not any(g != h and le(g, h) for h in bounds)
+    )
+    return BoundResult(False, None, "exhaustive", frontier)
+
+
 def brute_force_meet(
     xs: Iterable[SimpleObservable],
     cap: int = DEFAULT_ENUMERATION_CAP,
@@ -373,42 +383,15 @@ def brute_force_meet(
     greatest lower bound exists among all bounded observables iff one
     exists among the grid observables.
     """
-    family = _family(xs)
-    alg = family[0].algebra
-    grid = merged_grid(family)
-    lower = [
-        g
-        for g in enumerate_grid_observables(alg, grid, cap=cap)
-        if all(olson_leq(g, x) for x in family)
-    ]
-    for g in lower:
-        if all(olson_leq(h, g) for h in lower):
-            return BoundResult(True, g, "exhaustive")
-    maximal = tuple(
-        g for g in lower if not any(g != h and olson_leq(g, h) for h in lower)
-    )
-    return BoundResult(False, None, "exhaustive", maximal)
+    return _brute_force(xs, cap, lower=True)
 
 
 def brute_force_join(
     xs: Iterable[SimpleObservable],
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> BoundResult:
-    family = _family(xs)
-    alg = family[0].algebra
-    grid = merged_grid(family)
-    upper = [
-        g
-        for g in enumerate_grid_observables(alg, grid, cap=cap)
-        if all(olson_leq(x, g) for x in family)
-    ]
-    for g in upper:
-        if all(olson_leq(g, h) for h in upper):
-            return BoundResult(True, g, "exhaustive")
-    minimal = tuple(
-        g for g in upper if not any(g != h and olson_leq(h, g) for h in upper)
-    )
-    return BoundResult(False, None, "exhaustive", minimal)
+    """Certified join by enumeration; dual of brute_force_meet."""
+    return _brute_force(xs, cap, lower=False)
 
 
 # -- involution lattice on unit-interval observables --------------------------

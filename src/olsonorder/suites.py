@@ -61,6 +61,8 @@ from .lattice import (
     olson_join,
     olson_leq,
     olson_meet,
+    order_verdict,
+    right_regularize,
 )
 from .observables import SimpleObservable, from_closed_values, question
 
@@ -89,12 +91,11 @@ def _report(suite: str, backend, checks: list[dict], seed: int | None = None, **
 
 
 def _elements(algebra: EffectAlgebra, cap: int) -> list[EffectElement]:
-    elems = list(algebra.elements())
-    if len(elems) > cap:
+    if algebra.size > cap:
         raise CertificationTooLarge(
-            f"suite needs full enumeration, {len(elems)} elements exceed cap {cap}"
+            f"suite needs full enumeration, {algebra.size} elements exceed cap {cap}"
         )
-    return elems
+    return list(algebra.elements())
 
 
 def _sample_pairs(rng: random.Random, n: int, budget: int) -> list[tuple[int, int]]:
@@ -139,16 +140,8 @@ def random_grid_observable(
     elems: list[EffectElement] | None = None,
 ) -> SimpleObservable:
     """Observable drawn as a random chain of closed-resolution values."""
-    if elems is None:
-        elems = list(algebra.elements())
-    cur = algebra.zero
-    vals = []
-    for _ in range(len(grid) - 1):
-        ups = [e for e in elems if algebra.leq(cur, e)]
-        cur = rng.choice(ups)
-        vals.append(cur)
-    vals.append(algebra.one)
-    return from_closed_values(algebra, tuple(zip(grid, vals)))
+    family = random_monotone_family(algebra, grid, rng, elems)
+    return from_closed_values(algebra, right_regularize(algebra, family))
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +221,7 @@ def run_order(algebra: EffectAlgebra, cap: int = AXIOM_SCAN_CAP) -> dict:
         for j in range(n):
             fwd = algebra.leq(elems[i], elems[j])
             bwd = algebra.leq(elems[j], elems[i])
-            got = compare(qs[i], qs[j]).verdict
-            want = (
-                "equal"
-                if fwd and bwd
-                else "less_or_equal"
-                if fwd
-                else "greater_or_equal"
-                if bwd
-                else "incomparable"
-            )
-            if got != want:
+            if compare(qs[i], qs[j]).verdict != order_verdict(fwd, bwd):
                 verdicts = False
 
     reflexive = all(algebra.leq(a, a) for a in elems)
@@ -293,29 +276,23 @@ def run_lattice_oracle(
         mode = "questions"
         obs = [question(algebra, a) for a in algebra.elements()]
 
-    meet_ok = True
-    join_ok = True
+    matches = {"meet": True, "join": True}
     pairs = 0
     for x in obs:
         for y in obs:
             pairs += 1
-            fast = olson_meet((x, y), cap=cap)
-            slow = brute_force_meet((x, y), cap=cap)
-            if fast.exists != slow.exists or (
-                fast.exists and fast.observable != slow.observable
+            for name, fast_op, slow_op in (
+                ("meet", olson_meet, brute_force_meet),
+                ("join", olson_join, brute_force_join),
             ):
-                meet_ok = False
-            fast = olson_join((x, y), cap=cap)
-            slow = brute_force_join((x, y), cap=cap)
-            if fast.exists != slow.exists or (
-                fast.exists and fast.observable != slow.observable
-            ):
-                join_ok = False
+                fast = fast_op((x, y), cap=cap)
+                slow = slow_op((x, y), cap=cap)
+                if fast.exists != slow.exists or (
+                    fast.exists and fast.observable != slow.observable
+                ):
+                    matches[name] = False
 
-    checks = [
-        _check("meet_matches_oracle", meet_ok, pairs),
-        _check("join_matches_oracle", join_ok, pairs),
-    ]
+    checks = [_check(f"{name}_matches_oracle", ok, pairs) for name, ok in matches.items()]
     return _report(
         "lattice-oracle",
         algebra.describe(),
@@ -402,6 +379,18 @@ def run_involution(
 # representation
 
 
+def _functions(
+    vals: Sequence[Fraction], omega: int, rng: random.Random, samples: int, limit: int
+) -> list[MeasurableFunction]:
+    """Every function into vals when there are at most limit, else a sample."""
+    if len(vals) ** omega <= limit:
+        return [MeasurableFunction(c) for c in itertools.product(vals, repeat=omega)]
+    return [
+        MeasurableFunction(tuple(rng.choice(vals) for _ in range(omega)))
+        for _ in range(samples)
+    ]
+
+
 def _set_algebra_representation(
     algebra: FiniteSetAlgebra, seed: int, samples: int, pair_cap: int
 ) -> list[dict]:
@@ -415,14 +404,7 @@ def _set_algebra_representation(
         Fraction(1),
     )
     rng = random.Random(seed)
-    total = len(vals) ** algebra.omega
-    if total <= 512:
-        fs = [MeasurableFunction(c) for c in itertools.product(vals, repeat=algebra.omega)]
-    else:
-        fs = [
-            MeasurableFunction(tuple(rng.choice(vals) for _ in range(algebra.omega)))
-            for _ in range(samples)
-        ]
+    fs = _functions(vals, algebra.omega, rng, samples, limit=512)
     obs = [observable_from_function(algebra, f) for f in fs]
 
     round_trip = all(function_from_observable(algebra, x) == f for f, x in zip(fs, obs))
@@ -490,14 +472,7 @@ def _quotient_representation(
 ) -> list[dict]:
     vals = (Fraction(0), Fraction(1, 2), Fraction(1))
     rng = random.Random(seed)
-    total = len(vals) ** algebra.omega
-    if total <= 729:
-        fs = [MeasurableFunction(c) for c in itertools.product(vals, repeat=algebra.omega)]
-    else:
-        fs = [
-            MeasurableFunction(tuple(rng.choice(vals) for _ in range(algebra.omega)))
-            for _ in range(samples)
-        ]
+    fs = _functions(vals, algebra.omega, rng, samples, limit=729)
     push = [pushforward_function(algebra, f) for f in fs]
 
     order_pairs = _sample_pairs(rng, len(fs), ORDER_PAIR_BUDGET)

@@ -85,6 +85,22 @@ def test_foreign_elements_rejected(mv4, set2):
         mv4.leq(mv4.element(F(1, 4)), other.element(F(1, 4)))
 
 
+@pytest.mark.parametrize("make", [mo2_algebra, block_cycle_algebra, restricted_sum_tribe])
+def test_scanned_bounds_reject_foreign_elements(make, mv4):
+    algebra = make()
+    own = algebra.one
+    # another backend, and a twin instance with the same parameters
+    for stranger in (mv4.zero, make().zero):
+        for op in (algebra.meet, algebra.join):
+            with pytest.raises(ElementForeignToAlgebra):
+                op(own, stranger)
+            with pytest.raises(ElementForeignToAlgebra):
+                op(stranger, own)
+        for op in (algebra.meet_many, algebra.join_many):
+            with pytest.raises(ElementForeignToAlgebra):
+                op([own, stranger])
+
+
 def test_table_validation_catches_broken_tables():
     # drop commutativity from the two-chain
     table = [[0, 1], [None, None]]

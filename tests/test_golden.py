@@ -16,13 +16,8 @@ Regenerate (only when an answer is meant to change) with
 from __future__ import annotations
 
 import json
-import os
 import random
-import sys
 from fractions import Fraction
-
-if __name__ == "__main__":
-    sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from olsonorder.errors import OlsonOrderError
 from olsonorder.lattice import (
@@ -41,9 +36,10 @@ from olsonorder.serialize import (
     observable_to_json,
 )
 
+from conftest import fixture_path, load_fixture
+
 F = Fraction
-HERE = os.path.dirname(__file__)
-GOLDEN = os.path.join(HERE, "fixtures", "golden_exact.json")
+GOLDEN = fixture_path("golden_exact.json")
 
 # small enough that the exhaustive oracle stays fast, large enough that
 # every backend has both certified and refused enumerations
@@ -63,11 +59,6 @@ BACKENDS = (
     ("quotient_3", 24, 0.25),
 )
 SCANNED = ("table_mo2", "table_block_cycle", "tribe_restricted")
-
-
-def _load(name: str):
-    with open(os.path.join(HERE, "fixtures", name + ".json"), encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _draw(alg, elems, rng: random.Random, questions: float):
@@ -122,7 +113,7 @@ def _as_json(obj):
 def record() -> dict:
     out = {}
     for seed, (name, count, questions) in enumerate(BACKENDS):
-        alg = algebra_from_json(_load(name))
+        alg = algebra_from_json(load_fixture(name + ".json"))
         elems = list(alg.elements())
         rng = random.Random(1604 + seed)
         cases = []
@@ -155,7 +146,7 @@ def test_exact_core_reproduces_golden_answers():
         golden = json.load(fh)
     assert sorted(golden) == sorted(name for name, _, _ in BACKENDS)
     for name, entry in golden.items():
-        alg = algebra_from_json(_load(name))
+        alg = algebra_from_json(load_fixture(name + ".json"))
         for case in entry["cases"]:
             xs = tuple(observable_from_json(alg, obj) for obj in case["family"])
             assert _as_json(_answers(alg, xs)) == case["answers"], (name, case["family"])

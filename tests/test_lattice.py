@@ -26,7 +26,7 @@ from olsonorder.lattice import (
     olson_meet,
 )
 from olsonorder.observables import from_closed_values, from_weights, question
-from olsonorder.suites import random_grid_observable, random_unit_grid
+from olsonorder.suites import random_grid_observable, random_unit_grid, run_axioms, run_order
 
 F = Fraction
 
@@ -123,6 +123,21 @@ def test_enumeration_counts_grid_chains(mv4, set2):
     assert len(list(enumerate_grid_observables(set2, grid, cap=1000))) == 9
     with pytest.raises(CertificationTooLarge):
         list(enumerate_grid_observables(mv4, tuple(F(k, 10) for k in range(11)), cap=100))
+
+
+def test_caps_refuse_before_listing_the_carrier():
+    algebra = MVChain(300_000)
+
+    def unlisted():
+        raise AssertionError("carrier listed before the cap check")
+
+    algebra.elements = unlisted
+    with pytest.raises(CertificationTooLarge):
+        run_axioms(algebra)
+    with pytest.raises(CertificationTooLarge):
+        run_order(algebra)
+    with pytest.raises(CertificationTooLarge):
+        next(enumerate_grid_observables(algebra, (F(0), F(1))))
 
 
 def test_enumerated_observables_live_on_grid(set2):
