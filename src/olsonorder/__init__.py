@@ -46,25 +46,6 @@ from .errors import (
     SpectrumOutsideUnitInterval,
     WeightsNotSummable,
 )
-from .hilbert import (
-    DEFAULT_TOLERANCES,
-    DIMENSION_CAP,
-    HermitianOperator,
-    SpectralMeasure,
-    Tolerances,
-    loewner_leq,
-    logical_leq,
-    matrix_from_json,
-    matrix_to_json,
-    negate,
-    proj_join,
-    proj_meet,
-    range_leq,
-    spectral_join,
-    spectral_leq,
-    spectral_measure,
-    spectral_meet,
-)
 from .kernels import (
     MarkovKernel,
     MeasurableFunction,
@@ -115,3 +96,33 @@ from .serialize import (
 )
 
 __version__ = "0.1.0"
+
+# The Hilbert backend needs numpy; it is imported on first use of one of
+# its names, so the exact backends load without numpy.
+_HILBERT_NAMES = frozenset({
+    "DEFAULT_TOLERANCES",
+    "DIMENSION_CAP",
+    "HermitianOperator",
+    "SpectralMeasure",
+    "Tolerances",
+    "loewner_leq",
+    "logical_leq",
+    "matrix_from_json",
+    "matrix_to_json",
+    "negate",
+    "proj_join",
+    "proj_meet",
+    "range_leq",
+    "spectral_join",
+    "spectral_leq",
+    "spectral_measure",
+    "spectral_meet",
+})
+
+
+def __getattr__(name: str):
+    if name in _HILBERT_NAMES:
+        from . import hilbert
+
+        return getattr(hilbert, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

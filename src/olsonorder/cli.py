@@ -14,8 +14,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import suites
 from .errors import (
     BackendMismatch,
     DimensionMismatch,
@@ -28,18 +28,6 @@ from .errors import (
     OlsonOrderError,
     ParseError,
 )
-from .hilbert import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
-    _norm,
-    loewner_leq,
-    matrix_from_json,
-    matrix_to_json,
-    spectral_join,
-    spectral_leq,
-    spectral_measure,
-    spectral_meet,
-)
 from .lattice import compare, olson_join, olson_meet, order_verdict
 from .serialize import (
     algebra_from_json,
@@ -48,6 +36,11 @@ from .serialize import (
     observable_from_json,
     observable_to_json,
 )
+
+# hilbert and suites need numpy; the commands that use them import them,
+# so the exact commands start without numpy
+if TYPE_CHECKING:
+    from .hilbert import Tolerances
 
 SUITES = ("axioms", "order", "lattice-oracle", "involution", "representation", "hilbert")
 
@@ -90,6 +83,8 @@ def _load_json(path: str):
 
 
 def _tolerances(args) -> Tolerances:
+    from .hilbert import DEFAULT_TOLERANCES
+
     overrides = {}
     for item in args.tol or ():
         name, eq, val = item.partition("=")
@@ -163,6 +158,17 @@ def _cmd_neg(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
+    from .hilbert import (
+        _norm,
+        loewner_leq,
+        matrix_from_json,
+        matrix_to_json,
+        spectral_join,
+        spectral_leq,
+        spectral_measure,
+        spectral_meet,
+    )
+
     tol = _tolerances(args)
     mats = [matrix_from_json(_load_json(p), tol) for p in args.matrices]
     if args.op == "measure":
@@ -193,6 +199,8 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import suites
+
     if args.suite == "hilbert":
         if args.backend is not None:
             raise ParseError("the hilbert suite runs without a backend file")

@@ -2,9 +2,14 @@
 
 The order compares interval resolutions pointwise, inverted: x is below y
 when y((-inf,t)) <= x((-inf,t)) for every real t.  All resolutions here
-are step functions with jumps on a finite merged grid, so sampling the
-grid, one interior point per gap, and one point on each side is
-exhaustive.
+are step functions, constant between consecutive points of the merged
+grid t_0 < ... < t_{n-1} (the sorted union of the spectra), so their
+values below the grid, at each grid point, inside each gap and above the
+grid are all there is to compare.  One pointer walk per observable reads
+them off: when c_j of its spectral points lie at or below t_j, both
+x((-inf,t_j]) and the value throughout the gap (t_j, t_{j+1}) are the
+c_j-th partial weight sum, x((-inf,t_j)) is the c_{j-1}-th (zero for
+j = 0), and the resolution is zero below the grid and one above it.
 
 A join is a meet with the order reversed, so one code path serves both,
 with the direction as its parameter and the backend's n-ary bound
@@ -40,6 +45,7 @@ from .observables import (
     PiecewiseMap,
     SimpleObservable,
     StepResolution,
+    _rational,
     from_closed_values,
     question,
 )
@@ -99,18 +105,36 @@ def merged_grid(xs: Iterable[SimpleObservable]) -> tuple[Fraction, ...]:
     return tuple(sorted(pts))
 
 
-def interior_samples(grid: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """One point inside each gap (t_i, t_{i+1}) plus one beyond the top."""
-    mids = [
-        (a + b) / 2 for a, b in zip(grid, grid[1:])
-    ]
-    mids.append(grid[-1] + 1)
-    return tuple(mids)
+def _closed_on_grid(x: SimpleObservable, grid: Sequence[Fraction]) -> list[EffectElement]:
+    """x((-inf, t_j]) for every t_j of a grid holding all of x's points.
+
+    One walk: c counts x's points <= t_j, and the value is x._cums[c].
+    The same value holds throughout the gap (t_j, t_{j+1}) and, for the
+    last point, everywhere above the grid.
+    """
+    points, cums = x.points, x._cums
+    c, last = 0, len(points)
+    out = []
+    for t in grid:
+        if c < last and points[c] == t:
+            c += 1
+        out.append(cums[c])
+    return out
 
 
-def _order_samples(grid: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    below = grid[0] - 1
-    return (below, *grid, *interior_samples(grid))
+def _open_on_grid(x: SimpleObservable, grid: Sequence[Fraction]) -> list[EffectElement]:
+    """x((-inf, t_j)) for every t_j: zero, then the closed values one
+    point down."""
+    return [x._cums[0], *_closed_on_grid(x, grid)[:-1]]
+
+
+def _sample_values(x: SimpleObservable, grid: Sequence[Fraction]):
+    """Open and closed values of x at one point below the grid, at each
+    grid point and inside each gap (the last gap is above the grid)."""
+    closed = _closed_on_grid(x, grid)
+    zero = x._cums[0]
+    # the open value at t_j is the closed value at t_{j-1}
+    return [zero, zero, *closed[:-1], *closed], [zero, *closed, *closed]
 
 
 def _agreed(open_ok: bool, closed_ok: bool) -> bool:
@@ -128,14 +152,12 @@ def olson_leq(x: SimpleObservable, y: SimpleObservable) -> bool:
     must agree; a split verdict means the backend order is broken.
     """
     xs = _family((x, y))
-    alg = xs[0].algebra
-    samples = _order_samples(merged_grid(xs))
-    open_ok = all(
-        alg.leq(y.resolution_open(t), x.resolution_open(t)) for t in samples
-    )
-    closed_ok = all(
-        alg.leq(y.resolution_closed(t), x.resolution_closed(t)) for t in samples
-    )
+    leq = xs[0].algebra.leq
+    grid = merged_grid(xs)
+    x_open, x_closed = _sample_values(x, grid)
+    y_open, y_closed = _sample_values(y, grid)
+    open_ok = all(map(leq, y_open, x_open))
+    closed_ok = all(map(leq, y_closed, x_closed))
     return _agreed(open_ok, closed_ok)
 
 
@@ -157,12 +179,13 @@ def compare(x: SimpleObservable, y: SimpleObservable) -> OlsonComparison:
     xs = _family((x, y))
     leq = xs[0].algebra.leq
     grid = merged_grid(xs)
+    x_open, x_closed = _sample_values(x, grid)
+    y_open, y_closed = _sample_values(y, grid)
     # per sample: x-below-y open and closed, then y-below-x open and closed
-    tests = []
-    for t in _order_samples(grid):
-        xo, yo = x.resolution_open(t), y.resolution_open(t)
-        xc, yc = x.resolution_closed(t), y.resolution_closed(t)
-        tests.append((leq(yo, xo), leq(yc, xc), leq(xo, yo), leq(xc, yc)))
+    tests = [
+        (leq(yo, xo), leq(yc, xc), leq(xo, yo), leq(xc, yc))
+        for xo, yo, xc, yc in zip(x_open, y_open, x_closed, y_closed)
+    ]
     fwd_open, fwd_closed, bwd_open, bwd_closed = map(all, zip(*tests))
     verdict = order_verdict(_agreed(fwd_open, fwd_closed), _agreed(bwd_open, bwd_closed))
     if verdict == "equal":
@@ -183,7 +206,7 @@ def _grid_pairs(
 ) -> tuple[tuple[Fraction, ...], tuple[EffectElement, ...]]:
     if not pairs:
         raise NonMonotoneInput("need at least one grid value")
-    ts = tuple(Fraction(t) for t, _ in pairs)
+    ts = tuple(_rational(t) for t, _ in pairs)
     ws = tuple(w for _, w in pairs)
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise NonIncreasingPoints(f"grid not strictly increasing: {ts}")
@@ -234,17 +257,30 @@ def right_regularize(
 # -- meets and joins ----------------------------------------------------------
 
 
+def _pointwise(
+    bound_many: Callable[[list[EffectElement]], EffectElement | None],
+    columns: Sequence[Sequence[EffectElement]],
+) -> list[EffectElement] | None:
+    """bound_many of each grid row of the columns; None once one is missing."""
+    vals = []
+    for row in zip(*columns):
+        v = bound_many(list(row))
+        if v is None:
+            return None
+        vals.append(v)
+    return vals
+
+
 def _open_route(
     bound_many: Callable[[list[EffectElement]], EffectElement | None],
     xs: Sequence[SimpleObservable],
     grid: Sequence[Fraction],
 ) -> SimpleObservable | None:
-    vals = []
-    for t in grid:
-        v = bound_many([x.resolution_open(t) for x in xs])
-        if v is None:
-            return None
-        vals.append(v)
+    """Bounds of the open values at the grid points, packaged through
+    left_regularize; grid must hold every spectral point of xs."""
+    vals = _pointwise(bound_many, [_open_on_grid(x, grid) for x in xs])
+    if vals is None:
+        return None
     return left_regularize(xs[0].algebra, tuple(zip(grid, vals))).to_observable()
 
 
@@ -253,12 +289,12 @@ def _closed_route(
     xs: Sequence[SimpleObservable],
     grid: Sequence[Fraction],
 ) -> SimpleObservable | None:
-    vals = []
-    for s in interior_samples(grid):
-        v = bound_many([x.resolution_closed(s) for x in xs])
-        if v is None:
-            return None
-        vals.append(v)
+    """Bounds of the closed values inside the gaps (just above each grid
+    point), packaged through from_closed_values; grid must hold every
+    spectral point of xs."""
+    vals = _pointwise(bound_many, [_closed_on_grid(x, grid) for x in xs])
+    if vals is None:
+        return None
     return from_closed_values(xs[0].algebra, tuple(zip(grid, vals)))
 
 
@@ -321,7 +357,7 @@ def enumerate_grid_observables(
     are included.  Raises CertificationTooLarge when the chain space
     can exceed cap.
     """
-    pts = tuple(sorted({Fraction(t) for t in grid}))
+    pts = tuple(sorted({_rational(t) for t in grid}))
     if not pts:
         raise EmptyFamily("grid must be nonempty")
     bound = algebra.size ** (len(pts) - 1)

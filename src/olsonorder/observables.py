@@ -39,6 +39,11 @@ from .errors import (
 SHARPNESS_SCAN_CAP = 20
 
 
+def _rational(t) -> Fraction:
+    """t as a Fraction; a Fraction passes through without a new object."""
+    return t if type(t) is Fraction else Fraction(t)
+
+
 class Interval:
     """One rational interval; None endpoints are infinite and always open."""
 
@@ -309,7 +314,7 @@ class StepResolution:
         breakpoints: Sequence[Fraction],
         values: Sequence[EffectElement],
     ) -> None:
-        pts = tuple(Fraction(t) for t in breakpoints)
+        pts = tuple(map(_rational, breakpoints))
         vals = tuple(values)
         if len(vals) != len(pts) + 1:
             raise InvalidAlgebra("step resolution needs one more value than breakpoints")
@@ -337,11 +342,11 @@ class StepResolution:
 
     def open_at(self, t: Fraction | int) -> EffectElement:
         """Value of x((-inf, t))."""
-        return self.values[bisect_left(self.breakpoints, Fraction(t))]
+        return self.values[bisect_left(self.breakpoints, _rational(t))]
 
     def closed_at(self, t: Fraction | int) -> EffectElement:
         """Value of x((-inf, t])."""
-        return self.values[bisect_right(self.breakpoints, Fraction(t))]
+        return self.values[bisect_right(self.breakpoints, _rational(t))]
 
     def to_observable(self) -> "SimpleObservable":
         alg = self.algebra
@@ -384,7 +389,7 @@ class SimpleObservable:
         points: Sequence[Fraction | int],
         weights: Sequence[EffectElement],
     ) -> None:
-        pts = tuple(Fraction(t) for t in points)
+        pts = tuple(map(_rational, points))
         wts = tuple(weights)
         if len(pts) != len(wts):
             raise WeightsNotSummable("points and weights must pair up")
@@ -417,11 +422,11 @@ class SimpleObservable:
 
     def resolution_open(self, t: Fraction | int) -> EffectElement:
         """x((-inf, t)): sum of weights strictly below t."""
-        return self._cums[bisect_left(self.points, Fraction(t))]
+        return self._cums[bisect_left(self.points, _rational(t))]
 
     def resolution_closed(self, t: Fraction | int) -> EffectElement:
         """x((-inf, t]): sum of weights at or below t."""
-        return self._cums[bisect_right(self.points, Fraction(t))]
+        return self._cums[bisect_right(self.points, _rational(t))]
 
     # -- set and map actions ----------------------------------------------
 
@@ -546,7 +551,7 @@ def from_closed_values(
     """
     if not pairs:
         raise WeightsNotSummable("at least one grid value is needed")
-    ts = [Fraction(t) for t, _ in pairs]
+    ts = [_rational(t) for t, _ in pairs]
     vals = [v for _, v in pairs]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise NonIncreasingPoints(f"grid not strictly increasing: {ts}")

@@ -274,6 +274,11 @@ def run_lattice_oracle(
             raise CertificationTooLarge("pair budget exceeded")
     except CertificationTooLarge:
         mode = "questions"
+        if algebra.size ** 2 > pair_cap:
+            raise CertificationTooLarge(
+                f"{algebra.size} question observables square to more than "
+                f"the pair budget {pair_cap}"
+            )
         obs = [question(algebra, a) for a in algebra.elements()]
 
     matches = {"meet": True, "join": True}
@@ -336,7 +341,7 @@ def run_involution(
         pass
 
     rng = random.Random(seed)
-    elems = list(algebra.elements())
+    elems = _elements(algebra, cap)
     # non-lattice backends answer meets by enumeration, so big merged
     # grids explode there; shrink and share the random grids for those
     lattice = algebra.lattice_guaranteed

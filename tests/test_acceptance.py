@@ -2,7 +2,8 @@
 
 Each test is a single pass/fail line under pytest -v.  The guarantees
 are exercised at full stated scale, so this module is slower than the
-unit tests; every test stays inside a one-minute budget on its own.
+unit tests; criterion 07 (the Hilbert backend) takes over a minute on
+its own on a 2-CPU machine.
 """
 
 from __future__ import annotations

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import olsonorder
 
 from olsonorder.cli import main
 from olsonorder.observables import question
@@ -229,3 +234,23 @@ def test_join_cap_exhaustion_exits_1(capsys, cycle, tmp_path):
     backend = fixture_path("table_block_cycle.json")
     code, _, err = run(["join", backend, qc, qg, "--cap", "1"], capsys)
     assert code == 1 and err.startswith("CertificationTooLarge")
+
+
+def test_exact_commands_do_not_import_numpy():
+    script = (
+        "import sys\n"
+        "import olsonorder\n"
+        "assert 'numpy' not in sys.modules, 'import olsonorder'\n"
+        "from olsonorder import cli\n"
+        "assert cli.main(['neg', sys.argv[1], sys.argv[2]]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'neg'\n"
+        "from olsonorder import HermitianOperator\n"
+        "assert 'numpy' in sys.modules and HermitianOperator.__module__ == 'olsonorder.hilbert'\n"
+    )
+    src = os.path.dirname(os.path.dirname(olsonorder.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, os.environ.get("PYTHONPATH", "")))}
+    done = subprocess.run(
+        [sys.executable, "-c", script, MV4, fixture_path("mv4_three_point.json")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

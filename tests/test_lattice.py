@@ -26,7 +26,14 @@ from olsonorder.lattice import (
     olson_meet,
 )
 from olsonorder.observables import from_closed_values, from_weights, question
-from olsonorder.suites import random_grid_observable, random_unit_grid, run_axioms, run_order
+from olsonorder.suites import (
+    random_grid_observable,
+    random_unit_grid,
+    run_axioms,
+    run_involution,
+    run_lattice_oracle,
+    run_order,
+)
 
 F = Fraction
 
@@ -138,6 +145,10 @@ def test_caps_refuse_before_listing_the_carrier():
         run_order(algebra)
     with pytest.raises(CertificationTooLarge):
         next(enumerate_grid_observables(algebra, (F(0), F(1))))
+    with pytest.raises(CertificationTooLarge):
+        run_involution(algebra)
+    with pytest.raises(CertificationTooLarge):
+        run_lattice_oracle(algebra)
 
 
 def test_enumerated_observables_live_on_grid(set2):
