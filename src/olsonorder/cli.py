@@ -37,8 +37,8 @@ from .serialize import (
     observable_to_json,
 )
 
-# hilbert and suites need numpy; the commands that use them import them,
-# so the exact commands start without numpy
+# hilbert and hilbert_suite need numpy; the commands that use them import
+# them, so the exact commands start without numpy
 if TYPE_CHECKING:
     from .hilbert import Tolerances
 
@@ -199,17 +199,19 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from . import suites
-
     if args.suite == "hilbert":
+        from .hilbert_suite import run_hilbert
+
         if args.backend is not None:
             raise ParseError("the hilbert suite runs without a backend file")
-        report = suites.run_hilbert(
+        report = run_hilbert(
             seed=args.seed,
             pairs=args.cap if args.cap is not None else 500,
             tol=_tolerances(args),
         )
     else:
+        from . import suites
+
         _reject_tol(args)
         if args.backend is None:
             raise ParseError(f"the {args.suite} suite needs a backend file")

@@ -16,6 +16,7 @@ eigensolver backward error at the supported sizes.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,7 +43,8 @@ class Tolerances:
     eigenvalue clustering gap; psd: negative-eigenvalue slack; ord:
     range-containment residual and rank cutoff; rec: spectral
     reconstruction residual; lat: lattice-law residual; log: Gudder
-    order residual.
+    order residual.  Each must be finite and nonnegative (zero is
+    allowed); anything else raises ParseError.
     """
 
     herm: float = 1e-9
@@ -53,6 +55,14 @@ class Tolerances:
     rec: float = 1e-9
     lat: float = 1e-7
     log: float = 1e-9
+
+    def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            val = getattr(self, field.name)
+            if not (math.isfinite(val) and val >= 0):
+                raise ParseError(
+                    f"tolerance {field.name} must be finite and nonnegative, got {val!r}"
+                )
 
     def replace(self, **overrides: float) -> "Tolerances":
         return dataclasses.replace(self, **overrides)

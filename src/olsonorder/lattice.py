@@ -344,6 +344,46 @@ def olson_join(
 # -- exhaustive oracles -------------------------------------------------------
 
 
+def _grid_chains(
+    algebra: EffectAlgebra,
+    size: int,
+    cap: int,
+    keep: Callable[[int, EffectElement], bool] | None = None,
+):
+    """Yield every monotone chain c_1 <= ... <= c_size = one of closed
+    values on a grid of size points, as a tuple of elements.
+
+    Chains come depth first, each c_j running through algebra.elements()
+    in order.  keep(j, e), when given, admits e at point j (j < size - 1)
+    and the walk yields exactly the chains of admitted values, in the
+    same order.  Raises CertificationTooLarge when the unpruned chain
+    space can exceed cap; the carrier is listed only after that check
+    and only for grids of 2+ points.
+    """
+    bound = algebra.size ** (size - 1)
+    if bound > cap:
+        raise CertificationTooLarge(
+            f"up to {bound} grid observables exceeds cap {cap}"
+        )
+    one = algebra.one
+    if size == 1:
+        yield (one,)
+        return
+    elems = tuple(algebra.elements())
+    levels = [[e for e in elems if keep is None or keep(j, e)] for j in range(size - 1)]
+    leq = algebra.leq
+
+    def walk(chain, prev, j):
+        if j == size - 1:
+            yield (*chain, one)
+            return
+        for e in levels[j]:
+            if leq(prev, e):
+                yield from walk((*chain, e), e, j + 1)
+
+    yield from walk((), algebra.zero, 0)
+
+
 def enumerate_grid_observables(
     algebra: EffectAlgebra,
     grid: Sequence[Fraction],
@@ -360,49 +400,51 @@ def enumerate_grid_observables(
     pts = tuple(sorted({_rational(t) for t in grid}))
     if not pts:
         raise EmptyFamily("grid must be nonempty")
-    bound = algebra.size ** (len(pts) - 1)
-    if bound > cap:
-        raise CertificationTooLarge(
-            f"up to {bound} grid observables exceeds cap {cap}"
-        )
-    # a one-point grid carries only the constant chain (one,)
-    elems = tuple(algebra.elements()) if len(pts) > 1 else ()
-
-    def chains(prev: EffectElement, remaining: int):
-        if remaining == 1:
-            yield (algebra.one,)
-            return
-        for e in elems:
-            if algebra.leq(prev, e):
-                for rest in chains(e, remaining - 1):
-                    yield (e, *rest)
-
-    for chain in chains(algebra.zero, len(pts)):
+    for chain in _grid_chains(algebra, len(pts), cap):
         yield from_closed_values(algebra, tuple(zip(pts, chain)))
 
 
 def _brute_force(xs: Iterable[SimpleObservable], cap: int, lower: bool) -> BoundResult:
     """Greatest lower (lower) or least upper bound among the grid
     observables; without one, the maximal lower or minimal upper bounds
-    in enumeration order."""
+    in enumeration order.
+
+    On one grid the Olson order is the reversed pointwise order of the
+    closed values, so the walk admits at each point only the values that
+    bound the family's there, candidates compare as chains, and only the
+    answer is built as an observable.
+    """
     family = _family(xs)
     alg = family[0].algebra
     grid = merged_grid(family)
+    leq = alg.leq
 
-    def le(g: SimpleObservable, h: SimpleObservable) -> bool:
-        # the order of the bound's direction: reversed for joins
-        return olson_leq(g, h) if lower else olson_leq(h, g)
+    def value_le(a: EffectElement, b: EffectElement) -> bool:
+        # le on closed values: the carrier order, reversed for meets
+        return leq(b, a) if lower else leq(a, b)
 
-    bounds = [
-        g
-        for g in enumerate_grid_observables(alg, grid, cap=cap)
-        if all(le(g, x) for x in family)
-    ]
-    for g in bounds:
-        if all(le(h, g) for h in bounds):
-            return BoundResult(True, g, "exhaustive")
+    def le(g: tuple, h: tuple) -> bool:
+        # the order of the bound's direction on chains: reversed for joins
+        return all(map(value_le, g, h))
+
+    rows = list(zip(*(_closed_on_grid(x, grid) for x in family)))
+    bounds = list(_grid_chains(
+        alg, len(grid), cap, lambda j, e: all(value_le(e, v) for v in rows[j])
+    ))
+    # never empty: the least (greatest) grid observable bounds any family
+    # from below (above); a greatest bound, if there is one, survives the scan
+    best = bounds[0]
+    for g in bounds[1:]:
+        if le(best, g):
+            best = g
+
+    def build(chain: tuple) -> SimpleObservable:
+        return from_closed_values(alg, tuple(zip(grid, chain)))
+
+    if all(le(h, best) for h in bounds):
+        return BoundResult(True, build(best), "exhaustive")
     frontier = tuple(
-        g for g in bounds if not any(g != h and le(g, h) for h in bounds)
+        build(g) for g in bounds if not any(g != h and le(g, h) for h in bounds)
     )
     return BoundResult(False, None, "exhaustive", frontier)
 

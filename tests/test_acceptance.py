@@ -19,6 +19,7 @@ from olsonorder.hilbert import (
     matrix_from_json,
     spectral_leq,
 )
+from olsonorder.hilbert_suite import run_hilbert
 from olsonorder.kernels import MeasurableFunction, observable_from_function
 from olsonorder.lattice import (
     _closed_route,
@@ -35,7 +36,6 @@ from olsonorder.observables import PiecewiseMap, question
 from olsonorder.suites import (
     random_monotone_family,
     random_unit_grid,
-    run_hilbert,
     run_involution,
     run_lattice_oracle,
     run_order,

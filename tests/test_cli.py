@@ -190,6 +190,15 @@ def test_tol_only_applies_to_numerical_commands(capsys):
     assert code == 1 and "NAME=FLOAT" in err
 
 
+def test_tol_values_must_be_finite_and_nonnegative(capsys):
+    for val in ("nan", "inf", "-inf", "-1"):
+        code, out, err = run(["spectral", "cmp", DIAG, DIAG, "--tol", f"ord={val}"], capsys)
+        assert code == 1 and err.startswith("ParseError") and "ord" in err, val
+        assert out == ""
+    code, out, _ = run(["spectral", "cmp", DIAG, DIAG, "--tol", "ord=0"], capsys)
+    assert code == 0 and json.loads(out)["verdict"] == "equal"
+
+
 def test_backend_requirements_for_suites(capsys):
     code, _, err = run(["check", "axioms"], capsys)
     assert code == 1 and "backend" in err
@@ -244,6 +253,9 @@ def test_exact_commands_do_not_import_numpy():
         "from olsonorder import cli\n"
         "assert cli.main(['neg', sys.argv[1], sys.argv[2]]) == 0\n"
         "assert 'numpy' not in sys.modules, 'neg'\n"
+        "for suite in ('axioms', 'lattice-oracle'):\n"
+        "    assert cli.main(['check', suite, sys.argv[1]]) == 0\n"
+        "    assert 'numpy' not in sys.modules, suite\n"
         "from olsonorder import HermitianOperator\n"
         "assert 'numpy' in sys.modules and HermitianOperator.__module__ == 'olsonorder.hilbert'\n"
     )

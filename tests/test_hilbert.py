@@ -191,3 +191,13 @@ def test_tolerance_overrides_change_verdicts():
     op = HermitianOperator(wobbly, loose)
     assert np.allclose(op.matrix, op.matrix.conj().T)
     assert Tolerances().replace(lat=1e-3).lat == 1e-3
+
+
+def test_tolerances_refuse_nan_infinite_and_negative_values():
+    for bad in (float("nan"), float("inf"), float("-inf"), -1e-12):
+        with pytest.raises(ParseError):
+            Tolerances(ord=bad)
+        with pytest.raises(ParseError):
+            DEFAULT_TOLERANCES.replace(lat=bad)
+    assert Tolerances(psd=0.0).psd == 0.0
+    assert DEFAULT_TOLERANCES.replace(ord=0).ord == 0

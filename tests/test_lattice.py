@@ -139,6 +139,15 @@ def test_caps_refuse_before_listing_the_carrier():
         raise AssertionError("carrier listed before the cap check")
 
     algebra.elements = unlisted
+    family = tuple(question(algebra, algebra.element(F(1, k))) for k in (2, 3))
+    with pytest.raises(CertificationTooLarge):
+        brute_force_meet(family)
+    with pytest.raises(CertificationTooLarge):
+        brute_force_join(family)
+    # a missing pointwise meet sends olson_join to the oracle
+    algebra.meet_many = lambda items: None
+    with pytest.raises(CertificationTooLarge):
+        olson_join(family)
     with pytest.raises(CertificationTooLarge):
         run_axioms(algebra)
     with pytest.raises(CertificationTooLarge):

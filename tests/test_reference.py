@@ -1,11 +1,18 @@
-"""The grid walk of the exact core against the sampling reference.
+"""The fast paths of the exact core against their reference definitions.
 
-The reference is the definition the walk replaces: every resolution is
-looked up by bisection at one point below the merged grid, at each grid
-point, at the midpoint of each gap and at one point above the grid.
-olson_leq, compare (verdict and witness) and both meet/join routes must
-give the same answers as the reference on seeded families over every
-shipped exact backend fixture and on hypothesis-drawn chain families.
+The grid walk is checked against the sampling reference: every
+resolution is looked up by bisection at one point below the merged grid,
+at each grid point, at the midpoint of each gap and at one point above
+the grid.  olson_leq, compare (verdict and witness) and both meet/join
+routes must give the same answers as the reference on seeded families
+over every shipped exact backend fixture and on hypothesis-drawn chain
+families.
+
+The pruned chain walk of brute_force_meet/brute_force_join is checked
+against the enumeration reference: every observable on the merged grid
+is built, the family's bounds are kept by olson_leq, and the frontier
+keeps enumeration order.  Answers, frontier order, refusals and their
+messages must agree.
 """
 
 from __future__ import annotations
@@ -17,21 +24,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olsonorder.algebras import MVChain
-from olsonorder.errors import InvalidAlgebra
+from olsonorder.errors import InvalidAlgebra, OlsonOrderError
 from olsonorder.lattice import (
+    DEFAULT_ENUMERATION_CAP,
+    BoundResult,
     _closed_route,
     _open_route,
+    brute_force_join,
+    brute_force_meet,
     compare,
+    enumerate_grid_observables,
     left_regularize,
     merged_grid,
     olson_leq,
     order_verdict,
 )
-from olsonorder.observables import from_closed_values
+from olsonorder.observables import from_closed_values, question
 from olsonorder.serialize import algebra_from_json
 
 from conftest import load_fixture
-from test_golden import BACKENDS, _draw
+from test_golden import BACKENDS, CAP, POINTS, _draw
 
 F = Fraction
 
@@ -128,3 +140,99 @@ def chain_families(draw, n=4):
 @given(chain_families())
 def test_walk_matches_reference_on_chain_families(xs):
     _assert_agree(xs)
+
+
+# -- brute force ----------------------------------------------------------------
+
+
+def _ref_brute_force(xs, cap, lower):
+    grid = merged_grid(xs)
+
+    def le(g, h):
+        return olson_leq(g, h) if lower else olson_leq(h, g)
+
+    bounds = [
+        g
+        for g in enumerate_grid_observables(xs[0].algebra, grid, cap=cap)
+        if all(le(g, x) for x in xs)
+    ]
+    for g in bounds:
+        if all(le(h, g) for h in bounds):
+            return BoundResult(True, g, "exhaustive")
+    frontier = tuple(g for g in bounds if not any(g != h and le(g, h) for h in bounds))
+    return BoundResult(False, None, "exhaustive", frontier)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except OlsonOrderError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_brute_force_agrees(xs, cap):
+    """Both directions against the reference; returns the outcomes."""
+    seen = []
+    for lower, fast in ((True, brute_force_meet), (False, brute_force_join)):
+        got = _outcome(lambda: fast(xs, cap=cap))
+        assert got == _outcome(lambda: _ref_brute_force(xs, cap, lower)), (lower, xs)
+        seen.append(got)
+    return seen
+
+
+def test_brute_force_matches_reference_on_every_fixture_backend():
+    outcomes = []
+    for seed, (name, count, questions) in enumerate(BACKENDS):
+        alg = algebra_from_json(load_fixture(name + ".json"))
+        elems = list(alg.elements())
+        rng = random.Random(5151 + seed)
+        for _ in range(count):
+            xs = tuple(_draw(alg, elems, rng, questions) for _ in range(rng.choice((1, 2, 3))))
+            outcomes += _assert_brute_force_agrees(xs, CAP)
+    assert any(isinstance(got, tuple) for got in outcomes)  # refusals
+
+
+def test_brute_force_frontiers_match_reference_where_bounds_are_missing():
+    frontiers = 0
+    for name in ("table_mo2", "table_block_cycle"):
+        alg = algebra_from_json(load_fixture(name + ".json"))
+        elems = list(alg.elements())
+        for i, a in enumerate(elems):
+            for b in elems[i + 1:]:
+                if alg.meet(a, b) is not None and alg.join(a, b) is not None:
+                    continue
+                xs = (question(alg, a), question(alg, b))
+                for got in _assert_brute_force_agrees(xs, DEFAULT_ENUMERATION_CAP):
+                    frontiers += not got.exists
+                    assert got.exists or len(got.frontier) >= 2
+    assert frontiers > 0
+
+
+@st.composite
+def table_families(draw):
+    name = draw(st.sampled_from(("table_mo2", "table_block_cycle")))
+    alg = TABLES[name]
+    elems = list(alg.elements())
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        grid = sorted(draw(st.sets(st.sampled_from(POINTS), min_size=1, max_size=3)))
+        cur, vals = alg.zero, []
+        for _ in grid[1:]:
+            ups = [e for e in elems if alg.leq(cur, e)]
+            cur = ups[draw(st.integers(0, len(ups) - 1))]
+            vals.append(cur)
+        vals.append(alg.one)
+        out.append(from_closed_values(alg, tuple(zip(grid, vals))))
+    return tuple(out)
+
+
+TABLES = {
+    name: algebra_from_json(load_fixture(name + ".json"))
+    for name in ("table_mo2", "table_block_cycle")
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(table_families(), st.sampled_from((CAP, DEFAULT_ENUMERATION_CAP)))
+def test_brute_force_matches_reference_on_table_families(xs, cap):
+    _assert_brute_force_agrees(xs, cap)
