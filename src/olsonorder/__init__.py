@@ -3,9 +3,10 @@
 Exact backends (MV chains, finite set algebras, validated tables, finite
 tribes, measure-quotients) run on rational arithmetic; the numerical
 backend works with Hermitian matrices through clustered spectral
-measures.  Meets and joins of bounded observables are computed along
-the open and closed resolution routes and cross-checked, with a
-brute-force enumeration oracle available for certification.
+measures.  The order, meets and joins of bounded observables are
+evaluated once on the closed resolution values at the merged spectrum
+grid, each pointwise bound checked against the values it bounds, with a
+brute-force enumeration oracle deciding when a pointwise bound is missing.
 """
 
 from __future__ import annotations

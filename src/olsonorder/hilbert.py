@@ -33,6 +33,10 @@ from .errors import (
 )
 
 DIMENSION_CAP = 16
+# Largest Frobenius norm accepted from JSON: the validation squares the
+# matrix and takes norms of the result, which stays in float range below
+# the fourth root of the largest float.
+NORM_CAP = 1e76
 
 
 @dataclasses.dataclass(frozen=True)
@@ -440,9 +444,14 @@ def matrix_from_json(
             for v in r:
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise ParseError(f"matrix entry {v!r} is not a number")
+                if not abs(v) <= NORM_CAP:  # also refuses NaN
+                    raise ParseError(f"matrix entry {v!r} is not finite or too large")
         return np.array(rows, dtype=np.float64)
 
     mat: np.ndarray = _rows("re")
     if "im" in obj:
         mat = mat + 1j * _rows("im")
+    norm = _norm(mat)
+    if norm > NORM_CAP:
+        raise ParseError(f"matrix norm {norm:.3e} exceeds {NORM_CAP:g}")
     return HermitianOperator(mat, tol, cap=cap)

@@ -3,25 +3,27 @@
 The order compares interval resolutions pointwise, inverted: x is below y
 when y((-inf,t)) <= x((-inf,t)) for every real t.  All resolutions here
 are step functions, constant between consecutive points of the merged
-grid t_0 < ... < t_{n-1} (the sorted union of the spectra), so their
-values below the grid, at each grid point, inside each gap and above the
-grid are all there is to compare.  One pointer walk per observable reads
-them off: when c_j of its spectral points lie at or below t_j, both
-x((-inf,t_j]) and the value throughout the gap (t_j, t_{j+1}) are the
-c_j-th partial weight sum, x((-inf,t_j)) is the c_{j-1}-th (zero for
-j = 0), and the resolution is zero below the grid and one above it.
+grid t_0 < ... < t_{n-1} (the sorted union of the spectra).  One pointer
+walk per observable reads its closed values off: when c_j of its
+spectral points lie at or below t_j, x((-inf,t_j]) is the c_j-th partial
+weight sum, and that value also holds throughout the gap (t_j, t_{j+1})
+and, for the last point, everywhere above the grid.  The open value at
+t_j is the closed value at t_{j-1}, and every resolution is zero below
+the grid, so the closed values at the grid points are everything the
+order and the bounds depend on; each is read and tested once.
 
 A join is a meet with the order reversed, so one code path serves both,
 with the direction as its parameter and the backend's n-ary bound
-(join_many for meets, meet_many for joins) as its pointwise step.  The
-bound is computed two independent ways and cross-checked: at grid
-points on open resolutions packaged through left_regularize, and inside
-the gaps on closed resolutions (the finite form of the inf-from-the-right
-regularization; a right-continuous step attains that inf throughout the
-open gap).  When some pointwise bound does not exist in the backend,
-existence is settled by exhaustive enumeration of all observables on
-the merged grid, which is sound and complete: any lower or upper bound
-can be moved onto the grid without leaving the bounding set.
+(join_many for meets, meet_many for joins) as its pointwise step on the
+closed values, checked against its row and packaged through
+from_closed_values.  The open-interval route through left_regularize
+(the sup-from-the-left closure of Olson's construction) computes the
+same observable; it stays as the reference the tests hold the closed
+route against, and no default path runs it.  When some pointwise bound
+does not exist in the backend, existence is settled by exhaustive
+enumeration of all observables on the merged grid, which is sound and
+complete: any lower or upper bound can be moved onto the grid without
+leaving the bounding set.
 """
 
 from __future__ import annotations
@@ -128,37 +130,15 @@ def _open_on_grid(x: SimpleObservable, grid: Sequence[Fraction]) -> list[EffectE
     return [x._cums[0], *_closed_on_grid(x, grid)[:-1]]
 
 
-def _sample_values(x: SimpleObservable, grid: Sequence[Fraction]):
-    """Open and closed values of x at one point below the grid, at each
-    grid point and inside each gap (the last gap is above the grid)."""
-    closed = _closed_on_grid(x, grid)
-    zero = x._cums[0]
-    # the open value at t_j is the closed value at t_{j-1}
-    return [zero, zero, *closed[:-1], *closed], [zero, *closed, *closed]
-
-
-def _agreed(open_ok: bool, closed_ok: bool) -> bool:
-    if open_ok != closed_ok:
-        raise InvalidAlgebra(
-            "open and closed interval tests disagree; backend order is inconsistent"
-        )
-    return open_ok
-
-
 def olson_leq(x: SimpleObservable, y: SimpleObservable) -> bool:
     """x is spectrally below y: y((-inf,t)) <= x((-inf,t)) for all t.
 
-    The equivalent closed-interval test runs alongside and both verdicts
-    must agree; a split verdict means the backend order is broken.
+    Tested on the closed values at the merged grid points, which take
+    every value pair the open test sees (see the module docstring).
     """
     xs = _family((x, y))
-    leq = xs[0].algebra.leq
     grid = merged_grid(xs)
-    x_open, x_closed = _sample_values(x, grid)
-    y_open, y_closed = _sample_values(y, grid)
-    open_ok = all(map(leq, y_open, x_open))
-    closed_ok = all(map(leq, y_closed, x_closed))
-    return _agreed(open_ok, closed_ok)
+    return all(map(xs[0].algebra.leq, _closed_on_grid(y, grid), _closed_on_grid(x, grid)))
 
 
 def order_verdict(fwd: bool, bwd: bool) -> str:
@@ -171,7 +151,7 @@ def order_verdict(fwd: bool, bwd: bool) -> str:
 
 
 def compare(x: SimpleObservable, y: SimpleObservable) -> OlsonComparison:
-    """Both directions of olson_leq in one walk over the order samples.
+    """Both directions of olson_leq in one walk over the grid points.
 
     The witness is the first merged-grid point refuting y-below-x for
     less_or_equal, x-below-y otherwise.
@@ -179,22 +159,16 @@ def compare(x: SimpleObservable, y: SimpleObservable) -> OlsonComparison:
     xs = _family((x, y))
     leq = xs[0].algebra.leq
     grid = merged_grid(xs)
-    x_open, x_closed = _sample_values(x, grid)
-    y_open, y_closed = _sample_values(y, grid)
-    # per sample: x-below-y open and closed, then y-below-x open and closed
+    # per grid point: x-below-y, then y-below-x
     tests = [
-        (leq(yo, xo), leq(yc, xc), leq(xo, yo), leq(xc, yc))
-        for xo, yo, xc, yc in zip(x_open, y_open, x_closed, y_closed)
+        (leq(yc, xc), leq(xc, yc))
+        for xc, yc in zip(_closed_on_grid(x, grid), _closed_on_grid(y, grid))
     ]
-    fwd_open, fwd_closed, bwd_open, bwd_closed = map(all, zip(*tests))
-    verdict = order_verdict(_agreed(fwd_open, fwd_closed), _agreed(bwd_open, bwd_closed))
+    verdict = order_verdict(*map(all, zip(*tests)))
     if verdict == "equal":
         return OlsonComparison(verdict, None)
-    side = 2 if verdict == "less_or_equal" else 0
-    for t, row in zip(grid, tests[1:]):
-        if not (row[side] and row[side + 1]):
-            return OlsonComparison(verdict, t)
-    raise InvalidAlgebra("refuted comparison has no grid witness; order is inconsistent")
+    side = 1 if verdict == "less_or_equal" else 0
+    return OlsonComparison(verdict, next(t for t, row in zip(grid, tests) if not row[side]))
 
 
 # -- regularization of monotone grid families --------------------------------
@@ -258,62 +232,67 @@ def right_regularize(
 
 
 def _pointwise(
-    bound_many: Callable[[list[EffectElement]], EffectElement | None],
+    algebra: EffectAlgebra,
     columns: Sequence[Sequence[EffectElement]],
+    lower: bool,
 ) -> list[EffectElement] | None:
-    """bound_many of each grid row of the columns; None once one is missing."""
+    """The backend's bound of each grid row of the columns, join_many for
+    a meet (lower) and meet_many for a join; None once one is missing.
+
+    Each bound must sit above (below) every value of its row, or the
+    backend's n-ary bound is broken and InvalidAlgebra is raised.
+    """
+    bound_many = algebra.join_many if lower else algebra.meet_many
+    leq = algebra.leq
     vals = []
     for row in zip(*columns):
         v = bound_many(list(row))
         if v is None:
             return None
+        if not all(leq(e, v) if lower else leq(v, e) for e in row):
+            name = "join_many" if lower else "meet_many"
+            raise InvalidAlgebra(f"{name} does not bound its inputs; backend is inconsistent")
         vals.append(v)
     return vals
 
 
 def _open_route(
-    bound_many: Callable[[list[EffectElement]], EffectElement | None],
     xs: Sequence[SimpleObservable],
     grid: Sequence[Fraction],
+    lower: bool,
 ) -> SimpleObservable | None:
     """Bounds of the open values at the grid points, packaged through
-    left_regularize; grid must hold every spectral point of xs."""
-    vals = _pointwise(bound_many, [_open_on_grid(x, grid) for x in xs])
+    left_regularize; grid must hold every spectral point of xs.
+
+    The open-interval reference for _closed_route; no default path runs it.
+    """
+    vals = _pointwise(xs[0].algebra, [_open_on_grid(x, grid) for x in xs], lower)
     if vals is None:
         return None
     return left_regularize(xs[0].algebra, tuple(zip(grid, vals))).to_observable()
 
 
 def _closed_route(
-    bound_many: Callable[[list[EffectElement]], EffectElement | None],
     xs: Sequence[SimpleObservable],
     grid: Sequence[Fraction],
+    lower: bool,
 ) -> SimpleObservable | None:
     """Bounds of the closed values inside the gaps (just above each grid
     point), packaged through from_closed_values; grid must hold every
     spectral point of xs."""
-    vals = _pointwise(bound_many, [_closed_on_grid(x, grid) for x in xs])
+    vals = _pointwise(xs[0].algebra, [_closed_on_grid(x, grid) for x in xs], lower)
     if vals is None:
         return None
     return from_closed_values(xs[0].algebra, tuple(zip(grid, vals)))
 
 
 def _olson_bound(xs: Iterable[SimpleObservable], cap: int, lower: bool) -> BoundResult:
-    """Meet (lower) or join of a family: both routes, cross-checked, with
-    the enumeration oracle deciding when a pointwise bound is missing."""
+    """Meet (lower) or join of a family: the closed route, with the
+    enumeration oracle deciding when a pointwise bound is missing."""
     family = _family(xs)
-    alg = family[0].algebra
-    grid = merged_grid(family)
-    pointwise = alg.join_many if lower else alg.meet_many
-    via_open = _open_route(pointwise, family, grid)
-    via_closed = _closed_route(pointwise, family, grid)
-    if via_open is not None and via_closed is not None:
-        if via_open != via_closed:
-            bound, dual = ("meet", "joins") if lower else ("join", "meets")
-            raise InvalidAlgebra(
-                f"open and closed {bound} routes disagree; backend {dual} are inconsistent"
-            )
-        return BoundResult(True, via_open, "elementwise")
+    bound = _closed_route(family, merged_grid(family), lower)
+    if bound is not None:
+        return BoundResult(True, bound, "elementwise")
     oracle = brute_force_meet if lower else brute_force_join
     return oracle(family, cap=cap)
 
@@ -324,11 +303,11 @@ def olson_meet(
 ) -> BoundResult:
     """Greatest lower bound of a finite family in the spectral order.
 
-    Pointwise joins of the resolutions on the merged grid give the meet
-    whenever every needed join exists in the backend; the open-interval
-    and closed-interval computations must produce the same observable.
-    If some pointwise join is missing, existence is settled by the
-    exhaustive grid-observable oracle and its answer is returned.
+    Pointwise joins of the closed resolution values on the merged grid
+    give the meet whenever every needed join exists in the backend; each
+    join is checked to lie above the values it joins.  If some pointwise
+    join is missing, existence is settled by the exhaustive
+    grid-observable oracle and its answer is returned.
     """
     return _olson_bound(xs, cap, lower=True)
 

@@ -79,10 +79,10 @@ def test_criterion_03_open_and_closed_routes_agree():
         for x in family:
             for y in family:
                 grid = merged_grid((x, y))
-                # meets take pointwise joins, joins take pointwise meets
-                for bound_many in (algebra.join_many, algebra.meet_many):
-                    assert _open_route(bound_many, (x, y), grid) == _closed_route(
-                        bound_many, (x, y), grid
+                # meets (lower) take pointwise joins, joins take pointwise meets
+                for lower in (True, False):
+                    assert _open_route((x, y), grid, lower) == _closed_route(
+                        (x, y), grid, lower
                     )
                 compared += 1
         assert compared == len(family) ** 2

@@ -147,6 +147,17 @@ def test_exit_code_2_suite_on_wrong_backend(capsys):
     assert code == 2 and err.startswith("BackendMismatch")
 
 
+def test_non_finite_matrices_exit_1(capsys, tmp_path):
+    for i, entry in enumerate(("NaN", "Infinity", "-Infinity", "1e308")):
+        bad = str(tmp_path / f"bad{i}.json")
+        with open(bad, "w", encoding="utf-8") as fh:
+            fh.write(f'{{"dim": 2, "re": [[{entry}, 0.0], [0.0, 0.5]]}}')
+        for argv in (["measure", bad], ["meet", bad, bad], ["cmp", bad, DIAG]):
+            code, out, err = run(["spectral", *argv], capsys)
+            assert code == 1 and out == "", argv
+            assert err.startswith("ParseError") and "Traceback" not in err, argv
+
+
 def test_exit_code_4_not_hermitian(capsys, tmp_path):
     bad = write_json(tmp_path, "bad.json", {"dim": 2, "re": [[0.0, 1.0], [0.0, 0.0]]})
     code, _, err = run(["spectral", "cmp", bad, bad], capsys)

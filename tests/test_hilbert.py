@@ -172,6 +172,20 @@ def test_matrix_json_round_trip():
         matrix_from_json({"dim": True, "re": []})
 
 
+def test_matrix_json_refuses_non_finite_and_overflowing_entries():
+    for bad in (float("nan"), float("inf"), float("-inf"), 1e308, 10**400):
+        with pytest.raises(ParseError):
+            matrix_from_json({"dim": 2, "re": [[bad, 0.0], [0.0, 0.5]]})
+        with pytest.raises(ParseError):
+            matrix_from_json(
+                {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, bad], [0.0, 0.0]]}
+            )
+    # every entry within range, but the norm is not
+    with pytest.raises(ParseError, match="norm"):
+        matrix_from_json({"dim": 2, "re": [[9e75, 9e75], [9e75, 9e75]]})
+    assert matrix_from_json({"dim": 2, "re": [[1e75, 0.0], [0.0, 0.5]]}).dim == 2
+
+
 def test_recorded_gap_pair_is_stable():
     pair = load_fixture("hilbert_noncommuting_pair.json")
     a = matrix_from_json(pair["a"])

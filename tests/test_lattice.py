@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from olsonorder.errors import (
     BackendMismatch,
     CertificationTooLarge,
     EmptyFamily,
+    InvalidAlgebra,
     SpectrumOutsideUnitInterval,
 )
 from olsonorder.lattice import (
@@ -122,6 +124,53 @@ def test_family_operations_validate(mv4, set2):
         olson_meet(())
     with pytest.raises(BackendMismatch):
         olson_meet((x, question(set2, set2.subset((0,)))))
+
+
+class _CountingChain(MVChain):
+    def __init__(self, n):
+        super().__init__(n)
+        self.calls = Counter()
+
+    def leq(self, a, b):
+        self.calls["leq"] += 1
+        return super().leq(a, b)
+
+    def join_many(self, items):
+        self.calls["join_many"] += 1
+        return super().join_many(items)
+
+
+def test_meet_and_order_test_each_grid_point_once():
+    algebra = _CountingChain(8)
+    x = _grid_observable(algebra, 8, [2, 5, 8], [F(0), F(1, 2), F(3, 4)])
+    y = _grid_observable(algebra, 8, [1, 3, 8], [F(1, 4), F(1, 2), F(1)])
+    k = len(merged_grid((x, y)))
+    assert k == 5
+    algebra.calls.clear()
+    assert olson_meet((x, y)).certified == "elementwise"
+    assert algebra.calls["join_many"] == k
+    algebra.calls.clear()
+    assert olson_leq(x, y)
+    assert algebra.calls["leq"] <= k
+
+
+class _LyingBounds(MVChain):
+    """join_many and meet_many answer with their first input."""
+
+    def join_many(self, items):
+        return items[0]
+
+    def meet_many(self, items):
+        return items[0]
+
+
+def test_pointwise_bounds_that_do_not_bound_are_refused():
+    algebra = _LyingBounds(4)
+    q1, q3 = (question(algebra, algebra.element(F(k, 4))) for k in (1, 3))
+    with pytest.raises(InvalidAlgebra, match="join_many"):
+        olson_meet((q3, q1))
+    with pytest.raises(InvalidAlgebra, match="meet_many"):
+        olson_join((q1, q3))
 
 
 def test_enumeration_counts_grid_chains(mv4, set2):

@@ -3,9 +3,10 @@
 The grid walk is checked against the sampling reference: every
 resolution is looked up by bisection at one point below the merged grid,
 at each grid point, at the midpoint of each gap and at one point above
-the grid.  olson_leq, compare (verdict and witness) and both meet/join
-routes must give the same answers as the reference on seeded families
-over every shipped exact backend fixture and on hypothesis-drawn chain
+the grid.  olson_leq, compare (verdict and witness), both meet/join
+routes and olson_meet/olson_join wherever the pointwise bounds exist
+must give the same answers as the reference on seeded families over
+every shipped exact backend fixture and on hypothesis-drawn chain
 families.
 
 The pruned chain walk of brute_force_meet/brute_force_join is checked
@@ -36,7 +37,9 @@ from olsonorder.lattice import (
     enumerate_grid_observables,
     left_regularize,
     merged_grid,
+    olson_join,
     olson_leq,
+    olson_meet,
     order_verdict,
 )
 from olsonorder.observables import from_closed_values, question
@@ -104,9 +107,19 @@ def _assert_agree(xs):
             got = compare(x, y)
             assert (got.verdict, got.witness_t) == _ref_compare(x, y), (x, y)
     grid = merged_grid(xs)
-    for bound_many in (alg.join_many, alg.meet_many):
-        assert _open_route(bound_many, xs, grid) == _ref_open_route(bound_many, xs, grid), xs
-        assert _closed_route(bound_many, xs, grid) == _ref_closed_route(bound_many, xs, grid), xs
+    # meets (lower) take pointwise joins, joins take pointwise meets
+    for lower, bound_many, bound in (
+        (True, alg.join_many, olson_meet),
+        (False, alg.meet_many, olson_join),
+    ):
+        ref_open = _ref_open_route(bound_many, xs, grid)
+        ref_closed = _ref_closed_route(bound_many, xs, grid)
+        assert _open_route(xs, grid, lower) == ref_open, xs
+        assert _closed_route(xs, grid, lower) == ref_closed, xs
+        refs = [ref for ref in (ref_open, ref_closed) if ref is not None]
+        if refs:
+            got = bound(xs)
+            assert all(got == BoundResult(True, ref, "elementwise") for ref in refs), xs
 
 
 def test_walk_matches_reference_on_every_fixture_backend():
