@@ -78,7 +78,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, UnicodeDecodeError and the int digit limit
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 

@@ -80,9 +80,14 @@ def _norm(mat: np.ndarray) -> float:
 
 
 class HermitianOperator:
-    """A validated square Hermitian matrix with effect/projection flags."""
+    """A validated square Hermitian matrix.
 
-    __slots__ = ("matrix", "dim", "is_effect", "is_projection")
+    The constructor checks shape, dimension cap, finiteness and
+    hermiticity; the effect and projection flags are computed on first
+    read and cached.
+    """
+
+    __slots__ = ("matrix", "dim", "_scale", "_tol", "_is_effect", "_is_projection")
 
     def __init__(
         self,
@@ -96,7 +101,12 @@ class HermitianOperator:
         if arr.shape[0] > cap:
             raise CarrierTooLarge(f"dimension {arr.shape[0]} exceeds the cap {cap}")
         arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
-        scale = max(1.0, _norm(arr))
+        with np.errstate(over="ignore"):
+            norm = _norm(arr)
+        # before max(): max(1.0, nan) is 1.0
+        if not math.isfinite(norm):
+            raise ParseError(f"matrix norm {norm} is not finite")
+        scale = max(1.0, norm)
         if _norm(arr - arr.conj().T) > tol.herm * scale:
             raise NotHermitian(
                 f"hermiticity residual {_norm(arr - arr.conj().T):.3e} exceeds tolerance"
@@ -105,14 +115,32 @@ class HermitianOperator:
         arr.setflags(write=False)
         self.matrix = arr
         self.dim = int(arr.shape[0])
-        try:
-            evals = np.linalg.eigvalsh(arr)
-        except np.linalg.LinAlgError as exc:
-            raise EigendecompositionFailure(str(exc)) from exc
-        self.is_effect = bool(
-            evals[0] >= -tol.psd * scale and evals[-1] <= 1.0 + tol.psd * scale
-        )
-        self.is_projection = bool(_norm(arr @ arr - arr) <= tol.proj * scale)
+        self._scale = scale
+        self._tol = tol
+        self._is_effect: bool | None = None
+        self._is_projection: bool | None = None
+
+    @property
+    def is_effect(self) -> bool:
+        """Spectrum within [0, 1] at tolerance."""
+        if self._is_effect is None:
+            try:
+                evals = np.linalg.eigvalsh(self.matrix)
+            except np.linalg.LinAlgError as exc:
+                raise EigendecompositionFailure(str(exc)) from exc
+            slack = self._tol.psd * self._scale
+            self._is_effect = bool(evals[0] >= -slack and evals[-1] <= 1.0 + slack)
+        return self._is_effect
+
+    @property
+    def is_projection(self) -> bool:
+        """Idempotent at tolerance."""
+        if self._is_projection is None:
+            arr = self.matrix
+            self._is_projection = bool(
+                _norm(arr @ arr - arr) <= self._tol.proj * self._scale
+            )
+        return self._is_projection
 
     @property
     def rank(self) -> int:
@@ -140,16 +168,16 @@ def _same_dim(a: HermitianOperator, b: HermitianOperator) -> None:
         raise DimensionMismatch(f"operators have dimensions {a.dim} and {b.dim}")
 
 
-def _cluster_means(values: np.ndarray, gap: float) -> tuple[np.ndarray, list[list[int]]]:
-    # consecutive chaining: near-degenerate values share one grid point
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] <= gap:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    means = np.array([float(values[c].mean()) for c in clusters])
-    return means, clusters
+def _cluster_means(values: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Means of the clusters of sorted `values` and the index of each
+    cluster's last value.
+
+    Consecutive chaining: a value within `gap` of its predecessor joins
+    its cluster, so near-degenerate values share one grid point.
+    """
+    ends = np.append(np.flatnonzero(np.diff(values) > gap), len(values) - 1)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    return np.add.reduceat(values, starts) / (ends - starts + 1), ends
 
 
 class SpectralMeasure:
@@ -161,7 +189,7 @@ class SpectralMeasure:
     noise.
     """
 
-    __slots__ = ("grid", "cumulative", "scale", "_slack")
+    __slots__ = ("grid", "cumulative", "scale", "_slack", "_padded")
 
     def __init__(
         self,
@@ -171,7 +199,10 @@ class SpectralMeasure:
         tol: Tolerances = DEFAULT_TOLERANCES,
     ) -> None:
         self.grid = np.asarray(grid, dtype=np.float64)
-        self.cumulative = cumulative
+        cumulative = np.asarray(cumulative)
+        # row 0 is the zero projection, the resolution below the grid
+        self._padded = np.concatenate([np.zeros_like(cumulative[:1]), cumulative])
+        self.cumulative = self._padded[1:]
         self.scale = float(scale)
         self._slack = tol.eig * self.scale / 2.0
 
@@ -180,16 +211,13 @@ class SpectralMeasure:
         return int(self.cumulative.shape[1])
 
     def cumulative_stack_at(self, ts: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.grid, np.asarray(ts) + self._slack, side="right") - 1
-        out = self.cumulative[np.clip(idx, 0, len(self.grid) - 1)]
-        out = np.where((idx >= 0)[:, None, None], out, np.zeros_like(out[0]))
-        return out
+        """E((-inf, t]) for each t in the 1-d array `ts`, shape (len(ts), d, d)."""
+        return self._padded[
+            np.searchsorted(self.grid, np.asarray(ts) + self._slack, side="right")
+        ]
 
     def eigenprojections(self) -> np.ndarray:
-        prev = np.concatenate(
-            [np.zeros_like(self.cumulative[:1]), self.cumulative[:-1]], axis=0
-        )
-        return self.cumulative - prev
+        return np.diff(self._padded, axis=0)
 
     def reconstruct(self) -> np.ndarray:
         mat = np.einsum("t,tij->ij", self.grid, self.eigenprojections())
@@ -204,12 +232,11 @@ class SpectralMeasure:
         vals = np.asarray(values, dtype=np.float64)
         if vals.shape != self.grid.shape:
             raise DimensionMismatch("need one image per grid point")
-        if np.any(np.diff(vals) < 0):
-            raise ParseError("apply_monotone needs nondecreasing images")
-        new_grid, clusters = _cluster_means(vals, tol.eig * self.scale)
+        if not np.all(np.isfinite(vals)) or np.any(np.diff(vals) < 0):
+            raise ParseError("apply_monotone needs finite nondecreasing images")
+        new_grid, ends = _cluster_means(vals, tol.eig * self.scale)
         # cumulative at a merged value is the last original cumulative in it
-        picks = np.array([c[-1] for c in clusters])
-        return SpectralMeasure(new_grid, self.cumulative[picks], self.scale, tol)
+        return SpectralMeasure(new_grid, self.cumulative[ends], self.scale, tol)
 
     def to_operator(self, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
         return HermitianOperator(self.reconstruct(), tol)
@@ -223,15 +250,12 @@ def spectral_measure(a, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralMeasure
         evals, evecs = np.linalg.eigh(op.matrix)
     except np.linalg.LinAlgError as exc:
         raise EigendecompositionFailure(str(exc)) from exc
-    grid, clusters = _cluster_means(evals, tol.eig * scale)
-    d = op.dim
-    cumulative = np.empty((len(clusters), d, d), dtype=evecs.dtype)
-    running = np.zeros((d, d), dtype=evecs.dtype)
-    for k, cluster in enumerate(clusters):
-        block = evecs[:, cluster]
-        running = running + block @ block.conj().T
-        cumulative[k] = (running + running.conj().T) / 2.0
-    cumulative[-1] = np.eye(d, dtype=evecs.dtype)
+    grid, ends = _cluster_means(evals, tol.eig * scale)
+    # running sums of the v_k v_k^*, read at the end of each cluster
+    vecs = evecs.T
+    cumulative = np.cumsum(vecs[:, :, None] @ vecs.conj()[:, None, :], axis=0)[ends]
+    cumulative = (cumulative + cumulative.conj().swapaxes(1, 2)) / 2.0
+    cumulative[-1] = np.eye(op.dim, dtype=evecs.dtype)
     measure = SpectralMeasure(grid, cumulative, scale, tol)
     residual = _norm(measure.reconstruct() - op.matrix)
     if residual > tol.rec * scale:
@@ -246,29 +270,31 @@ def _require_projection(op: HermitianOperator) -> None:
         raise NotAProjection("operation needs orthogonal projections")
 
 
-def _proj_meet_many(mats: Sequence[np.ndarray], tol: Tolerances, dim: int) -> np.ndarray:
-    """Projection onto the intersection of ranges.
+def _proj_meet_many(stack: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Projections onto the intersections of ranges, one batched SVD.
 
-    The intersection is the null space of the stacked orthogonal
-    complements; singular values at or below the rank cutoff flag null
-    directions.
+    `stack` has shape (..., m, d, d) with m >= 1: each entry over the
+    leading axes holds m projections, and the result, of shape
+    (..., d, d), projects onto the intersection of their ranges.  That
+    intersection is the null space of the m stacked orthogonal
+    complements, an (m d) x d matrix; singular values at or below the
+    rank cutoff tol.ord flag null directions.
     """
-    eye = np.eye(dim)
-    if not mats:
-        return eye
-    stacked = np.vstack([eye - m for m in mats])
+    *lead, m, d, _ = stack.shape
+    complements = (np.eye(d) - stack).reshape(*lead, m * d, d)
     try:
-        _, svals, vh = np.linalg.svd(stacked)
+        _, svals, vh = np.linalg.svd(complements, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise EigendecompositionFailure(str(exc)) from exc
-    basis = vh[svals <= tol.ord].conj().T
-    out = basis @ basis.conj().T
-    return (out + out.conj().T) / 2.0
+    null = vh.conj().swapaxes(-1, -2) * (svals <= tol.ord)[..., None, :]
+    out = null @ vh
+    return (out + out.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _proj_join_many(mats: Sequence[np.ndarray], tol: Tolerances, dim: int) -> np.ndarray:
-    eye = np.eye(dim)
-    return eye - _proj_meet_many([eye - m for m in mats], tol, dim)
+def _proj_join_many(stack: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Projections onto the spans of ranges; same shapes as _proj_meet_many."""
+    eye = np.eye(stack.shape[-1])
+    return eye - _proj_meet_many(eye - stack, tol)
 
 
 def proj_meet(p, q, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
@@ -277,9 +303,7 @@ def proj_meet(p, q, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
     _same_dim(op_p, op_q)
     _require_projection(op_p)
     _require_projection(op_q)
-    return HermitianOperator(
-        _proj_meet_many([op_p.matrix, op_q.matrix], tol, op_p.dim), tol
-    )
+    return HermitianOperator(_proj_meet_many(np.stack([op_p.matrix, op_q.matrix]), tol), tol)
 
 
 def proj_join(p, q, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
@@ -288,9 +312,7 @@ def proj_join(p, q, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
     _same_dim(op_p, op_q)
     _require_projection(op_p)
     _require_projection(op_q)
-    return HermitianOperator(
-        _proj_join_many([op_p.matrix, op_q.matrix], tol, op_p.dim), tol
-    )
+    return HermitianOperator(_proj_join_many(np.stack([op_p.matrix, op_q.matrix]), tol), tol)
 
 
 def range_leq(p, q, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
@@ -357,28 +379,28 @@ def _effect_family(operators: Iterable, tol: Tolerances) -> list[HermitianOperat
 def _lattice_bound(
     measures: Sequence[SpectralMeasure], tol: Tolerances, meet: bool
 ) -> HermitianOperator:
-    dim = measures[0].dim
     scale = max(1.0, *(m.scale for m in measures))
     merged = np.sort(np.concatenate([m.grid for m in measures]))
     grid, _ = _cluster_means(merged, tol.eig * scale)
-    stacks = [m.cumulative_stack_at(grid) for m in measures]
-    combine = _proj_join_many if meet else _proj_meet_many
-    eye = np.eye(dim)
-    cums: list[np.ndarray] = []
-    prev: np.ndarray | None = None
-    for i in range(len(grid)):
-        cur = combine([s[i] for s in stacks], tol, dim)
-        if prev is not None and _norm((eye - cur) @ prev) > tol.ord:
-            # monotone repair: resolutions must be nondecreasing
-            cur = _proj_join_many([prev, cur], tol, dim)
-        cums.append(cur)
-        prev = cur
+    # (points, family, d, d): every grid point combined in one call
+    stack = np.stack([m.cumulative_stack_at(grid) for m in measures], axis=1)
+    cums = (_proj_join_many if meet else _proj_meet_many)(stack, tol)
+    eye = np.eye(cums.shape[-1])
+    # monotone repair: resolutions must be nondecreasing, so a point whose
+    # resolution misses its predecessor's range is joined with it; that
+    # changes only the next point's residual, so rescan from there
+    start = 1
+    while True:
+        residuals = np.linalg.norm((eye - cums[start:]) @ cums[start - 1 : -1], axis=(1, 2))
+        failing = np.flatnonzero(residuals > tol.ord)
+        if not failing.size:
+            break
+        i = start + int(failing[0])
+        cums[i] = _proj_join_many(cums[i - 1 : i + 1], tol)
+        start = i + 1
     cums[-1] = eye
-    mat = np.zeros((dim, dim), dtype=cums[-1].dtype)
-    last = np.zeros_like(mat)
-    for t, cur in zip(grid, cums):
-        mat = mat + t * (cur - last)
-        last = cur
+    # sum_i t_i (P_i - P_{i-1})
+    mat = np.einsum("t,tij->ij", grid, np.diff(cums, axis=0, prepend=np.zeros_like(cums[:1])))
     return HermitianOperator((mat + mat.conj().T) / 2.0, tol)
 
 

@@ -158,6 +158,19 @@ def test_non_finite_matrices_exit_1(capsys, tmp_path):
             assert err.startswith("ParseError") and "Traceback" not in err, argv
 
 
+def test_undecodable_json_files_exit_1(capsys, tmp_path):
+    # an integer literal beyond Python's digit limit, and a UTF-16 byte mark
+    digits = tmp_path / "digits.json"
+    digits.write_text('{"dim": 1, "re": [[' + "1" * 5000 + "]]}", encoding="utf-8")
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + '{"dim": 1, "re": [[0.5]]}'.encode("utf-16-le"))
+    for bad in (str(digits), str(utf16)):
+        for argv in (["spectral", "measure", bad], ["cmp", bad, Q14, Q34]):
+            code, out, err = run(argv, capsys)
+            assert code == 1 and out == "", argv
+            assert err.startswith("ParseError:") and err.count("\n") == 1, argv
+
+
 def test_exit_code_4_not_hermitian(capsys, tmp_path):
     bad = write_json(tmp_path, "bad.json", {"dim": 2, "re": [[0.0, 1.0], [0.0, 0.0]]})
     code, _, err = run(["spectral", "cmp", bad, bad], capsys)

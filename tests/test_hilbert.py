@@ -150,6 +150,9 @@ def test_apply_monotone_contract():
     m = spectral_measure(np.diag([0.25, 0.5, 0.75]))
     with pytest.raises(ParseError):
         m.apply_monotone([0.3, 0.2, 0.5])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ParseError):
+            m.apply_monotone([0.1, 0.2, bad])
     with pytest.raises(DimensionMismatch):
         m.apply_monotone([0.1, 0.2])
     img = m.apply_monotone([0.1, 0.1, 0.6])
@@ -184,6 +187,23 @@ def test_matrix_json_refuses_non_finite_and_overflowing_entries():
     with pytest.raises(ParseError, match="norm"):
         matrix_from_json({"dim": 2, "re": [[9e75, 9e75], [9e75, 9e75]]})
     assert matrix_from_json({"dim": 2, "re": [[1e75, 0.0], [0.0, 0.5]]}).dim == 2
+
+
+def test_operators_refuse_non_finite_matrices():
+    for bad in (float("nan"), float("inf"), float("-inf"), 1e200):
+        mat = np.array([[bad, 0.0], [0.0, 0.5]])
+        for arr in (mat, mat.astype(np.complex128)):
+            with pytest.raises(ParseError):
+                HermitianOperator(arr)
+            with pytest.raises(ParseError):
+                spectral_measure(arr)
+            with pytest.raises(ParseError):
+                spectral_leq(arr, arr)
+            with pytest.raises(ParseError):
+                spectral_leq(np.eye(2) / 2, arr)
+    with pytest.raises(ParseError):
+        HermitianOperator(np.array([[0.5, 0.0], [0.0, 0.5 + 1j * float("nan")]]))
+    assert HermitianOperator(np.diag([1e150, 0.5])).dim == 2
 
 
 def test_recorded_gap_pair_is_stable():
