@@ -43,6 +43,9 @@ from .errors import (
 )
 
 DEFAULT_TABLE_CAP = 256
+#: digits of the longest numerator or denominator a rational literal may
+#: have: Python's default limit for converting an int to a string
+RATIONAL_DIGIT_CAP = 4300
 
 
 class EffectElement:
@@ -227,16 +230,46 @@ class EffectAlgebra(ABC):
 
 
 def _parse_rational(obj) -> Fraction:
-    if isinstance(obj, bool):
-        raise ParseError(f"expected a rational literal, got {obj!r}")
-    if isinstance(obj, int):
-        return Fraction(obj)
+    q = _bounded_rational(obj)
+    if q is not None:
+        return q
     if isinstance(obj, str):
-        try:
-            return Fraction(obj)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad rational literal {obj!r}") from exc
+        raise ParseError(f"bad rational literal {obj!r}")
     raise ParseError(f"expected a rational literal, got {obj!r}")
+
+
+def _bounded_rational(obj) -> Fraction | None:
+    """obj as a Fraction, or None when it is no rational literal.
+
+    A literal whose decimal exponent exceeds RATIONAL_DIGIT_CAP in size
+    is refused before the Fraction is built (10**exponent is computed
+    in full), and one whose reduced numerator or denominator has more
+    than RATIONAL_DIGIT_CAP digits afterwards, since Python refuses to
+    print it; both raise ParseError.
+    """
+    if isinstance(obj, bool):
+        return None
+    if isinstance(obj, str):
+        exponent = obj.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+        if exponent.isdecimal() and (
+            len(exponent) > 9 or int(exponent) > RATIONAL_DIGIT_CAP
+        ):
+            raise ParseError(
+                f"rational literal {obj[:40]!r} has an exponent above {RATIONAL_DIGIT_CAP}"
+            )
+        try:
+            q = Fraction(obj)
+        except (ValueError, ZeroDivisionError):
+            return None
+    elif isinstance(obj, int):
+        q = Fraction(obj)
+    else:
+        return None
+    # fewer than 3c bits means fewer than c digits (2**3 < 10)
+    for term in (q.numerator, q.denominator):
+        if term.bit_length() > 3 * RATIONAL_DIGIT_CAP and abs(term) >= 10**RATIONAL_DIGIT_CAP:
+            raise ParseError(f"rational literal has more than {RATIONAL_DIGIT_CAP} digits")
+    return q
 
 
 def rational_to_json(q: Fraction) -> str:

@@ -137,9 +137,11 @@ class HermitianOperator:
         """Idempotent at tolerance."""
         if self._is_projection is None:
             arr = self.matrix
-            self._is_projection = bool(
-                _norm(arr @ arr - arr) <= self._tol.proj * self._scale
-            )
+            # a projection has norm at most sqrt(dim), so a residual that
+            # overflows to inf or nan rightly answers False
+            with np.errstate(over="ignore", invalid="ignore"):
+                residual = _norm(arr @ arr - arr)
+            self._is_projection = bool(residual <= self._tol.proj * self._scale)
         return self._is_projection
 
     @property

@@ -15,8 +15,9 @@ order and the bounds depend on; each is read and tested once.
 A join is a meet with the order reversed, so one code path serves both,
 with the direction as its parameter and the backend's n-ary bound
 (join_many for meets, meet_many for joins) as its pointwise step on the
-closed values, checked against its row and packaged through
-from_closed_values.  The open-interval route through left_regularize
+closed values, checked against its row and packaged by the trusted
+packer _pack_closed, which does not re-validate what the library has
+just computed.  The open-interval route through left_regularize
 (the sup-from-the-left closure of Olson's construction) computes the
 same observable; it stays as the reference the tests hold the closed
 route against, and no default path runs it.  When some pointwise bound
@@ -47,8 +48,8 @@ from .observables import (
     PiecewiseMap,
     SimpleObservable,
     StepResolution,
+    _pack_closed,
     _rational,
-    from_closed_values,
     question,
 )
 
@@ -278,12 +279,12 @@ def _closed_route(
     lower: bool,
 ) -> SimpleObservable | None:
     """Bounds of the closed values inside the gaps (just above each grid
-    point), packaged through from_closed_values; grid must hold every
-    spectral point of xs."""
+    point), packaged by _pack_closed; grid must hold every spectral point
+    of xs."""
     vals = _pointwise(xs[0].algebra, [_closed_on_grid(x, grid) for x in xs], lower)
     if vals is None:
         return None
-    return from_closed_values(xs[0].algebra, tuple(zip(grid, vals)))
+    return _pack_closed(xs[0].algebra, grid, vals)
 
 
 def _olson_bound(xs: Iterable[SimpleObservable], cap: int, lower: bool) -> BoundResult:
@@ -380,7 +381,7 @@ def enumerate_grid_observables(
     if not pts:
         raise EmptyFamily("grid must be nonempty")
     for chain in _grid_chains(algebra, len(pts), cap):
-        yield from_closed_values(algebra, tuple(zip(pts, chain)))
+        yield _pack_closed(algebra, pts, chain)
 
 
 def _brute_force(xs: Iterable[SimpleObservable], cap: int, lower: bool) -> BoundResult:
@@ -417,13 +418,11 @@ def _brute_force(xs: Iterable[SimpleObservable], cap: int, lower: bool) -> Bound
         if le(best, g):
             best = g
 
-    def build(chain: tuple) -> SimpleObservable:
-        return from_closed_values(alg, tuple(zip(grid, chain)))
-
     if all(le(h, best) for h in bounds):
-        return BoundResult(True, build(best), "exhaustive")
+        return BoundResult(True, _pack_closed(alg, grid, best), "exhaustive")
     frontier = tuple(
-        build(g) for g in bounds if not any(g != h and le(g, h) for h in bounds)
+        _pack_closed(alg, grid, g)
+        for g in bounds if not any(g != h and le(g, h) for h in bounds)
     )
     return BoundResult(False, None, "exhaustive", frontier)
 

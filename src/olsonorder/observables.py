@@ -411,6 +411,27 @@ class SimpleObservable:
         self.weights = wts
         self._cums = tuple(cums)
 
+    @classmethod
+    def _from_cums(
+        cls,
+        algebra: EffectAlgebra,
+        points: Sequence[Fraction],
+        cums: Sequence[EffectElement],
+    ) -> "SimpleObservable":
+        """Trusted constructor for values the library computed itself.
+
+        points are strictly increasing Fractions and cums the strictly
+        increasing closed values 0 = c_0 < ... < c_k = 1 of the algebra,
+        one more than points; nothing is checked, and weight i is the one
+        diff c_i - c_{i-1}.
+        """
+        self = object.__new__(cls)
+        self.algebra = algebra
+        self.points = tuple(points)
+        self._cums = tuple(cums)
+        self.weights = tuple(map(algebra.diff, self._cums[1:], self._cums))
+        return self
+
     # -- resolutions ------------------------------------------------------
 
     @property
@@ -459,7 +480,13 @@ class SimpleObservable:
             raise SpectrumOutsideUnitInterval(
                 f"negation needs spectrum in [0,1], got {self.points}"
             )
-        return self.apply_map(PiecewiseMap.one_minus_t())
+        # the mass at or below 1 - u_j is the complement of the mass below u_j
+        alg = self.algebra
+        return SimpleObservable._from_cums(
+            alg,
+            [1 - t for t in reversed(self.points)],
+            [alg.zero, *map(alg.complement, reversed(self._cums[:-1]))],
+        )
 
     # -- predicates ---------------------------------------------------------
 
@@ -555,16 +582,36 @@ def from_closed_values(
     vals = [v for _, v in pairs]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise NonIncreasingPoints(f"grid not strictly increasing: {ts}")
+    if not all(map(algebra.leq, [algebra.zero, *vals], vals)):
+        raise NonMonotoneInput("closed-resolution values must be nondecreasing")
+    if vals[-1] != algebra.one:
+        raise WeightsNotSummable("closed-resolution values must reach 1")
+    return _pack_closed(algebra, ts, vals)
+
+
+def _pack_closed(
+    algebra: EffectAlgebra,
+    grid: Sequence[Fraction],
+    values: Sequence[EffectElement],
+) -> SimpleObservable:
+    """The observable with closed values `values` at the increasing Fractions
+    of `grid`, for chains the library computed itself.
+
+    Equal neighbours drop out, so each point kept carries a jump.  A
+    chain that falls raises NonMonotoneInput and one that stops short of
+    1 InvalidAlgebra: either means the backend's bounds are inconsistent.
+    """
+    leq = algebra.leq
     prev = algebra.zero
-    points, weights = [], []
-    for t, v in zip(ts, vals):
-        if not algebra.leq(prev, v):
+    points, cums = [], [prev]
+    for t, v in zip(grid, values):
+        if v == prev:
+            continue
+        if not leq(prev, v):
             raise NonMonotoneInput("closed-resolution values must be nondecreasing")
-        w = algebra.diff(v, prev)
-        if w != algebra.zero:
-            points.append(t)
-            weights.append(w)
+        points.append(t)
+        cums.append(v)
         prev = v
     if prev != algebra.one:
-        raise WeightsNotSummable("closed-resolution values must reach 1")
-    return SimpleObservable(algebra, points, weights)
+        raise InvalidAlgebra("closed-resolution values do not reach 1; backend is inconsistent")
+    return SimpleObservable._from_cums(algebra, points, cums)

@@ -16,6 +16,7 @@ from .algebras import (
     MVChain,
     QuotientBooleanAlgebra,
     TableEffectAlgebra,
+    _bounded_rational,
     _parse_rational,
     rational_to_json,
 )
@@ -90,6 +91,9 @@ def observable_from_json(algebra: EffectAlgebra, obj) -> SimpleObservable:
     points = [_parse_rational(p) for p in obj["points"]]
     weights = []
     for w in obj["weights"]:
+        # a rational too long for any backend is a parse error, not a mismatch
+        for leaf in w if isinstance(w, list) else (w,):
+            _bounded_rational(leaf)
         try:
             weights.append(algebra.element_from_json(w))
         except ParseError as exc:

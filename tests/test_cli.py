@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -169,6 +170,22 @@ def test_undecodable_json_files_exit_1(capsys, tmp_path):
             code, out, err = run(argv, capsys)
             assert code == 1 and out == "", argv
             assert err.startswith("ParseError:") and err.count("\n") == 1, argv
+
+
+def test_unprintable_rational_literals_exit_1(capsys, tmp_path):
+    # 10**5000 cannot be printed, and 10**10000000 takes seconds to build
+    for literal in ("1e5000", "1e10000000"):
+        for name, obs in (
+            ("point", {"points": [literal], "weights": ["1"]}),
+            ("weight", {"points": ["0", "1"], "weights": [literal, "1"]}),
+        ):
+            bad = write_json(tmp_path, name + ".json", obs)
+            for argv in (["neg", MV4, bad], ["join", MV4, bad, Q14]):
+                start = time.perf_counter()
+                code, out, err = run(argv, capsys)
+                assert time.perf_counter() - start < 1.0, (literal, name, argv[0])
+                assert code == 1 and out == "", (literal, name, argv[0])
+                assert err.startswith("ParseError:") and err.count("\n") == 1, err
 
 
 def test_exit_code_4_not_hermitian(capsys, tmp_path):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,16 @@ def test_operators_refuse_non_finite_matrices():
     with pytest.raises(ParseError):
         HermitianOperator(np.array([[0.5, 0.0], [0.0, 0.5 + 1j * float("nan")]]))
     assert HermitianOperator(np.diag([1e150, 0.5])).dim == 2
+
+
+def test_large_finite_matrices_are_not_projections_without_warnings():
+    # both square to overflowing entries inside the idempotency residual
+    for mat in (np.full((2, 2), 6e153), np.diag([1e150, 0.5])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = HermitianOperator(mat)
+            assert op.is_projection is False
+            assert repr(op) == "HermitianOperator(dim=2)"
 
 
 def test_recorded_gap_pair_is_stable():

@@ -14,6 +14,7 @@ from olsonorder.errors import (
     CertificationTooLarge,
     EmptyFamily,
     InvalidAlgebra,
+    NonMonotoneInput,
     SpectrumOutsideUnitInterval,
 )
 from olsonorder.lattice import (
@@ -170,6 +171,37 @@ def test_pointwise_bounds_that_do_not_bound_are_refused():
     with pytest.raises(InvalidAlgebra, match="join_many"):
         olson_meet((q3, q1))
     with pytest.raises(InvalidAlgebra, match="meet_many"):
+        olson_join((q1, q3))
+
+
+class _FallingBounds(MVChain):
+    """join_many answers 1 for a row of quarters: a bound, but not a monotone one."""
+
+    def join_many(self, items):
+        if all(a == self.element(F(1, 4)) for a in items):
+            return self.one
+        return super().join_many(items)
+
+
+class _ShortBounds(MVChain):
+    """meet_many answers 3/4 for a row of ones: a bound, but the chain stops short."""
+
+    def meet_many(self, items):
+        if all(a == self.one for a in items):
+            return self.element(F(3, 4))
+        return super().meet_many(items)
+
+
+def test_trusted_packing_refuses_inconsistent_bounds():
+    falling = _FallingBounds(4)
+    x = _grid_observable(falling, 4, [1, 2, 4], [F(0), F(1, 2), F(1)])
+    # row bounds 1, 1/2, 1 fall at the second grid point
+    with pytest.raises(NonMonotoneInput):
+        olson_meet((x, x))
+    short = _ShortBounds(4)
+    q1, q3 = (question(short, short.element(F(k, 4))) for k in (1, 3))
+    # row bounds 1/4, 3/4 never reach one
+    with pytest.raises(InvalidAlgebra, match="reach 1"):
         olson_join((q1, q3))
 
 
