@@ -13,22 +13,26 @@ The induced order is a <= b iff a + c = b for some c; the witness c is
 unique (written diff(b, a) here).  An element is sharp when the greatest
 lower bound of a and a' exists and equals 0.
 
-Every backend in this module is exact: payloads are integers, bitmasks or
-`fractions.Fraction` values, equality is literal, and no floating point is
-involved.  Elements are owned by the backend instance that created them;
-mixing instances raises instead of coercing, even when parameters agree.
+Every backend in this module is exact: payloads are integers (k for k/n
+on a chain, a table index, a bitmask) or tuples of integer numerators,
+equality is literal, and no floating point is involved; rationals appear
+only where elements are built, printed or read back.  Elements are owned
+by the backend instance that created them; every public primitive checks
+that, and mixing instances raises even when parameters agree.
 
 Meets and joins are dual, and each duality is written once with the
-order direction as a parameter: `join_many`/`meet_many` share one n-ary
-bound that folds the binary bound on lattice backends and scans the
-carrier elsewhere, and the binary bounds of the table and restricted
-tribe backends call that same scan.  The set and quotient backends share
-one bitmask arithmetic against a top mask.
+order direction as a parameter.  Lattice backends compute the n-ary
+bound with arithmetic.  Explicit carriers (the table and a restricted
+tribe) index their elements in elements() order while they validate,
+keep one up-set and one down-set bitset per element, and find a bound
+as the AND of those sets: it exists iff the AND is principal.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from abc import ABC, abstractmethod
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -83,7 +87,9 @@ class EffectAlgebra(ABC):
 
     `add` returns None when the partial sum is undefined; `meet`/`join`
     return None when the bound does not exist in the carrier.  Everything
-    else raises on misuse.
+    else raises on misuse.  The order, bounds and differences here serve
+    the explicit carriers; lattice backends override `leq` and `diff` and
+    give the n-ary bound of a nonempty payload list as `_lattice_bound`.
     """
 
     kind: str = "abstract"
@@ -104,6 +110,25 @@ class EffectAlgebra(ABC):
             )
         return a.payload
 
+    def _index_carrier(self, payloads, up, down, diffs) -> None:
+        """Compile an explicit carrier: bit i stands for payloads[i] (elements()
+        order), up[i]/down[i] are the sets of the elements above/below it,
+        and diffs maps (b, a) to the index of the c with a + c = b."""
+        self._elems = elems = tuple(map(self._wrap, payloads))
+        self._bit = {p: i for i, p in enumerate(payloads)}
+        self._up, self._down = dict(zip(payloads, up)), dict(zip(payloads, down))
+        # a family's common upper bounds have a least one iff they form its up-set
+        self._tops, self._bottoms = dict(zip(up, elems)), dict(zip(down, elems))
+        self._diffs = {key: elems[c] for key, c in diffs.items()}
+        self._full = (1 << len(elems)) - 1
+
+    def _common(self, items: Iterable[EffectElement], upper: bool) -> int:
+        """Bitset of the common upper (upper) or lower bounds of items."""
+        sets, acc = (self._up if upper else self._down), self._full
+        for a in items:
+            acc &= sets[self._payload(a)]
+        return acc
+
     # -- partial addition and derived structure -------------------------
 
     @abstractmethod
@@ -114,41 +139,32 @@ class EffectAlgebra(ABC):
     def complement(self, a: EffectElement) -> EffectElement:
         """The unique a' with a + a' = 1."""
 
-    @abstractmethod
     def leq(self, a: EffectElement, b: EffectElement) -> bool:
-        """Induced order: a <= b iff a + c = b for some c."""
+        """Induced order: a <= b iff a + c = b for some c; a bit test."""
+        bit = self._bit[self._payload(b)]
+        return self._up[self._payload(a)] >> bit & 1 == 1
 
     def meet(self, a: EffectElement, b: EffectElement) -> EffectElement | None:
-        """Greatest lower bound in the carrier, or None when it does not exist.
-
-        Lattice backends override this with direct arithmetic; the
-        fallback scans the carrier.
-        """
-        return self._carrier_bound([a, b], lower=True)
+        """Greatest lower bound in the carrier, or None when it does not exist."""
+        return self._bound_many((a, b), lower=True)
 
     def join(self, a: EffectElement, b: EffectElement) -> EffectElement | None:
         """Least upper bound in the carrier, or None when it does not exist."""
-        return self._carrier_bound([a, b], lower=False)
+        return self._bound_many((a, b), lower=False)
 
     def diff(self, b: EffectElement, a: EffectElement) -> EffectElement:
-        """The unique c with a + c = b; requires a <= b.
-
-        Backends override this with direct arithmetic; the fallback scans.
-        """
-        if not self.leq(a, b):
-            raise InvalidAlgebra("diff requires a <= b")
-        for c in self.elements():
-            if self.add(a, c) == b:
-                return c
-        raise InvalidAlgebra("order witness missing; carrier is inconsistent")
+        """The unique c with a + c = b; requires a <= b."""
+        pa = self._payload(a)
+        c = self._diffs.get((self._payload(b), pa))
+        if c is not None:
+            return c
+        if self.leq(a, b):
+            # a restricted tribe's pointwise order without a carrier witness
+            raise InvalidAlgebra("difference leaves the restricted carrier")
+        raise InvalidAlgebra("diff requires a <= b")
 
     def join_many(self, items: Iterable[EffectElement]) -> EffectElement | None:
-        """Least upper bound of finitely many elements, None if there is none.
-
-        On lattice backends a binary fold is exact.  Elsewhere the n-ary
-        bound can exist even when intermediate binary joins do not, so the
-        whole carrier is scanned.
-        """
+        """Least upper bound of finitely many elements, None if there is none."""
         return self._bound_many(items, lower=False)
 
     def meet_many(self, items: Iterable[EffectElement]) -> EffectElement | None:
@@ -156,35 +172,25 @@ class EffectAlgebra(ABC):
         return self._bound_many(items, lower=True)
 
     def _bound_many(self, items: Iterable[EffectElement], lower: bool) -> EffectElement | None:
-        got = list(items)
-        if not got:
-            return self.one if lower else self.zero
+        if self.lattice_guaranteed:
+            got = [self._payload(a) for a in items]
+            if not got:
+                return self.one if lower else self.zero
+            return self._wrap(self._lattice_bound(got, lower))
+        # one AND for the whole family: the n-ary bound can exist where
+        # binary ones do not; the empty family leaves the set of every element
+        return (self._bottoms if lower else self._tops).get(self._common(items, not lower))
+
+    def bounds(self, items: Iterable[EffectElement], upper: bool) -> list[EffectElement]:
+        """The carrier elements above every item (upper) or below every
+        item, in elements() order: one AND on explicit carriers, a leq scan
+        of the carrier on the others."""
         if not self.lattice_guaranteed:
-            return self._carrier_bound(got, lower)
-        binary = self.meet if lower else self.join
-        acc = got[0]
-        for item in got[1:]:
-            acc = binary(acc, item)
-            if acc is None:
-                return None
-        return acc
-
-    def _carrier_bound(self, items: list[EffectElement], lower: bool) -> EffectElement | None:
-        """Greatest common lower bound (lower) or least common upper bound
-        of items, found by scanning the carrier; None when it does not exist."""
-        for a in items:
-            self._payload(a)
-        leq = self.leq
-
-        def le(a: EffectElement, b: EffectElement) -> bool:
-            # the order of the bound's direction: reversed for upper bounds
-            return leq(a, b) if lower else leq(b, a)
-
-        bounds = [u for u in self.elements() if all(le(u, a) for a in items)]
-        for u in bounds:
-            if all(le(v, u) for v in bounds):
-                return u
-        return None
+            acc = self._common(items, upper)
+            return [e for i, e in enumerate(self._elems) if acc >> i & 1]
+        items, leq = list(items), self.leq
+        return [e for e in self.elements()
+                if all(leq(a, e) if upper else leq(e, a) for a in items)]
 
     def is_sharp(self, a: EffectElement) -> bool:
         m = self.meet(a, self.complement(a))
@@ -276,12 +282,21 @@ def rational_to_json(q: Fraction) -> str:
     return str(q)
 
 
+def _shown(value, text=repr) -> str:
+    """text(value) for an error message, or a placeholder when value holds
+    a rational that Python refuses to print (over RATIONAL_DIGIT_CAP digits)."""
+    try:
+        return text(value)
+    except ValueError:
+        return f"<rational of over {RATIONAL_DIGIT_CAP} digits>"
+
+
 class MVChain(EffectAlgebra):
     """The chain 0, 1/n, ..., 1 with truncated addition.
 
     a + b is defined iff a + b <= 1 as rationals; the order is the numeric
     order, so meets and joins are min and max and the only sharp elements
-    are 0 and 1.
+    are 0 and 1.  The payload of k/n is k.
     """
 
     kind = "mv_chain"
@@ -291,30 +306,27 @@ class MVChain(EffectAlgebra):
         if not isinstance(n, int) or n < 1:
             raise InvalidAlgebra("mv_chain needs an integer denominator n >= 1")
         self.n = n
-        self.zero = self._wrap(Fraction(0))
-        self.one = self._wrap(Fraction(1))
+        self.zero = self._wrap(0)
+        self.one = self._wrap(n)
 
     def element(self, value: Fraction | int | str) -> EffectElement:
         q = value if isinstance(value, Fraction) else _parse_rational(value)
         if q < 0 or q > 1 or (self.n % q.denominator) != 0:
-            raise ParseError(f"{q} is not a multiple of 1/{self.n} in [0,1]")
-        return self._wrap(q)
+            raise ParseError(f"{_shown(q, str)} is not a multiple of 1/{self.n} in [0,1]")
+        return self._wrap(q.numerator * (self.n // q.denominator))
 
     def add(self, a, b):
         s = self._payload(a) + self._payload(b)
-        return self._wrap(s) if s <= 1 else None
+        return self._wrap(s) if s <= self.n else None
 
     def complement(self, a):
-        return self._wrap(1 - self._payload(a))
+        return self._wrap(self.n - self._payload(a))
 
     def leq(self, a, b):
         return self._payload(a) <= self._payload(b)
 
-    def meet(self, a, b):
-        return self._wrap(min(self._payload(a), self._payload(b)))
-
-    def join(self, a, b):
-        return self._wrap(max(self._payload(a), self._payload(b)))
+    def _lattice_bound(self, payloads, lower):
+        return min(payloads) if lower else max(payloads)
 
     def diff(self, b, a):
         pa, pb = self._payload(a), self._payload(b)
@@ -323,11 +335,10 @@ class MVChain(EffectAlgebra):
         return self._wrap(pb - pa)
 
     def is_sharp(self, a):
-        return self._payload(a) in (0, 1)
+        return self._payload(a) in (0, self.n)
 
     def elements(self):
-        for k in range(self.n + 1):
-            yield self._wrap(Fraction(k, self.n))
+        return map(self._wrap, range(self.n + 1))
 
     @property
     def size(self):
@@ -337,7 +348,7 @@ class MVChain(EffectAlgebra):
         return {"kind": "mv_chain", "n": self.n}
 
     def element_to_json(self, a):
-        return rational_to_json(self._payload(a))
+        return rational_to_json(Fraction(self._payload(a), self.n))
 
     def element_from_json(self, obj):
         return self.element(_parse_rational(obj))
@@ -372,11 +383,8 @@ class _BitmaskAlgebra(EffectAlgebra):
         pa, pb = self._payload(a), self._payload(b)
         return pa & pb == pa
 
-    def meet(self, a, b):
-        return self._wrap(self._payload(a) & self._payload(b))
-
-    def join(self, a, b):
-        return self._wrap(self._payload(a) | self._payload(b))
+    def _lattice_bound(self, payloads, lower):
+        return functools.reduce(operator.and_ if lower else operator.or_, payloads)
 
     def diff(self, b, a):
         pa, pb = self._payload(a), self._payload(b)
@@ -446,11 +454,13 @@ class FiniteSetAlgebra(_BitmaskAlgebra):
 class TableEffectAlgebra(EffectAlgebra):
     """An effect algebra given by an explicit partial-addition table.
 
-    The table is validated eagerly against axioms (i)-(iv); the induced
-    order, complements and a difference map are precomputed.  Meets and
-    joins are the inherited carrier scans and may not exist, so
+    The table is validated eagerly against axioms (i)-(iv); the same
+    pass precomputes complements and compiles the carrier: a <= b iff b
+    appears in a's row of sums, and that row is the difference map.
+    Meets and joins are the inherited bitset bounds and may not exist, so
     `lattice_guaranteed` stays False and lattice clients must certify
-    nonexistence themselves.
+    nonexistence themselves.  Payloads are the indices, so bit i is
+    element i.
     """
 
     kind = "table"
@@ -484,21 +494,21 @@ class TableEffectAlgebra(EffectAlgebra):
         self.zero_index = zero
         self.one_index = one
         self._validate_axioms()
-
-        # a <= b iff b appears in a's row of sums.
-        self._upper: tuple[frozenset[int], ...] = tuple(
-            frozenset(v for v in row if v is not None) | {i}
-            for i, row in enumerate(self.table)
-        )
-        self.zero = self._wrap(zero)
-        self.one = self._wrap(one)
+        self.zero = self._elems[zero]
+        self.one = self._elems[one]
 
     def _validate_axioms(self) -> None:
         m, t = self.m, self.table
+        up, down, diffs = [0] * m, [0] * m, {}
         for a in range(m):
             for b in range(m):
-                if t[a][b] != t[b][a]:
+                s = t[a][b]
+                if s != t[b][a]:
                     raise InvalidAlgebra(f"commutativity fails at ({a},{b})")
+                if s is not None:
+                    up[a] |= 1 << s
+                    down[s] |= 1 << a
+                    diffs[s, a] = b
         for a in range(m):
             ta = t[a]
             for b in range(m):
@@ -528,11 +538,12 @@ class TableEffectAlgebra(EffectAlgebra):
         for a in range(m):
             if t[self.zero_index][a] != a:
                 raise InvalidAlgebra(f"0 + {a} != {a}; zero is not neutral")
+        self._index_carrier(range(m), up, down, diffs)
 
     def element(self, index: int) -> EffectElement:
         if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < self.m:
             raise ParseError(f"table element index {index!r} out of range")
-        return self._wrap(index)
+        return self._elems[index]
 
     def add(self, a, b):
         s = self.table[self._payload(a)][self._payload(b)]
@@ -541,20 +552,8 @@ class TableEffectAlgebra(EffectAlgebra):
     def complement(self, a):
         return self._wrap(self._complements[self._payload(a)])
 
-    def leq(self, a, b):
-        return self._payload(b) in self._upper[self._payload(a)]
-
-    def diff(self, b, a):
-        pa, pb = self._payload(a), self._payload(b)
-        row = self.table[pa]
-        for c in range(self.m):
-            if row[c] == pb:
-                return self._wrap(c)
-        raise InvalidAlgebra("diff requires a <= b")
-
     def elements(self):
-        for i in range(self.m):
-            yield self._wrap(i)
+        return iter(self._elems)
 
     @property
     def size(self):
@@ -632,13 +631,14 @@ class FiniteTribe(EffectAlgebra):
     """Pointwise fuzzy-set algebra on a finite ground set.
 
     Elements are functions from {0, ..., omega-1} into the rationals
-    k/den in [0,1], added pointwise when the sum stays below 1 everywhere.
-    With the full grid carrier the order is pointwise and meets/joins are
-    pointwise min/max.  A restricted carrier must contain 1, be closed
-    under complement, and contain f + g whenever both lie in the carrier
-    and f <= 1 - g pointwise; such a carrier need not be closed under
-    pointwise min, so meets and joins fall back to exhaustive scans and
-    `lattice_guaranteed` is False.
+    k/den in [0,1], added pointwise when the sum stays below 1 everywhere;
+    the payload is the tuple of numerators k.  With the full grid carrier
+    the order is pointwise and meets/joins are pointwise min/max.  A
+    restricted carrier must contain 1, be closed under complement, and
+    contain f + g whenever both lie in the carrier and f <= 1 - g
+    pointwise; such a carrier need not be closed under pointwise min, so
+    it is explicit: the validation pass compiles its pointwise order and
+    sums into bitsets, and `lattice_guaranteed` is False.
     """
 
     kind = "tribe"
@@ -655,44 +655,44 @@ class FiniteTribe(EffectAlgebra):
             raise InvalidAlgebra("tribe needs an integer denominator >= 1")
         self.omega = omega
         self.den = den
-        top = tuple([Fraction(1)] * omega)
-        bottom = tuple([Fraction(0)] * omega)
-        if carrier is None:
-            self.carrier: frozenset[tuple[Fraction, ...]] | None = None
-            self.lattice_guaranteed = True
-        else:
+        top = (den,) * omega
+        self.carrier: frozenset[tuple[Fraction, ...]] | None = None
+        self.lattice_guaranteed = carrier is None
+        if carrier is not None:
             values = frozenset(tuple(v) for v in carrier)
             for f in values:
                 if len(f) != omega:
                     raise InvalidAlgebra("carrier function has wrong domain size")
                 for v in f:
                     self._check_scalar(v)
-            if top not in values:
+            funcs = sorted(map(self._numerators, values))
+            index = {f: i for i, f in enumerate(funcs)}
+            if top not in index:
                 raise InvalidAlgebra("carrier must contain the constant-1 function")
-            for f in values:
-                comp = tuple(1 - v for v in f)
-                if comp not in values:
-                    raise InvalidAlgebra("carrier not closed under complement")
-            for f in values:
-                for g in values:
-                    if all(x <= 1 - y for x, y in zip(f, g)):
-                        s = tuple(x + y for x, y in zip(f, g))
-                        if s not in values:
-                            raise InvalidAlgebra(
-                                "carrier not closed under defined addition"
-                            )
+            if any(tuple(den - v for v in f) not in index for f in funcs):
+                raise InvalidAlgebra("carrier not closed under complement")
+            up, down, diffs = [0] * len(funcs), [0] * len(funcs), {}
+            for i, f in enumerate(funcs):
+                for j, g in enumerate(funcs):
+                    if all(x <= y for x, y in zip(f, g)):
+                        up[i] |= 1 << j
+                        down[j] |= 1 << i
+                    s = tuple(x + y for x, y in zip(f, g))
+                    if max(s) <= den:
+                        if s not in index:
+                            raise InvalidAlgebra("carrier not closed under defined addition")
+                        diffs[s, f] = j
+            self._index_carrier(funcs, up, down, diffs)
             self.carrier = values
-            self.lattice_guaranteed = False
-        self.zero = self._wrap(bottom)
+        self.zero = self._wrap((0,) * omega)
         self.one = self._wrap(top)
 
     def _check_scalar(self, v: Fraction) -> None:
         if not isinstance(v, Fraction) or v < 0 or v > 1 or self.den % v.denominator:
-            raise InvalidAlgebra(f"value {v!r} is not a multiple of 1/{self.den} in [0,1]")
+            raise InvalidAlgebra(f"value {_shown(v)} is not a multiple of 1/{self.den} in [0,1]")
 
-    def _check_member(self, f: tuple[Fraction, ...]) -> None:
-        if self.carrier is not None and f not in self.carrier:
-            raise ParseError(f"function {f!r} is outside the restricted carrier")
+    def _numerators(self, f: tuple[Fraction, ...]) -> tuple[int, ...]:
+        return tuple(v.numerator * (self.den // v.denominator) for v in f)
 
     def element(self, values: Iterable[Fraction | int | str]) -> EffectElement:
         f = tuple(v if isinstance(v, Fraction) else _parse_rational(v) for v in values)
@@ -705,59 +705,48 @@ class FiniteTribe(EffectAlgebra):
                 self._check_scalar(v)
             except InvalidAlgebra as exc:
                 raise ParseError(str(exc)) from exc
-        self._check_member(f)
-        return self._wrap(f)
+        p = self._numerators(f)
+        if self.carrier is not None and p not in self._bit:
+            raise ParseError(f"function {f!r} is outside the restricted carrier")
+        return self._wrap(p)
 
     def function_values(self, a: EffectElement) -> tuple[Fraction, ...]:
         """The element's value vector over the ground set."""
-        return self._payload(a)
+        return tuple(Fraction(k, self.den) for k in self._payload(a))
 
     def add(self, a, b):
         fa, fb = self._payload(a), self._payload(b)
         s = tuple(x + y for x, y in zip(fa, fb))
-        if any(v > 1 for v in s):
+        if max(s) > self.den:
             return None
-        if self.carrier is not None and s not in self.carrier:
+        if self.carrier is not None and s not in self._bit:
             # closure validation makes this unreachable; keep the guard
             return None
         return self._wrap(s)
 
     def complement(self, a):
-        return self._wrap(tuple(1 - v for v in self._payload(a)))
+        return self._wrap(tuple(self.den - v for v in self._payload(a)))
 
     def leq(self, a, b):
+        if self.carrier is not None:
+            return super().leq(a, b)
         return all(x <= y for x, y in zip(self._payload(a), self._payload(b)))
 
-    def meet(self, a, b):
-        if self.carrier is not None:
-            return self._carrier_bound([a, b], lower=True)
-        fa, fb = self._payload(a), self._payload(b)
-        return self._wrap(tuple(min(x, y) for x, y in zip(fa, fb)))
-
-    def join(self, a, b):
-        if self.carrier is not None:
-            return self._carrier_bound([a, b], lower=False)
-        fa, fb = self._payload(a), self._payload(b)
-        return self._wrap(tuple(max(x, y) for x, y in zip(fa, fb)))
+    def _lattice_bound(self, payloads, lower):
+        return tuple(map(min if lower else max, zip(*payloads)))
 
     def diff(self, b, a):
+        if self.carrier is not None:
+            return super().diff(b, a)
         fa, fb = self._payload(a), self._payload(b)
         if any(x > y for x, y in zip(fa, fb)):
             raise InvalidAlgebra("diff requires a <= b")
-        d = tuple(y - x for x, y in zip(fa, fb))
-        if self.carrier is not None and d not in self.carrier:
-            raise InvalidAlgebra("difference leaves the restricted carrier")
-        return self._wrap(d)
-
-    def _carrier_values(self):
-        if self.carrier is not None:
-            return sorted(self.carrier)
-        grid = [Fraction(k, self.den) for k in range(self.den + 1)]
-        return (tuple(f) for f in itertools.product(grid, repeat=self.omega))
+        return self._wrap(tuple(y - x for x, y in zip(fa, fb)))
 
     def elements(self):
-        for f in self._carrier_values():
-            yield self._wrap(f)
+        if self.carrier is not None:
+            return iter(self._elems)
+        return map(self._wrap, itertools.product(range(self.den + 1), repeat=self.omega))
 
     @property
     def size(self):
@@ -774,7 +763,7 @@ class FiniteTribe(EffectAlgebra):
         return desc
 
     def element_to_json(self, a):
-        return [rational_to_json(v) for v in self._payload(a)]
+        return [rational_to_json(v) for v in self.function_values(a)]
 
     def element_from_json(self, obj):
         if not isinstance(obj, list):

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .algebras import EffectAlgebra, EffectElement
+from .algebras import EffectAlgebra, EffectElement, _shown
 from .errors import (
     BackendMismatch,
     CertificationTooLarge,
@@ -184,7 +184,7 @@ def _grid_pairs(
     ts = tuple(_rational(t) for t, _ in pairs)
     ws = tuple(w for _, w in pairs)
     if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise NonIncreasingPoints(f"grid not strictly increasing: {ts}")
+        raise NonIncreasingPoints(f"grid not strictly increasing: {_shown(ts)}")
     for w in ws:
         algebra._payload(w)
     for a, b in zip(ws, ws[1:]):
@@ -328,17 +328,17 @@ def _grid_chains(
     algebra: EffectAlgebra,
     size: int,
     cap: int,
-    keep: Callable[[int, EffectElement], bool] | None = None,
+    levels: Iterable[Sequence[EffectElement]] | None = None,
 ):
     """Yield every monotone chain c_1 <= ... <= c_size = one of closed
     values on a grid of size points, as a tuple of elements.
 
     Chains come depth first, each c_j running through algebra.elements()
-    in order.  keep(j, e), when given, admits e at point j (j < size - 1)
-    and the walk yields exactly the chains of admitted values, in the
-    same order.  Raises CertificationTooLarge when the unpruned chain
-    space can exceed cap; the carrier is listed only after that check
-    and only for grids of 2+ points.
+    in order.  levels, when given, lists the values admitted at each
+    point j < size - 1, in that order, and the walk yields exactly the
+    chains of admitted values.  Raises CertificationTooLarge when the
+    unpruned chain space can exceed cap; the carrier and the levels are
+    listed only after that check and only for grids of 2+ points.
     """
     bound = algebra.size ** (size - 1)
     if bound > cap:
@@ -349,8 +349,7 @@ def _grid_chains(
     if size == 1:
         yield (one,)
         return
-    elems = tuple(algebra.elements())
-    levels = [[e for e in elems if keep is None or keep(j, e)] for j in range(size - 1)]
+    levels = [tuple(algebra.elements())] * (size - 1) if levels is None else list(levels)
     leq = algebra.leq
 
     def walk(chain, prev, j):
@@ -408,9 +407,9 @@ def _brute_force(xs: Iterable[SimpleObservable], cap: int, lower: bool) -> Bound
         return all(map(value_le, g, h))
 
     rows = list(zip(*(_closed_on_grid(x, grid) for x in family)))
-    bounds = list(_grid_chains(
-        alg, len(grid), cap, lambda j, e: all(value_le(e, v) for v in rows[j])
-    ))
+    # a lower bound's closed values sit above the family's at every point
+    levels = (alg.bounds(row, upper=lower) for row in rows[:-1])
+    bounds = list(_grid_chains(alg, len(grid), cap, levels))
     # never empty: the least (greatest) grid observable bounds any family
     # from below (above); a greatest bound, if there is one, survives the scan
     best = bounds[0]
@@ -456,7 +455,7 @@ def brute_force_join(
 def _require_unit_spectrum(x: SimpleObservable) -> None:
     if x.points[0] < 0 or x.points[-1] > 1:
         raise SpectrumOutsideUnitInterval(
-            f"involution needs spectra inside [0,1], got {x.points}"
+            f"involution needs spectra inside [0,1], got {_shown(x.points)}"
         )
 
 

@@ -24,7 +24,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .algebras import EffectAlgebra, EffectElement
+from .algebras import EffectAlgebra, EffectElement, _shown
 from .errors import (
     InvalidAlgebra,
     MapUndefinedOnSpectrum,
@@ -319,7 +319,7 @@ class StepResolution:
         if len(vals) != len(pts) + 1:
             raise InvalidAlgebra("step resolution needs one more value than breakpoints")
         if any(b <= a for a, b in zip(pts, pts[1:])):
-            raise NonIncreasingPoints(f"breakpoints not strictly increasing: {pts}")
+            raise NonIncreasingPoints(f"breakpoints not strictly increasing: {_shown(pts)}")
         for v in vals:
             algebra._payload(v)
         for a, b in zip(vals, vals[1:]):
@@ -394,7 +394,7 @@ class SimpleObservable:
         if len(pts) != len(wts):
             raise WeightsNotSummable("points and weights must pair up")
         if any(b <= a for a, b in zip(pts, pts[1:])):
-            raise NonIncreasingPoints(f"spectrum not strictly increasing: {pts}")
+            raise NonIncreasingPoints(f"spectrum not strictly increasing: {_shown(pts)}")
         cums = [algebra.zero]
         for w in wts:
             algebra._payload(w)
@@ -478,7 +478,7 @@ class SimpleObservable:
         """Reflect the spectrum through t -> 1 - t; needs spectrum inside [0,1]."""
         if self.points[0] < 0 or self.points[-1] > 1:
             raise SpectrumOutsideUnitInterval(
-                f"negation needs spectrum in [0,1], got {self.points}"
+                f"negation needs spectrum in [0,1], got {_shown(self.points)}"
             )
         # the mass at or below 1 - u_j is the complement of the mass below u_j
         alg = self.algebra
@@ -581,7 +581,7 @@ def from_closed_values(
     ts = [_rational(t) for t, _ in pairs]
     vals = [v for _, v in pairs]
     if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise NonIncreasingPoints(f"grid not strictly increasing: {ts}")
+        raise NonIncreasingPoints(f"grid not strictly increasing: {_shown(ts)}")
     if not all(map(algebra.leq, [algebra.zero, *vals], vals)):
         raise NonMonotoneInput("closed-resolution values must be nondecreasing")
     if vals[-1] != algebra.one:

@@ -45,9 +45,8 @@ from .lattice import (
     olson_leq,
     olson_meet,
     order_verdict,
-    right_regularize,
 )
-from .observables import SimpleObservable, from_closed_values, question
+from .observables import SimpleObservable, _pack_closed, question
 
 AXIOM_SCAN_CAP = 64
 PAIR_BUDGET = 2500
@@ -122,9 +121,10 @@ def random_grid_observable(
     rng: random.Random,
     elems: list[EffectElement] | None = None,
 ) -> SimpleObservable:
-    """Observable drawn as a random chain of closed-resolution values."""
-    family = random_monotone_family(algebra, grid, rng, elems)
-    return from_closed_values(algebra, right_regularize(algebra, family))
+    """Observable drawn as a random chain of closed-resolution values: the
+    family shifted one knot left, with 1 last, packed and checked once."""
+    _, vals = zip(*random_monotone_family(algebra, grid, rng, elems))
+    return _pack_closed(algebra, grid, (*vals[1:], algebra.one))
 
 
 # ---------------------------------------------------------------------------

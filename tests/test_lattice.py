@@ -27,10 +27,12 @@ from olsonorder.lattice import (
     olson_join,
     olson_leq,
     olson_meet,
+    right_regularize,
 )
 from olsonorder.observables import from_closed_values, from_weights, question
 from olsonorder.suites import (
     random_grid_observable,
+    random_monotone_family,
     random_unit_grid,
     run_axioms,
     run_involution,
@@ -153,6 +155,23 @@ def test_meet_and_order_test_each_grid_point_once():
     algebra.calls.clear()
     assert olson_leq(x, y)
     assert algebra.calls["leq"] <= k
+
+
+def test_random_grid_observable_checks_each_jump_once():
+    algebra = _CountingChain(8)
+    elems = list(algebra.elements())
+    rng, ref_rng = random.Random(17), random.Random()
+    for _ in range(40):
+        size = rng.randint(1, 6)
+        grid = random_unit_grid(rng, size)
+        ref_rng.setstate(rng.getstate())
+        algebra.calls.clear()
+        x = random_grid_observable(algebra, grid, rng, elems)
+        # the draw tests every element at each step, the packer each jump once
+        assert algebra.calls["leq"] == (size - 1) * len(elems) + len(x.points)
+        # the same draw through the validating regularization and constructor
+        family = random_monotone_family(algebra, grid, ref_rng, elems)
+        assert x == from_closed_values(algebra, right_regularize(algebra, family))
 
 
 class _LyingBounds(MVChain):

@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from olsonorder.algebras import MVChain, FiniteSetAlgebra
+from olsonorder.algebras import MVChain, FiniteSetAlgebra, FiniteTribe
 from olsonorder.errors import (
+    InvalidAlgebra,
     MapUndefinedOnSpectrum,
     NonIncreasingPoints,
     NonMonotoneInput,
+    ParseError,
+    SpectrumOutsideUnitInterval,
     WeightsNotSummable,
 )
 from olsonorder.lattice import left_regularize, right_regularize
@@ -19,6 +23,7 @@ from olsonorder.observables import (
     Interval,
     PiecewiseMap,
     SimpleObservable,
+    StepResolution,
     from_closed_values,
     from_weights,
     question,
@@ -186,3 +191,30 @@ def test_double_negation_and_spectrum_flip(x):
     neg = x.negate()
     assert neg.negate() == x
     assert neg.spectrum == tuple(sorted(1 - t for t in x.spectrum))
+
+
+# rationals with more digits than Python prints: the typed error's message
+# must not fail while it is built
+HUGE, TINY = F(10**5000), F(1, 10**5000)
+_MV4 = MVChain(4)
+_HALF = _MV4.element(F(1, 2))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: _MV4.element(HUGE), ParseError),
+    (lambda: _MV4.element(TINY), ParseError),
+    (lambda: SimpleObservable(_MV4, [HUGE, 0], [_MV4.one, _MV4.one]), NonIncreasingPoints),
+    (lambda: StepResolution(_MV4, [HUGE, 0], [_MV4.zero, _HALF, _MV4.one]), NonIncreasingPoints),
+    (lambda: from_closed_values(_MV4, ((HUGE, _HALF), (0, _MV4.one))), NonIncreasingPoints),
+    (lambda: left_regularize(_MV4, ((HUGE, _MV4.zero), (0, _HALF))), NonIncreasingPoints),
+    (lambda: SimpleObservable(_MV4, [HUGE], [_MV4.one]).negate(), SpectrumOutsideUnitInterval),
+    (lambda: FiniteTribe(2, 4).element((TINY, 0)), ParseError),
+    (lambda: FiniteTribe(2, 4).element((HUGE, 0)), ParseError),
+    (lambda: FiniteTribe(1, 4, carrier=[(TINY,)]), InvalidAlgebra),
+], ids=["mv_huge", "mv_tiny", "spectrum", "breakpoints", "closed_values", "regularize",
+        "negate", "tribe_tiny", "tribe_huge", "tribe_carrier"])
+def test_oversized_rationals_raise_typed_errors(call, error):
+    start = time.perf_counter()
+    with pytest.raises(error, match="rational of over 4300 digits"):
+        call()
+    assert time.perf_counter() - start < 1.0
