@@ -50,6 +50,7 @@ DEFAULT_TABLE_CAP = 256
 #: digits of the longest numerator or denominator a rational literal may
 #: have: Python's default limit for converting an int to a string
 RATIONAL_DIGIT_CAP = 4300
+GROUND_SET_CAP = 10**6  #: most points of a ground set, and bits of a full tribe's size
 
 
 class EffectElement:
@@ -87,9 +88,10 @@ class EffectAlgebra(ABC):
 
     `add` returns None when the partial sum is undefined; `meet`/`join`
     return None when the bound does not exist in the carrier.  Everything
-    else raises on misuse.  The order, bounds and differences here serve
-    the explicit carriers; lattice backends override `leq` and `diff` and
-    give the n-ary bound of a nonempty payload list as `_lattice_bound`.
+    else raises on misuse.  The order and the n-ary bound act on payloads as
+    `_le` and `_bound`: the exact core calls them directly, the public
+    primitives here wrap them with one ownership check.  The hooks here serve
+    the explicit carriers; lattice backends override them and `diff`.
     """
 
     kind: str = "abstract"
@@ -118,16 +120,33 @@ class EffectAlgebra(ABC):
         self._bit = {p: i for i, p in enumerate(payloads)}
         self._up, self._down = dict(zip(payloads, up)), dict(zip(payloads, down))
         # a family's common upper bounds have a least one iff they form its up-set
-        self._tops, self._bottoms = dict(zip(up, elems)), dict(zip(down, elems))
+        self._tops, self._bottoms = dict(zip(up, payloads)), dict(zip(down, payloads))
         self._diffs = {key: elems[c] for key, c in diffs.items()}
         self._full = (1 << len(elems)) - 1
 
-    def _common(self, items: Iterable[EffectElement], upper: bool) -> int:
-        """Bitset of the common upper (upper) or lower bounds of items."""
+    def _common(self, payloads, upper: bool) -> int:
+        """Bitset of the common upper (upper) or lower bounds of payloads."""
         sets, acc = (self._up if upper else self._down), self._full
-        for a in items:
-            acc &= sets[self._payload(a)]
+        for p in payloads:
+            acc &= sets[p]
         return acc
+
+    def _le(self, pa, pb) -> bool:
+        """The order on payloads; a bit test on explicit carriers."""
+        return self._up[pa] >> self._bit[pb] & 1 == 1
+
+    def _bound(self, payloads, lower: bool):
+        """Meet (lower) or join of nonempty payloads, or None: one AND of their sets."""
+        return (self._bottoms if lower else self._tops).get(self._common(payloads, not lower))
+
+    def _bounds(self, payloads, upper: bool) -> list:
+        """Payloads of bounds(): one AND on explicit carriers, an order scan on the others."""
+        if not self.lattice_guaranteed:
+            acc = self._common(payloads, upper)
+            return [e.payload for i, e in enumerate(self._elems) if acc >> i & 1]
+        le = self._le
+        return [q for q in (e.payload for e in self.elements())
+                if all(le(p, q) if upper else le(q, p) for p in payloads)]
 
     # -- partial addition and derived structure -------------------------
 
@@ -140,17 +159,16 @@ class EffectAlgebra(ABC):
         """The unique a' with a + a' = 1."""
 
     def leq(self, a: EffectElement, b: EffectElement) -> bool:
-        """Induced order: a <= b iff a + c = b for some c; a bit test."""
-        bit = self._bit[self._payload(b)]
-        return self._up[self._payload(a)] >> bit & 1 == 1
+        """Induced order: a <= b iff a + c = b for some c."""
+        return self._le(self._payload(a), self._payload(b))
 
     def meet(self, a: EffectElement, b: EffectElement) -> EffectElement | None:
         """Greatest lower bound in the carrier, or None when it does not exist."""
-        return self._bound_many((a, b), lower=True)
+        return self._element_bound((a, b), lower=True)
 
     def join(self, a: EffectElement, b: EffectElement) -> EffectElement | None:
         """Least upper bound in the carrier, or None when it does not exist."""
-        return self._bound_many((a, b), lower=False)
+        return self._element_bound((a, b), lower=False)
 
     def diff(self, b: EffectElement, a: EffectElement) -> EffectElement:
         """The unique c with a + c = b; requires a <= b."""
@@ -165,32 +183,21 @@ class EffectAlgebra(ABC):
 
     def join_many(self, items: Iterable[EffectElement]) -> EffectElement | None:
         """Least upper bound of finitely many elements, None if there is none."""
-        return self._bound_many(items, lower=False)
+        return self._element_bound(items, lower=False)
 
     def meet_many(self, items: Iterable[EffectElement]) -> EffectElement | None:
         """Greatest lower bound of finitely many elements, None if there is none."""
-        return self._bound_many(items, lower=True)
+        return self._element_bound(items, lower=True)
 
-    def _bound_many(self, items: Iterable[EffectElement], lower: bool) -> EffectElement | None:
-        if self.lattice_guaranteed:
-            got = [self._payload(a) for a in items]
-            if not got:
-                return self.one if lower else self.zero
-            return self._wrap(self._lattice_bound(got, lower))
-        # one AND for the whole family: the n-ary bound can exist where
-        # binary ones do not; the empty family leaves the set of every element
-        return (self._bottoms if lower else self._tops).get(self._common(items, not lower))
+    def _element_bound(self, items: Iterable[EffectElement], lower: bool) -> EffectElement | None:
+        got = [self._payload(a) for a in items]
+        p = self._bound(got, lower) if got else (self.one if lower else self.zero).payload
+        return None if p is None else self._wrap(p)
 
     def bounds(self, items: Iterable[EffectElement], upper: bool) -> list[EffectElement]:
         """The carrier elements above every item (upper) or below every
-        item, in elements() order: one AND on explicit carriers, a leq scan
-        of the carrier on the others."""
-        if not self.lattice_guaranteed:
-            acc = self._common(items, upper)
-            return [e for i, e in enumerate(self._elems) if acc >> i & 1]
-        items, leq = list(items), self.leq
-        return [e for e in self.elements()
-                if all(leq(a, e) if upper else leq(e, a) for a in items)]
+        item, in elements() order."""
+        return list(map(self._wrap, self._bounds([self._payload(a) for a in items], upper)))
 
     def is_sharp(self, a: EffectElement) -> bool:
         m = self.meet(a, self.complement(a))
@@ -283,12 +290,20 @@ def rational_to_json(q: Fraction) -> str:
 
 
 def _shown(value, text=repr) -> str:
-    """text(value) for an error message, or a placeholder when value holds
-    a rational that Python refuses to print (over RATIONAL_DIGIT_CAP digits)."""
+    """text(value) for an error message, or a placeholder when value holds a
+    number that Python refuses to print (over RATIONAL_DIGIT_CAP digits)."""
     try:
         return text(value)
     except ValueError:
-        return f"<rational of over {RATIONAL_DIGIT_CAP} digits>"
+        return f"<integer or rational of over {RATIONAL_DIGIT_CAP} digits>"
+
+
+def _ground_set(kind: str, omega) -> int:
+    if not isinstance(omega, int) or omega < 1:
+        raise InvalidAlgebra(f"{kind} needs an integer ground-set size >= 1")
+    if omega > GROUND_SET_CAP:
+        raise CarrierTooLarge(f"{kind} ground set exceeds cap {GROUND_SET_CAP}")
+    return omega
 
 
 class MVChain(EffectAlgebra):
@@ -322,10 +337,10 @@ class MVChain(EffectAlgebra):
     def complement(self, a):
         return self._wrap(self.n - self._payload(a))
 
-    def leq(self, a, b):
-        return self._payload(a) <= self._payload(b)
+    def _le(self, pa, pb):
+        return pa <= pb
 
-    def _lattice_bound(self, payloads, lower):
+    def _bound(self, payloads, lower):
         return min(payloads) if lower else max(payloads)
 
     def diff(self, b, a):
@@ -379,11 +394,10 @@ class _BitmaskAlgebra(EffectAlgebra):
     def complement(self, a):
         return self._wrap(self._top ^ self._payload(a))
 
-    def leq(self, a, b):
-        pa, pb = self._payload(a), self._payload(b)
+    def _le(self, pa, pb):
         return pa & pb == pa
 
-    def _lattice_bound(self, payloads, lower):
+    def _bound(self, payloads, lower):
         return functools.reduce(operator.and_ if lower else operator.or_, payloads)
 
     def diff(self, b, a):
@@ -417,9 +431,7 @@ class FiniteSetAlgebra(_BitmaskAlgebra):
     kind = "set_algebra"
 
     def __init__(self, omega: int) -> None:
-        if not isinstance(omega, int) or omega < 1:
-            raise InvalidAlgebra("set_algebra needs an integer ground-set size >= 1")
-        self.omega = omega
+        self.omega = _ground_set("set_algebra", omega)
         self.full_mask = (1 << omega) - 1
         super().__init__(self.full_mask)
 
@@ -445,6 +457,8 @@ class FiniteSetAlgebra(_BitmaskAlgebra):
             raise ParseError(f"set literal must be an array of indices, got {obj!r}")
         seen = set()
         for p in obj:
+            if isinstance(p, (list, dict)):
+                break  # no point: subset refuses it
             if p in seen:
                 raise ParseError(f"duplicate point {p!r} in set literal")
             seen.add(p)
@@ -479,7 +493,7 @@ class TableEffectAlgebra(EffectAlgebra):
         if m > cap:
             raise CarrierTooLarge(f"carrier size {m} exceeds cap {cap}")
         for row in add_table:
-            if len(row) != m:
+            if not isinstance(row, (list, tuple)) or len(row) != m:
                 raise InvalidAlgebra("addition table must be square")
             for entry in row:
                 if entry is not None and not (isinstance(entry, int) and 0 <= entry < m):
@@ -649,11 +663,9 @@ class FiniteTribe(EffectAlgebra):
         den: int,
         carrier: Iterable[tuple[Fraction, ...]] | None = None,
     ) -> None:
-        if not isinstance(omega, int) or omega < 1:
-            raise InvalidAlgebra("tribe needs an integer ground-set size >= 1")
+        self.omega = _ground_set("tribe", omega)
         if not isinstance(den, int) or den < 1:
             raise InvalidAlgebra("tribe needs an integer denominator >= 1")
-        self.omega = omega
         self.den = den
         top = (den,) * omega
         self.carrier: frozenset[tuple[Fraction, ...]] | None = None
@@ -727,12 +739,14 @@ class FiniteTribe(EffectAlgebra):
     def complement(self, a):
         return self._wrap(tuple(self.den - v for v in self._payload(a)))
 
-    def leq(self, a, b):
+    def _le(self, pa, pb):
         if self.carrier is not None:
-            return super().leq(a, b)
-        return all(x <= y for x, y in zip(self._payload(a), self._payload(b)))
+            return super()._le(pa, pb)
+        return all(map(operator.le, pa, pb))
 
-    def _lattice_bound(self, payloads, lower):
+    def _bound(self, payloads, lower):
+        if self.carrier is not None:
+            return super()._bound(payloads, lower)
         return tuple(map(min if lower else max, zip(*payloads)))
 
     def diff(self, b, a):
@@ -752,6 +766,8 @@ class FiniteTribe(EffectAlgebra):
     def size(self):
         if self.carrier is not None:
             return len(self.carrier)
+        if self.omega * ((self.den + 1).bit_length() - 1) > GROUND_SET_CAP:
+            raise CarrierTooLarge(f"tribe carrier has over 2**{GROUND_SET_CAP} elements")
         return (self.den + 1) ** self.omega
 
     def describe(self):

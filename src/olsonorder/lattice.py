@@ -3,19 +3,19 @@
 The order compares interval resolutions pointwise, inverted: x is below y
 when y((-inf,t)) <= x((-inf,t)) for every real t.  All resolutions here
 are step functions, constant between consecutive points of the merged
-grid t_0 < ... < t_{n-1} (the sorted union of the spectra).  One pointer
-walk per observable reads its closed values off: when c_j of its
-spectral points lie at or below t_j, x((-inf,t_j]) is the c_j-th partial
+grid t_0 < ... < t_{n-1} (the sorted union of the spectra).  One sort of
+the family's points reads every member's closed values off: when c_j of
+its spectral points lie at or below t_j, x((-inf,t_j]) is the c_j-th partial
 weight sum, and that value also holds throughout the gap (t_j, t_{j+1})
 and, for the last point, everywhere above the grid.  The open value at
 t_j is the closed value at t_{j-1}, and every resolution is zero below
 the grid, so the closed values at the grid points are everything the
-order and the bounds depend on; each is read and tested once.
+order and the bounds depend on; each is read and tested once, as a payload.
 
 A join is a meet with the order reversed, so one code path serves both,
-with the direction as its parameter and the backend's n-ary bound
-(join_many for meets, meet_many for joins) as its pointwise step on the
-closed values, checked against its row and packaged by the trusted
+with the direction as its parameter and the backend's n-ary bound (the
+join for meets, the meet for joins) as its pointwise step on the closed
+values, checked against its row and packaged by the trusted
 packer _pack_closed, which does not re-validate what the library has
 just computed.  The open-interval route through left_regularize
 (the sup-from-the-left closure of Olson's construction) computes the
@@ -29,8 +29,11 @@ leaving the bounding set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import getitem
 from typing import Iterable, Sequence
 
 from .algebras import EffectAlgebra, EffectElement, _shown
@@ -102,14 +105,36 @@ def _family(xs: Iterable[SimpleObservable]) -> tuple[SimpleObservable, ...]:
 def merged_grid(xs: Iterable[SimpleObservable]) -> tuple[Fraction, ...]:
     """Sorted union of the spectra; every resolution is constant between
     consecutive merged points."""
-    pts: set[Fraction] = set()
-    for x in xs:
-        pts.update(x.points)
-    return tuple(sorted(pts))
+    return tuple(sorted({t for x in xs for t in x.points}))
 
 
-def _closed_on_grid(x: SimpleObservable, grid: Sequence[Fraction]) -> list[EffectElement]:
-    """x((-inf, t_j]) for every t_j of a grid holding all of x's points.
+def _point_key(t: Fraction) -> float:
+    try:
+        return t.numerator / t.denominator  # float(t), without its generic path
+    except OverflowError:
+        return math.inf if t > 0 else -math.inf
+
+
+def _columns(xs: Sequence[SimpleObservable]) -> tuple[list[Fraction], list[tuple]]:
+    """The merged grid of a family and, per member, the payloads of its
+    closed values x((-inf, t_j]) there, from one sort of all its points.
+
+    The key (float(t), t) is exact, as rounding to a float is monotone, and
+    Fractions are compared only where floats tie; no common denominator is
+    formed, as its size grows with every distinct denominator of the family."""
+    marks = sorted((_point_key(t), t, m) for m, x in enumerate(xs) for t in x.points)
+    sums = [[c.payload for c in x._cums] for x in xs]
+    grid, rows, counts = [], [], [0] * len(xs)
+    for (f, t, m), (g, u, _) in zip(marks, [*marks[1:], (math.nan, None, 0)]):
+        counts[m] += 1
+        if f != g or t != u:
+            grid.append(t)
+            rows.append(tuple(map(getitem, sums, counts)))
+    return grid, list(zip(*rows))
+
+
+def _closed_on_grid(x: SimpleObservable, grid: Sequence[Fraction]) -> list:
+    """Payloads of x((-inf, t_j]) on a grid holding x's points; the reference for _columns.
 
     One walk: c counts x's points <= t_j, and the value is x._cums[c].
     The same value holds throughout the gap (t_j, t_{j+1}) and, for the
@@ -121,14 +146,8 @@ def _closed_on_grid(x: SimpleObservable, grid: Sequence[Fraction]) -> list[Effec
     for t in grid:
         if c < last and points[c] == t:
             c += 1
-        out.append(cums[c])
+        out.append(cums[c].payload)
     return out
-
-
-def _open_on_grid(x: SimpleObservable, grid: Sequence[Fraction]) -> list[EffectElement]:
-    """x((-inf, t_j)) for every t_j: zero, then the closed values one
-    point down."""
-    return [x._cums[0], *_closed_on_grid(x, grid)[:-1]]
 
 
 def olson_leq(x: SimpleObservable, y: SimpleObservable) -> bool:
@@ -138,8 +157,8 @@ def olson_leq(x: SimpleObservable, y: SimpleObservable) -> bool:
     every value pair the open test sees (see the module docstring).
     """
     xs = _family((x, y))
-    grid = merged_grid(xs)
-    return all(map(xs[0].algebra.leq, _closed_on_grid(y, grid), _closed_on_grid(x, grid)))
+    _, (xc, yc) = _columns(xs)
+    return all(map(xs[0].algebra._le, yc, xc))
 
 
 def order_verdict(fwd: bool, bwd: bool) -> str:
@@ -158,13 +177,10 @@ def compare(x: SimpleObservable, y: SimpleObservable) -> OlsonComparison:
     less_or_equal, x-below-y otherwise.
     """
     xs = _family((x, y))
-    leq = xs[0].algebra.leq
-    grid = merged_grid(xs)
+    le = xs[0].algebra._le
+    grid, (xcol, ycol) = _columns(xs)
     # per grid point: x-below-y, then y-below-x
-    tests = [
-        (leq(yc, xc), leq(xc, yc))
-        for xc, yc in zip(_closed_on_grid(x, grid), _closed_on_grid(y, grid))
-    ]
+    tests = [(le(yc, xc), le(xc, yc)) for xc, yc in zip(xcol, ycol)]
     verdict = order_verdict(*map(all, zip(*tests)))
     if verdict == "equal":
         return OlsonComparison(verdict, None)
@@ -232,25 +248,20 @@ def right_regularize(
 # -- meets and joins ----------------------------------------------------------
 
 
-def _pointwise(
-    algebra: EffectAlgebra,
-    columns: Sequence[Sequence[EffectElement]],
-    lower: bool,
-) -> list[EffectElement] | None:
-    """The backend's bound of each grid row of the columns, join_many for
-    a meet (lower) and meet_many for a join; None once one is missing.
+def _pointwise(algebra: EffectAlgebra, columns: Sequence[Sequence], lower: bool) -> list | None:
+    """The backend's bound of each grid row of the payload columns, the
+    join for a meet (lower) and the meet for a join; None once one is missing.
 
     Each bound must sit above (below) every value of its row, or the
     backend's n-ary bound is broken and InvalidAlgebra is raised.
     """
-    bound_many = algebra.join_many if lower else algebra.meet_many
-    leq = algebra.leq
+    bound, le = algebra._bound, algebra._le
     vals = []
     for row in zip(*columns):
-        v = bound_many(list(row))
+        v = bound(row, not lower)
         if v is None:
             return None
-        if not all(leq(e, v) if lower else leq(v, e) for e in row):
+        if not all(map(le, row, repeat(v)) if lower else map(le, repeat(v), row)):
             name = "join_many" if lower else "meet_many"
             raise InvalidAlgebra(f"{name} does not bound its inputs; backend is inconsistent")
         vals.append(v)
@@ -262,15 +273,17 @@ def _open_route(
     grid: Sequence[Fraction],
     lower: bool,
 ) -> SimpleObservable | None:
-    """Bounds of the open values at the grid points, packaged through
-    left_regularize; grid must hold every spectral point of xs.
+    """Bounds of the open values at the grid points (zero, then the closed
+    values one point down), packaged through left_regularize; grid must
+    hold every spectral point of xs.
 
     The open-interval reference for _closed_route; no default path runs it.
     """
-    vals = _pointwise(xs[0].algebra, [_open_on_grid(x, grid) for x in xs], lower)
+    alg = xs[0].algebra
+    vals = _pointwise(alg, [[alg.zero.payload, *_closed_on_grid(x, grid)[:-1]] for x in xs], lower)
     if vals is None:
         return None
-    return left_regularize(xs[0].algebra, tuple(zip(grid, vals))).to_observable()
+    return left_regularize(alg, tuple(zip(grid, map(alg._wrap, vals)))).to_observable()
 
 
 def _closed_route(
@@ -280,7 +293,7 @@ def _closed_route(
 ) -> SimpleObservable | None:
     """Bounds of the closed values inside the gaps (just above each grid
     point), packaged by _pack_closed; grid must hold every spectral point
-    of xs."""
+    of xs.  The reference for _olson_bound's columns; no default path runs it."""
     vals = _pointwise(xs[0].algebra, [_closed_on_grid(x, grid) for x in xs], lower)
     if vals is None:
         return None
@@ -291,9 +304,11 @@ def _olson_bound(xs: Iterable[SimpleObservable], cap: int, lower: bool) -> Bound
     """Meet (lower) or join of a family: the closed route, with the
     enumeration oracle deciding when a pointwise bound is missing."""
     family = _family(xs)
-    bound = _closed_route(family, merged_grid(family), lower)
-    if bound is not None:
-        return BoundResult(True, bound, "elementwise")
+    alg = family[0].algebra
+    grid, columns = _columns(family)
+    vals = _pointwise(alg, columns, lower)
+    if vals is not None:
+        return BoundResult(True, _pack_closed(alg, grid, vals), "elementwise")
     oracle = brute_force_meet if lower else brute_force_join
     return oracle(family, cap=cap)
 
@@ -328,13 +343,13 @@ def _grid_chains(
     algebra: EffectAlgebra,
     size: int,
     cap: int,
-    levels: Iterable[Sequence[EffectElement]] | None = None,
+    levels: Iterable[Sequence] | None = None,
 ):
     """Yield every monotone chain c_1 <= ... <= c_size = one of closed
-    values on a grid of size points, as a tuple of elements.
+    values on a grid of size points, as a tuple of payloads.
 
     Chains come depth first, each c_j running through algebra.elements()
-    in order.  levels, when given, lists the values admitted at each
+    in order.  levels, when given, lists the payloads admitted at each
     point j < size - 1, in that order, and the walk yields exactly the
     chains of admitted values.  Raises CertificationTooLarge when the
     unpruned chain space can exceed cap; the carrier and the levels are
@@ -343,24 +358,24 @@ def _grid_chains(
     bound = algebra.size ** (size - 1)
     if bound > cap:
         raise CertificationTooLarge(
-            f"up to {bound} grid observables exceeds cap {cap}"
+            f"up to {_shown(bound, str)} grid observables exceeds cap {cap}"
         )
-    one = algebra.one
+    one = algebra.one.payload
     if size == 1:
         yield (one,)
         return
-    levels = [tuple(algebra.elements())] * (size - 1) if levels is None else list(levels)
-    leq = algebra.leq
+    levels = list(levels or [tuple(e.payload for e in algebra.elements())] * (size - 1))
+    le = algebra._le
 
     def walk(chain, prev, j):
         if j == size - 1:
             yield (*chain, one)
             return
         for e in levels[j]:
-            if leq(prev, e):
+            if le(prev, e):
                 yield from walk((*chain, e), e, j + 1)
 
-    yield from walk((), algebra.zero, 0)
+    yield from walk((), algebra.zero.payload, 0)
 
 
 def enumerate_grid_observables(
@@ -395,20 +410,18 @@ def _brute_force(xs: Iterable[SimpleObservable], cap: int, lower: bool) -> Bound
     """
     family = _family(xs)
     alg = family[0].algebra
-    grid = merged_grid(family)
-    leq = alg.leq
+    grid, columns = _columns(family)
 
-    def value_le(a: EffectElement, b: EffectElement) -> bool:
+    def value_le(a, b) -> bool:
         # le on closed values: the carrier order, reversed for meets
-        return leq(b, a) if lower else leq(a, b)
+        return alg._le(b, a) if lower else alg._le(a, b)
 
     def le(g: tuple, h: tuple) -> bool:
         # the order of the bound's direction on chains: reversed for joins
         return all(map(value_le, g, h))
 
-    rows = list(zip(*(_closed_on_grid(x, grid) for x in family)))
     # a lower bound's closed values sit above the family's at every point
-    levels = (alg.bounds(row, upper=lower) for row in rows[:-1])
+    levels = (alg._bounds(row, upper=lower) for row in list(zip(*columns))[:-1])
     bounds = list(_grid_chains(alg, len(grid), cap, levels))
     # never empty: the least (greatest) grid observable bounds any family
     # from below (above); a greatest bound, if there is one, survives the scan

@@ -586,32 +586,31 @@ def from_closed_values(
         raise NonMonotoneInput("closed-resolution values must be nondecreasing")
     if vals[-1] != algebra.one:
         raise WeightsNotSummable("closed-resolution values must reach 1")
-    return _pack_closed(algebra, ts, vals)
+    return _pack_closed(algebra, ts, [v.payload for v in vals])
 
 
 def _pack_closed(
     algebra: EffectAlgebra,
     grid: Sequence[Fraction],
-    values: Sequence[EffectElement],
+    values: Sequence,
 ) -> SimpleObservable:
-    """The observable with closed values `values` at the increasing Fractions
-    of `grid`, for chains the library computed itself.
+    """The observable with closed values of payloads `values` at the increasing
+    Fractions of `grid`, for chains the library computed itself.
 
     Equal neighbours drop out, so each point kept carries a jump.  A
     chain that falls raises NonMonotoneInput and one that stops short of
     1 InvalidAlgebra: either means the backend's bounds are inconsistent.
     """
-    leq = algebra.leq
-    prev = algebra.zero
-    points, cums = [], [prev]
+    le, wrap = algebra._le, algebra._wrap
+    prev, points, cums = algebra.zero.payload, [], [algebra.zero]
     for t, v in zip(grid, values):
         if v == prev:
             continue
-        if not leq(prev, v):
+        if not le(prev, v):
             raise NonMonotoneInput("closed-resolution values must be nondecreasing")
         points.append(t)
-        cums.append(v)
+        cums.append(wrap(v))
         prev = v
-    if prev != algebra.one:
+    if prev != algebra.one.payload:
         raise InvalidAlgebra("closed-resolution values do not reach 1; backend is inconsistent")
     return SimpleObservable._from_cums(algebra, points, cums)

@@ -19,6 +19,7 @@ from .algebras import (
     FiniteSetAlgebra,
     FiniteTribe,
     QuotientBooleanAlgebra,
+    _shown,
 )
 from .errors import BackendMismatch, CertificationTooLarge
 from .kernels import (
@@ -75,7 +76,7 @@ def _report(suite: str, backend, checks: list[dict], seed: int | None = None, **
 def _elements(algebra: EffectAlgebra, cap: int) -> list[EffectElement]:
     if algebra.size > cap:
         raise CertificationTooLarge(
-            f"suite needs full enumeration, {algebra.size} elements exceed cap {cap}"
+            f"suite needs full enumeration, {_shown(algebra.size, str)} elements exceed cap {cap}"
         )
     return list(algebra.elements())
 
@@ -124,7 +125,7 @@ def random_grid_observable(
     """Observable drawn as a random chain of closed-resolution values: the
     family shifted one knot left, with 1 last, packed and checked once."""
     _, vals = zip(*random_monotone_family(algebra, grid, rng, elems))
-    return _pack_closed(algebra, grid, (*vals[1:], algebra.one))
+    return _pack_closed(algebra, grid, [v.payload for v in (*vals[1:], algebra.one)])
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +260,7 @@ def run_lattice_oracle(
         mode = "questions"
         if algebra.size ** 2 > pair_cap:
             raise CertificationTooLarge(
-                f"{algebra.size} question observables square to more than "
+                f"{_shown(algebra.size, str)} question observables square to more than "
                 f"the pair budget {pair_cap}"
             )
         obs = [question(algebra, a) for a in algebra.elements()]

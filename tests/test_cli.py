@@ -307,3 +307,42 @@ def test_exact_commands_do_not_import_numpy():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+# carriers whose sizes have more digits than Python prints
+@pytest.mark.parametrize("backend, suite", [
+    ({"kind": "set_algebra", "omega": 100000}, "axioms"),
+    ({"kind": "set_algebra", "omega": 100000}, "order"),
+    ({"kind": "set_algebra", "omega": 100000}, "lattice-oracle"),
+    ({"kind": "set_algebra", "omega": 100000}, "involution"),
+    ({"kind": "tribe", "omega": 5000, "den": 10}, "axioms"),
+])
+def test_oversized_carrier_counts_refuse_with_typed_errors(capsys, tmp_path, backend, suite):
+    code, out, err = run(["check", suite, write_json(tmp_path, "b.json", backend)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("CertificationTooLarge: ") and "Traceback" not in err
+    assert "over 4300 digits" in err
+
+
+# ground sets and full tribe carriers whose payloads or sizes would not fit in memory
+@pytest.mark.parametrize("backend, error", [
+    ({"kind": "set_algebra", "omega": 10**12}, "ParseError"),
+    ({"kind": "quotient", "omega": 10**12, "null": [0]}, "ParseError"),
+    ({"kind": "tribe", "omega": 10**12, "den": 2}, "ParseError"),
+    ({"kind": "tribe", "omega": 10**5, "den": 10**4000}, "CarrierTooLarge"),
+])
+def test_oversized_ground_sets_are_refused(capsys, tmp_path, backend, error):
+    start = time.perf_counter()
+    code, out, err = run(["check", "axioms", write_json(tmp_path, "b.json", backend)], capsys)
+    assert code == 1 and out == "" and err.startswith(error + ": ")
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("backend, observable, code, error", [
+    ({"kind": "table", "add": [0], "zero": 0, "one": 0}, None, 1, "ParseError"),
+    ({"kind": "set_algebra", "omega": 2}, {"points": ["0"], "weights": [[[0]]]}, 1, "SetOutOfRange"),
+])
+def test_nested_literals_raise_typed_errors(capsys, tmp_path, backend, observable, code, error):
+    obs = write_json(tmp_path, "x.json", observable) if observable else Q14
+    got, out, err = run(["neg", write_json(tmp_path, "b.json", backend), obs], capsys)
+    assert (got, out) == (code, "") and err.startswith(error + ": ")

@@ -134,13 +134,13 @@ class _CountingChain(MVChain):
         super().__init__(n)
         self.calls = Counter()
 
-    def leq(self, a, b):
+    def _le(self, pa, pb):
         self.calls["leq"] += 1
-        return super().leq(a, b)
+        return super()._le(pa, pb)
 
-    def join_many(self, items):
-        self.calls["join_many"] += 1
-        return super().join_many(items)
+    def _bound(self, payloads, lower):
+        self.calls["meet_many" if lower else "join_many"] += 1
+        return super()._bound(payloads, lower)
 
 
 def test_meet_and_order_test_each_grid_point_once():
@@ -175,13 +175,10 @@ def test_random_grid_observable_checks_each_jump_once():
 
 
 class _LyingBounds(MVChain):
-    """join_many and meet_many answer with their first input."""
+    """The n-ary bound answers with its first input, for joins and meets."""
 
-    def join_many(self, items):
-        return items[0]
-
-    def meet_many(self, items):
-        return items[0]
+    def _bound(self, payloads, lower):
+        return payloads[0]
 
 
 def test_pointwise_bounds_that_do_not_bound_are_refused():
@@ -194,21 +191,21 @@ def test_pointwise_bounds_that_do_not_bound_are_refused():
 
 
 class _FallingBounds(MVChain):
-    """join_many answers 1 for a row of quarters: a bound, but not a monotone one."""
+    """The join answers 1 for a row of quarters: a bound, but not a monotone one."""
 
-    def join_many(self, items):
-        if all(a == self.element(F(1, 4)) for a in items):
-            return self.one
-        return super().join_many(items)
+    def _bound(self, payloads, lower):
+        if not lower and all(p == self.element(F(1, 4)).payload for p in payloads):
+            return self.one.payload
+        return super()._bound(payloads, lower)
 
 
 class _ShortBounds(MVChain):
-    """meet_many answers 3/4 for a row of ones: a bound, but the chain stops short."""
+    """The meet answers 3/4 for a row of ones: a bound, but the chain stops short."""
 
-    def meet_many(self, items):
-        if all(a == self.one for a in items):
-            return self.element(F(3, 4))
-        return super().meet_many(items)
+    def _bound(self, payloads, lower):
+        if lower and all(p == self.one.payload for p in payloads):
+            return self.element(F(3, 4)).payload
+        return super()._bound(payloads, lower)
 
 
 def test_trusted_packing_refuses_inconsistent_bounds():
@@ -245,7 +242,7 @@ def test_caps_refuse_before_listing_the_carrier():
     with pytest.raises(CertificationTooLarge):
         brute_force_join(family)
     # a missing pointwise meet sends olson_join to the oracle
-    algebra.meet_many = lambda items: None
+    algebra._bound = lambda payloads, lower: None
     with pytest.raises(CertificationTooLarge):
         olson_join(family)
     with pytest.raises(CertificationTooLarge):
@@ -258,6 +255,13 @@ def test_caps_refuse_before_listing_the_carrier():
         run_involution(algebra)
     with pytest.raises(CertificationTooLarge):
         run_lattice_oracle(algebra)
+
+
+def test_cap_refusal_prints_an_oversized_bound():
+    algebra = FiniteSetAlgebra(20000)
+    family = tuple(question(algebra, algebra.subset((p,))) for p in (0, 1))
+    with pytest.raises(CertificationTooLarge, match="over 4300 digits"):
+        brute_force_meet(family)
 
 
 def test_enumerated_observables_live_on_grid(set2):

@@ -1,6 +1,9 @@
 """The fast paths of the exact core against their reference definitions.
 
-The grid walk is checked against the sampling reference: every
+The one-sort merge of a family's spectra is checked against merged_grid
+and the per-observable walk _closed_on_grid on families drawn from a
+pool of shared, negative, integer, float-tied, out-of-float-range and
+tiny points.  The grid walk is checked against the sampling reference: every
 resolution is looked up by bisection at one point below the merged grid,
 at each grid point, at the midpoint of each gap and at one point above
 the grid.  olson_leq, compare (verdict and witness), both meet/join
@@ -19,6 +22,7 @@ messages must agree.
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -29,7 +33,9 @@ from olsonorder.errors import InvalidAlgebra, OlsonOrderError
 from olsonorder.lattice import (
     DEFAULT_ENUMERATION_CAP,
     BoundResult,
+    _closed_on_grid,
     _closed_route,
+    _columns,
     _open_route,
     brute_force_join,
     brute_force_meet,
@@ -42,7 +48,7 @@ from olsonorder.lattice import (
     olson_meet,
     order_verdict,
 )
-from olsonorder.observables import from_closed_values, question
+from olsonorder.observables import SimpleObservable, from_closed_values, question
 from olsonorder.serialize import algebra_from_json
 
 from conftest import load_fixture
@@ -153,6 +159,62 @@ def chain_families(draw, n=4):
 @given(chain_families())
 def test_walk_matches_reference_on_chain_families(xs):
     _assert_agree(xs)
+
+
+# -- the merge ------------------------------------------------------------------
+
+# distinct rationals whose floats tie (1/3 and 1/3 + 10^-400, 2^53 and
+# 2^53 + 1), rationals beyond the float range on both sides (their float
+# conversion overflows) and below its resolution, around shared small points
+_BIG = 10**400
+MERGE_POOL = tuple(sorted({
+    F(0), F(1), F(-1), F(2), F(-3), F(1, 2), F(-1, 2),
+    F(1, 3), F(1, 3) + F(1, _BIG), F(1, 3) - F(1, _BIG), F(-1, 3),
+    F(2**53), F(2**53 + 1),
+    F(_BIG), F(-_BIG), F(_BIG + 1),
+    F(2**1024 - 1), F(2**1024 + 1), F(-(2**1024 - 1)), F(-(2**1024 + 1)),
+    F(1, _BIG), F(-1, _BIG), F(2, _BIG),
+}))
+
+
+@st.composite
+def pooled_families(draw, n=4):
+    algebra = MVChain(n)
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        points = sorted(draw(st.sets(st.sampled_from(MERGE_POOL), min_size=1, max_size=6)))
+        levels = sorted(draw(st.lists(st.integers(0, n), min_size=len(points),
+                                      max_size=len(points))))
+        levels[-1] = n
+        values = [algebra.element(F(k, n)) for k in levels]
+        out.append(from_closed_values(algebra, tuple(zip(points, values))))
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pooled_families())
+def test_merge_matches_merged_grid_and_walk(xs):
+    grid, columns = _columns(xs)
+    assert tuple(grid) == merged_grid(xs)
+    assert all(type(t) is Fraction for t in grid)
+    assert columns == [tuple(_closed_on_grid(x, grid)) for x in xs]
+
+
+def test_merge_of_long_denominators_is_fast():
+    # two observables over 400 points each, every point with its own
+    # 4,000-digit denominator; their floats tie pairwise at the integers
+    alg = MVChain(400)
+    weights = [alg.element(F(1, 400))] * 400
+    xs = tuple(
+        SimpleObservable(alg, [k + F(shift, 10**3999 + 4 * k + 2 * shift - 1) for k in range(400)],
+                         weights)
+        for shift in (1, 2)
+    )
+    start = time.perf_counter()
+    grid, columns = _columns(xs)
+    assert time.perf_counter() - start < 1.0
+    assert len(grid) == 800 and len(columns) == 2
+    assert columns == [tuple(_closed_on_grid(x, grid)) for x in xs]
 
 
 # -- brute force ----------------------------------------------------------------
