@@ -88,10 +88,13 @@ class EffectAlgebra(ABC):
 
     `add` returns None when the partial sum is undefined; `meet`/`join`
     return None when the bound does not exist in the carrier.  Everything
-    else raises on misuse.  The order and the n-ary bound act on payloads as
-    `_le` and `_bound`: the exact core calls them directly, the public
-    primitives here wrap them with one ownership check.  The hooks here serve
-    the explicit carriers; lattice backends override them and `diff`.
+    else raises on misuse.  A backend is five hooks on payloads: the
+    partial sum `_add` (None when undefined), `_complement`, the difference
+    `_diff(pb, pa)` (called only when pa <= pb), the order `_le` and the
+    n-ary bound `_bound`.  The public primitives here are written once: each
+    checks ownership of its arguments, calls a hook and wraps the answer,
+    and the exact core calls the hooks directly.  The `_le` and `_bound`
+    here serve the explicit carriers; lattice backends override them.
     """
 
     kind: str = "abstract"
@@ -112,17 +115,15 @@ class EffectAlgebra(ABC):
             )
         return a.payload
 
-    def _index_carrier(self, payloads, up, down, diffs) -> None:
+    def _index_carrier(self, payloads, up, down) -> None:
         """Compile an explicit carrier: bit i stands for payloads[i] (elements()
-        order), up[i]/down[i] are the sets of the elements above/below it,
-        and diffs maps (b, a) to the index of the c with a + c = b."""
-        self._elems = elems = tuple(map(self._wrap, payloads))
+        order), and up[i]/down[i] are the sets of the elements above/below it."""
+        self._elems = tuple(map(self._wrap, payloads))
         self._bit = {p: i for i, p in enumerate(payloads)}
         self._up, self._down = dict(zip(payloads, up)), dict(zip(payloads, down))
         # a family's common upper bounds have a least one iff they form its up-set
         self._tops, self._bottoms = dict(zip(up, payloads)), dict(zip(down, payloads))
-        self._diffs = {key: elems[c] for key, c in diffs.items()}
-        self._full = (1 << len(elems)) - 1
+        self._full = (1 << len(payloads)) - 1
 
     def _common(self, payloads, upper: bool) -> int:
         """Bitset of the common upper (upper) or lower bounds of payloads."""
@@ -130,6 +131,20 @@ class EffectAlgebra(ABC):
         for p in payloads:
             acc &= sets[p]
         return acc
+
+    # -- payload hooks ---------------------------------------------------
+
+    @abstractmethod
+    def _add(self, pa, pb):
+        """Payload of the partial sum, or None when it is undefined."""
+
+    @abstractmethod
+    def _complement(self, pa):
+        """Payload of the complement."""
+
+    @abstractmethod
+    def _diff(self, pb, pa):
+        """Payload of the c with a + c = b; called only when pa <= pb."""
 
     def _le(self, pa, pb) -> bool:
         """The order on payloads; a bit test on explicit carriers."""
@@ -148,15 +163,16 @@ class EffectAlgebra(ABC):
         return [q for q in (e.payload for e in self.elements())
                 if all(le(p, q) if upper else le(q, p) for p in payloads)]
 
-    # -- partial addition and derived structure -------------------------
+    # -- public primitives -------------------------------------------------
 
-    @abstractmethod
     def add(self, a: EffectElement, b: EffectElement) -> EffectElement | None:
         """Partial sum a + b, or None when undefined."""
+        s = self._add(self._payload(a), self._payload(b))
+        return None if s is None else self._wrap(s)
 
-    @abstractmethod
     def complement(self, a: EffectElement) -> EffectElement:
         """The unique a' with a + a' = 1."""
+        return self._wrap(self._complement(self._payload(a)))
 
     def leq(self, a: EffectElement, b: EffectElement) -> bool:
         """Induced order: a <= b iff a + c = b for some c."""
@@ -172,14 +188,10 @@ class EffectAlgebra(ABC):
 
     def diff(self, b: EffectElement, a: EffectElement) -> EffectElement:
         """The unique c with a + c = b; requires a <= b."""
-        pa = self._payload(a)
-        c = self._diffs.get((self._payload(b), pa))
-        if c is not None:
-            return c
-        if self.leq(a, b):
-            # a restricted tribe's pointwise order without a carrier witness
-            raise InvalidAlgebra("difference leaves the restricted carrier")
-        raise InvalidAlgebra("diff requires a <= b")
+        pa, pb = self._payload(a), self._payload(b)
+        if not self._le(pa, pb):
+            raise InvalidAlgebra("diff requires a <= b")
+        return self._wrap(self._diff(pb, pa))
 
     def join_many(self, items: Iterable[EffectElement]) -> EffectElement | None:
         """Least upper bound of finitely many elements, None if there is none."""
@@ -200,8 +212,9 @@ class EffectAlgebra(ABC):
         return list(map(self._wrap, self._bounds([self._payload(a) for a in items], upper)))
 
     def is_sharp(self, a: EffectElement) -> bool:
-        m = self.meet(a, self.complement(a))
-        return m is not None and m == self.zero
+        """True when the meet of a and a' exists and is 0."""
+        p = self._payload(a)
+        return self._bound((p, self._complement(p)), True) == self.zero.payload
 
     # -- enumeration -----------------------------------------------------
 
@@ -214,12 +227,12 @@ class EffectAlgebra(ABC):
 
     def sum(self, items: Iterable[EffectElement]) -> EffectElement | None:
         """Fold of add over items; None as soon as a partial sum is undefined."""
-        total = self.zero
+        total = self.zero.payload
         for item in items:
-            total = self.add(total, item)
+            total = self._add(total, self._payload(item))
             if total is None:
                 return None
-        return total
+        return self._wrap(total)
 
     # -- serialization hooks ----------------------------------------------
 
@@ -330,27 +343,21 @@ class MVChain(EffectAlgebra):
             raise ParseError(f"{_shown(q, str)} is not a multiple of 1/{self.n} in [0,1]")
         return self._wrap(q.numerator * (self.n // q.denominator))
 
-    def add(self, a, b):
-        s = self._payload(a) + self._payload(b)
-        return self._wrap(s) if s <= self.n else None
+    def _add(self, pa, pb):
+        s = pa + pb
+        return s if s <= self.n else None
 
-    def complement(self, a):
-        return self._wrap(self.n - self._payload(a))
+    def _complement(self, pa):
+        return self.n - pa
+
+    def _diff(self, pb, pa):
+        return pb - pa
 
     def _le(self, pa, pb):
         return pa <= pb
 
     def _bound(self, payloads, lower):
         return min(payloads) if lower else max(payloads)
-
-    def diff(self, b, a):
-        pa, pb = self._payload(a), self._payload(b)
-        if pa > pb:
-            raise InvalidAlgebra("diff requires a <= b")
-        return self._wrap(pb - pa)
-
-    def is_sharp(self, a):
-        return self._payload(a) in (0, self.n)
 
     def elements(self):
         return map(self._wrap, range(self.n + 1))
@@ -387,28 +394,20 @@ class _BitmaskAlgebra(EffectAlgebra):
     def _mask_points(self, mask: int) -> tuple[int, ...]:
         return tuple(p for p in range(self.omega) if mask >> p & 1)
 
-    def add(self, a, b):
-        pa, pb = self._payload(a), self._payload(b)
-        return self._wrap(pa | pb) if pa & pb == 0 else None
+    def _add(self, pa, pb):
+        return pa | pb if pa & pb == 0 else None
 
-    def complement(self, a):
-        return self._wrap(self._top ^ self._payload(a))
+    def _complement(self, pa):
+        return self._top ^ pa
+
+    def _diff(self, pb, pa):
+        return pb ^ pa
 
     def _le(self, pa, pb):
         return pa & pb == pa
 
     def _bound(self, payloads, lower):
         return functools.reduce(operator.and_ if lower else operator.or_, payloads)
-
-    def diff(self, b, a):
-        pa, pb = self._payload(a), self._payload(b)
-        if pa & pb != pa:
-            raise InvalidAlgebra("diff requires a <= b")
-        return self._wrap(pb & ~pa)
-
-    def is_sharp(self, a):
-        self._payload(a)
-        return True
 
     def elements(self):
         """Every submask of the top mask, in increasing order."""
@@ -485,13 +484,12 @@ class TableEffectAlgebra(EffectAlgebra):
         add_table: list[list[int | None]],
         zero: int,
         one: int,
-        cap: int = DEFAULT_TABLE_CAP,
     ) -> None:
         m = len(add_table)
         if m == 0:
             raise InvalidAlgebra("table backend needs a nonempty carrier")
-        if m > cap:
-            raise CarrierTooLarge(f"carrier size {m} exceeds cap {cap}")
+        if m > DEFAULT_TABLE_CAP:
+            raise CarrierTooLarge(f"carrier size {m} exceeds cap {DEFAULT_TABLE_CAP}")
         for row in add_table:
             if not isinstance(row, (list, tuple)) or len(row) != m:
                 raise InvalidAlgebra("addition table must be square")
@@ -513,7 +511,7 @@ class TableEffectAlgebra(EffectAlgebra):
 
     def _validate_axioms(self) -> None:
         m, t = self.m, self.table
-        up, down, diffs = [0] * m, [0] * m, {}
+        up, down, self._diffs = [0] * m, [0] * m, {}
         for a in range(m):
             for b in range(m):
                 s = t[a][b]
@@ -522,7 +520,7 @@ class TableEffectAlgebra(EffectAlgebra):
                 if s is not None:
                     up[a] |= 1 << s
                     down[s] |= 1 << a
-                    diffs[s, a] = b
+                    self._diffs[s, a] = b
         for a in range(m):
             ta = t[a]
             for b in range(m):
@@ -552,19 +550,21 @@ class TableEffectAlgebra(EffectAlgebra):
         for a in range(m):
             if t[self.zero_index][a] != a:
                 raise InvalidAlgebra(f"0 + {a} != {a}; zero is not neutral")
-        self._index_carrier(range(m), up, down, diffs)
+        self._index_carrier(range(m), up, down)
 
     def element(self, index: int) -> EffectElement:
         if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < self.m:
             raise ParseError(f"table element index {index!r} out of range")
         return self._elems[index]
 
-    def add(self, a, b):
-        s = self.table[self._payload(a)][self._payload(b)]
-        return None if s is None else self._wrap(s)
+    def _add(self, pa, pb):
+        return self.table[pa][pb]
 
-    def complement(self, a):
-        return self._wrap(self._complements[self._payload(a)])
+    def _complement(self, pa):
+        return self._complements[pa]
+
+    def _diff(self, pb, pa):
+        return self._diffs[pb, pa]
 
     def elements(self):
         return iter(self._elems)
@@ -651,8 +651,11 @@ class FiniteTribe(EffectAlgebra):
     restricted carrier must contain 1, be closed under complement, and
     contain f + g whenever both lie in the carrier and f <= 1 - g
     pointwise; such a carrier need not be closed under pointwise min, so
-    it is explicit: the validation pass compiles its pointwise order and
-    sums into bitsets, and `lattice_guaranteed` is False.
+    it is explicit: the validation pass checks both closures and compiles
+    the pointwise order into bitsets for the bounds, and
+    `lattice_guaranteed` is False.  Sums, complements and differences stay
+    pointwise arithmetic: a carrier closed under both contains
+    b - a = (a + b')' whenever a <= b.
     """
 
     kind = "tribe"
@@ -681,20 +684,18 @@ class FiniteTribe(EffectAlgebra):
             index = {f: i for i, f in enumerate(funcs)}
             if top not in index:
                 raise InvalidAlgebra("carrier must contain the constant-1 function")
-            if any(tuple(den - v for v in f) not in index for f in funcs):
+            if any(self._complement(f) not in index for f in funcs):
                 raise InvalidAlgebra("carrier not closed under complement")
-            up, down, diffs = [0] * len(funcs), [0] * len(funcs), {}
+            up, down = [0] * len(funcs), [0] * len(funcs)
             for i, f in enumerate(funcs):
                 for j, g in enumerate(funcs):
-                    if all(x <= y for x, y in zip(f, g)):
+                    if self._le(f, g):
                         up[i] |= 1 << j
                         down[j] |= 1 << i
-                    s = tuple(x + y for x, y in zip(f, g))
-                    if max(s) <= den:
-                        if s not in index:
-                            raise InvalidAlgebra("carrier not closed under defined addition")
-                        diffs[s, f] = j
-            self._index_carrier(funcs, up, down, diffs)
+                    s = self._add(f, g)
+                    if s is not None and s not in index:
+                        raise InvalidAlgebra("carrier not closed under defined addition")
+            self._index_carrier(funcs, up, down)
             self.carrier = values
         self.zero = self._wrap((0,) * omega)
         self.one = self._wrap(top)
@@ -726,36 +727,23 @@ class FiniteTribe(EffectAlgebra):
         """The element's value vector over the ground set."""
         return tuple(Fraction(k, self.den) for k in self._payload(a))
 
-    def add(self, a, b):
-        fa, fb = self._payload(a), self._payload(b)
-        s = tuple(x + y for x, y in zip(fa, fb))
-        if max(s) > self.den:
-            return None
-        if self.carrier is not None and s not in self._bit:
-            # closure validation makes this unreachable; keep the guard
-            return None
-        return self._wrap(s)
+    def _add(self, pa, pb):
+        s = tuple(map(operator.add, pa, pb))
+        return s if max(s) <= self.den else None
 
-    def complement(self, a):
-        return self._wrap(tuple(self.den - v for v in self._payload(a)))
+    def _complement(self, pa):
+        return tuple(self.den - v for v in pa)
+
+    def _diff(self, pb, pa):
+        return tuple(map(operator.sub, pb, pa))
 
     def _le(self, pa, pb):
-        if self.carrier is not None:
-            return super()._le(pa, pb)
         return all(map(operator.le, pa, pb))
 
     def _bound(self, payloads, lower):
         if self.carrier is not None:
             return super()._bound(payloads, lower)
         return tuple(map(min if lower else max, zip(*payloads)))
-
-    def diff(self, b, a):
-        if self.carrier is not None:
-            return super().diff(b, a)
-        fa, fb = self._payload(a), self._payload(b)
-        if any(x > y for x, y in zip(fa, fb)):
-            raise InvalidAlgebra("diff requires a <= b")
-        return self._wrap(tuple(y - x for x, y in zip(fa, fb)))
 
     def elements(self):
         if self.carrier is not None:

@@ -93,13 +93,12 @@ class HermitianOperator:
         self,
         matrix,
         tol: Tolerances = DEFAULT_TOLERANCES,
-        cap: int = DIMENSION_CAP,
     ) -> None:
         arr = np.asarray(matrix)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise DimensionMismatch(f"matrix must be square, got shape {arr.shape}")
-        if arr.shape[0] > cap:
-            raise CarrierTooLarge(f"dimension {arr.shape[0]} exceeds the cap {cap}")
+        if arr.shape[0] > DIMENSION_CAP:
+            raise CarrierTooLarge(f"dimension {arr.shape[0]} exceeds the cap {DIMENSION_CAP}")
         arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
         with np.errstate(over="ignore"):
             norm = _norm(arr)
@@ -445,11 +444,7 @@ def matrix_to_json(a) -> dict:
     return out
 
 
-def matrix_from_json(
-    obj,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    cap: int = DIMENSION_CAP,
-) -> HermitianOperator:
+def matrix_from_json(obj, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
     if not isinstance(obj, dict) or "dim" not in obj or "re" not in obj:
         raise ParseError(f"matrix literal needs 'dim' and 're', got {obj!r}")
     dim = obj["dim"]
@@ -478,4 +473,4 @@ def matrix_from_json(
     norm = _norm(mat)
     if norm > NORM_CAP:
         raise ParseError(f"matrix norm {norm:.3e} exceeds {NORM_CAP:g}")
-    return HermitianOperator(mat, tol, cap=cap)
+    return HermitianOperator(mat, tol)

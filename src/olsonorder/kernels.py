@@ -23,15 +23,11 @@ from .algebras import (
 )
 from .errors import (
     BackendMismatch,
-    CertificationTooLarge,
     DomainMismatch,
     KernelValueOutsideTribe,
     ParseError,
 )
 from .observables import SimpleObservable, from_weights
-
-# subset-sum membership scan for restricted carriers stays exact up to here
-KERNEL_SUPPORT_CAP = 16
 
 
 class MeasurableFunction:
@@ -247,34 +243,17 @@ def observable_from_kernel(tribe: FiniteTribe, kernel: MarkovKernel) -> SimpleOb
             f"kernel has {kernel.domain_size} rows, ground set has {tribe.omega}"
         )
     support = kernel.support_union()
-    columns = [
-        tuple(kernel.mass_at(pt, u) for pt in range(tribe.omega)) for u in support
-    ]
     weights = []
-    for u, col in zip(support, columns):
+    for u in support:
+        col = tuple(kernel.mass_at(pt, u) for pt in range(tribe.omega))
         try:
             weights.append(tribe.element(col))
         except ParseError as exc:
             raise KernelValueOutsideTribe(
                 f"K(., {{{u}}}) = {tuple(str(v) for v in col)} is not a tribe element"
             ) from exc
-    if tribe.carrier is not None:
-        # a Borel set maps to a subset sum of the columns; carrier closure
-        # under defined addition makes failures unreachable, keep the guard
-        if len(support) > KERNEL_SUPPORT_CAP:
-            raise CertificationTooLarge(
-                f"carrier membership scan needs 2^{len(support)} subset sums"
-            )
-        for mask in range(1, 1 << len(support)):
-            total = [Fraction(0)] * tribe.omega
-            for i, col in enumerate(columns):
-                if mask >> i & 1:
-                    total = [a + b for a, b in zip(total, col)]
-            if tuple(total) not in tribe.carrier:
-                picked = [str(support[i]) for i in range(len(support)) if mask >> i & 1]
-                raise KernelValueOutsideTribe(
-                    f"K(., {{{', '.join(picked)}}}) leaves the restricted carrier"
-                )
+    # a Borel set maps to a subset sum of the columns, which stays in a
+    # restricted carrier: it is closed under defined addition
     return from_weights(tribe, support, weights)
 
 

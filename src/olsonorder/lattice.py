@@ -123,7 +123,7 @@ def _columns(xs: Sequence[SimpleObservable]) -> tuple[list[Fraction], list[tuple
     Fractions are compared only where floats tie; no common denominator is
     formed, as its size grows with every distinct denominator of the family."""
     marks = sorted((_point_key(t), t, m) for m, x in enumerate(xs) for t in x.points)
-    sums = [[c.payload for c in x._cums] for x in xs]
+    sums = [x._cums for x in xs]
     grid, rows, counts = [], [], [0] * len(xs)
     for (f, t, m), (g, u, _) in zip(marks, [*marks[1:], (math.nan, None, 0)]):
         counts[m] += 1
@@ -146,7 +146,7 @@ def _closed_on_grid(x: SimpleObservable, grid: Sequence[Fraction]) -> list:
     for t in grid:
         if c < last and points[c] == t:
             c += 1
-        out.append(cums[c].payload)
+        out.append(cums[c])
     return out
 
 

@@ -349,11 +349,10 @@ class StepResolution:
         return self.values[bisect_right(self.breakpoints, _rational(t))]
 
     def to_observable(self) -> "SimpleObservable":
-        alg = self.algebra
-        weights = [
-            alg.diff(b, a) for a, b in zip(self.values, self.values[1:])
-        ]
-        return SimpleObservable(alg, self.breakpoints, weights)
+        # validated on construction: strictly increasing from 0 to 1
+        return SimpleObservable._from_cums(
+            self.algebra, self.breakpoints, [v.payload for v in self.values]
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StepResolution):
@@ -378,7 +377,8 @@ class SimpleObservable:
 
     points are strictly increasing rationals, weights are nonzero and sum
     to 1.  Instances are immutable value objects; equality is canonical
-    (same backend instance, same points, same weights).
+    (same backend instance, same points, same weights).  _cums holds the
+    payloads of the partial weight sums 0 = c_0 < ... < c_k = 1.
     """
 
     __slots__ = ("algebra", "points", "weights", "_cums")
@@ -395,16 +395,17 @@ class SimpleObservable:
             raise WeightsNotSummable("points and weights must pair up")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise NonIncreasingPoints(f"spectrum not strictly increasing: {_shown(pts)}")
-        cums = [algebra.zero]
+        zero = algebra.zero.payload
+        cums = [zero]
         for w in wts:
-            algebra._payload(w)
-            if w == algebra.zero:
+            p = algebra._payload(w)
+            if p == zero:
                 raise WeightsNotSummable("canonical observables carry no zero weights")
-            nxt = algebra.add(cums[-1], w)
+            nxt = algebra._add(cums[-1], p)
             if nxt is None:
                 raise WeightsNotSummable("running weight sum is undefined")
             cums.append(nxt)
-        if not wts or cums[-1] != algebra.one:
+        if not wts or cums[-1] != algebra.one.payload:
             raise WeightsNotSummable("weights must sum to 1")
         self.algebra = algebra
         self.points = pts
@@ -416,20 +417,20 @@ class SimpleObservable:
         cls,
         algebra: EffectAlgebra,
         points: Sequence[Fraction],
-        cums: Sequence[EffectElement],
+        cums: Sequence,
     ) -> "SimpleObservable":
         """Trusted constructor for values the library computed itself.
 
-        points are strictly increasing Fractions and cums the strictly
-        increasing closed values 0 = c_0 < ... < c_k = 1 of the algebra,
-        one more than points; nothing is checked, and weight i is the one
-        diff c_i - c_{i-1}.
+        points are strictly increasing Fractions and cums the payloads of
+        strictly increasing closed values 0 = c_0 < ... < c_k = 1 of the
+        algebra, one more than points; nothing is checked, and weight i is
+        the one _diff c_i - c_{i-1}.
         """
         self = object.__new__(cls)
         self.algebra = algebra
         self.points = tuple(points)
-        self._cums = tuple(cums)
-        self.weights = tuple(map(algebra.diff, self._cums[1:], self._cums))
+        self._cums = cums = tuple(cums)
+        self.weights = tuple(map(algebra._wrap, map(algebra._diff, cums[1:], cums)))
         return self
 
     # -- resolutions ------------------------------------------------------
@@ -439,15 +440,15 @@ class SimpleObservable:
         return self.points
 
     def resolution(self) -> StepResolution:
-        return StepResolution(self.algebra, self.points, self._cums)
+        return StepResolution(self.algebra, self.points, map(self.algebra._wrap, self._cums))
 
     def resolution_open(self, t: Fraction | int) -> EffectElement:
         """x((-inf, t)): sum of weights strictly below t."""
-        return self._cums[bisect_left(self.points, _rational(t))]
+        return self.algebra._wrap(self._cums[bisect_left(self.points, _rational(t))])
 
     def resolution_closed(self, t: Fraction | int) -> EffectElement:
         """x((-inf, t]): sum of weights at or below t."""
-        return self._cums[bisect_right(self.points, _rational(t))]
+        return self.algebra._wrap(self._cums[bisect_right(self.points, _rational(t))])
 
     # -- set and map actions ----------------------------------------------
 
@@ -485,16 +486,16 @@ class SimpleObservable:
         return SimpleObservable._from_cums(
             alg,
             [1 - t for t in reversed(self.points)],
-            [alg.zero, *map(alg.complement, reversed(self._cums[:-1]))],
+            [alg.zero.payload, *map(alg._complement, reversed(self._cums[:-1]))],
         )
 
     # -- predicates ---------------------------------------------------------
 
-    def is_sharp_observable(self, cap: int = SHARPNESS_SCAN_CAP) -> bool:
+    def is_sharp_observable(self) -> bool:
         """True when every subset sum of the weights is sharp (2^k scan)."""
-        if len(self.weights) > cap:
+        if len(self.weights) > SHARPNESS_SCAN_CAP:
             raise SpectrumTooLargeForSharpnessScan(
-                f"spectrum size {len(self.weights)} exceeds scan cap {cap}"
+                f"spectrum size {len(self.weights)} exceeds scan cap {SHARPNESS_SCAN_CAP}"
             )
         sums = {self.algebra.zero}
         for w in self.weights:
@@ -601,16 +602,15 @@ def _pack_closed(
     chain that falls raises NonMonotoneInput and one that stops short of
     1 InvalidAlgebra: either means the backend's bounds are inconsistent.
     """
-    le, wrap = algebra._le, algebra._wrap
-    prev, points, cums = algebra.zero.payload, [], [algebra.zero]
+    le = algebra._le
+    points, cums = [], [algebra.zero.payload]
     for t, v in zip(grid, values):
-        if v == prev:
+        if v == cums[-1]:
             continue
-        if not le(prev, v):
+        if not le(cums[-1], v):
             raise NonMonotoneInput("closed-resolution values must be nondecreasing")
         points.append(t)
-        cums.append(wrap(v))
-        prev = v
-    if prev != algebra.one.payload:
+        cums.append(v)
+    if cums[-1] != algebra.one.payload:
         raise InvalidAlgebra("closed-resolution values do not reach 1; backend is inconsistent")
     return SimpleObservable._from_cums(algebra, points, cums)

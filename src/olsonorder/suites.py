@@ -52,6 +52,9 @@ from .observables import SimpleObservable, _pack_closed, question
 AXIOM_SCAN_CAP = 64
 PAIR_BUDGET = 2500
 ORDER_PAIR_BUDGET = 20_000
+#: most ground-set points of a set or quotient backend in the representation
+#: suite, which draws each sampled function point by point
+REPRESENTATION_OMEGA_CAP = 64
 
 
 def _check(name: str, passed: bool, count: int, **extra) -> dict:
@@ -372,6 +375,10 @@ def _functions(
     vals: Sequence[Fraction], omega: int, rng: random.Random, samples: int, limit: int
 ) -> list[MeasurableFunction]:
     """Every function into vals when there are at most limit, else a sample."""
+    if omega > REPRESENTATION_OMEGA_CAP:
+        raise CertificationTooLarge(
+            f"representation suite draws functions on {omega} points, over cap {REPRESENTATION_OMEGA_CAP}"
+        )
     if len(vals) ** omega <= limit:
         return [MeasurableFunction(c) for c in itertools.product(vals, repeat=omega)]
     return [

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from olsonorder import algebras
 from olsonorder.algebras import (
     FiniteSetAlgebra,
     FiniteTribe,
@@ -75,6 +76,18 @@ def test_set_algebra_masks(set3):
     assert set3.meet(a, set3.subset((2,))) == set3.subset((2,))
     with pytest.raises(SetOutOfRange):
         set3.subset((3,))
+
+
+def test_backends_implement_only_payload_hooks():
+    # the public primitives, with their ownership checks, live in EffectAlgebra alone
+    public = {"add", "complement", "leq", "meet", "join", "diff",
+              "meet_many", "join_many", "bounds", "is_sharp"}
+    backends = [c for c in vars(algebras).values()
+                if isinstance(c, type) and issubclass(c, algebras.EffectAlgebra)
+                and c is not algebras.EffectAlgebra]
+    assert MVChain in backends and TableEffectAlgebra in backends
+    for cls in backends:
+        assert not public & set(vars(cls)), cls
 
 
 def test_foreign_elements_rejected(mv4, set2):

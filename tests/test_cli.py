@@ -324,6 +324,18 @@ def test_oversized_carrier_counts_refuse_with_typed_errors(capsys, tmp_path, bac
     assert "over 4300 digits" in err
 
 
+@pytest.mark.parametrize("backend", [
+    {"kind": "set_algebra", "omega": 100000},
+    {"kind": "quotient", "omega": 100000, "null": [0]},
+])
+def test_representation_refuses_large_ground_sets_up_front(capsys, tmp_path, backend):
+    start = time.perf_counter()
+    code, out, err = run(["check", "representation", write_json(tmp_path, "b.json", backend)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("CertificationTooLarge: ") and "Traceback" not in err
+
+
 # ground sets and full tribe carriers whose payloads or sizes would not fit in memory
 @pytest.mark.parametrize("backend, error", [
     ({"kind": "set_algebra", "omega": 10**12}, "ParseError"),

@@ -141,6 +141,42 @@ def test_spectral_implies_loewner_random():
     assert spectral_leq(img.to_operator(), ma.to_operator())
 
 
+# nondecreasing maps of [0, 1] into itself: the first three lie below the
+# identity, so their images sit spectrally below the operator, the last above
+MONOTONE_MAPS = (np.square, lambda t: np.minimum(t, 0.4), lambda t: 0.5 * t,
+                 lambda t: np.maximum(t, 0.6))
+
+
+def _loewner_leq_power(a, b, n):
+    return loewner_leq(np.linalg.matrix_power(a.matrix, n), np.linalg.matrix_power(b.matrix, n))
+
+
+def test_spectral_order_implies_loewner_order_of_every_power():
+    # Olson: for effects, A is spectrally below B iff A^n <= B^n for every n
+    rng = np.random.default_rng(23)
+    positives = 0
+    for i in range(300):
+        a = rand_effect(rng, (2, 3, 4)[i % 3])
+        if i % 2:
+            m = spectral_measure(a)
+            b = m.apply_monotone(MONOTONE_MAPS[rng.integers(len(MONOTONE_MAPS))](m.grid)).to_operator()
+        else:
+            b = rand_effect(rng, a.dim)
+        for x, y in ((a, b), (b, a)):
+            if spectral_leq(x, y):
+                positives += 1
+                for n in range(1, 65):
+                    assert _loewner_leq_power(x, y, n), (i, n)
+    assert positives >= 100
+
+
+def test_recorded_gap_pair_fails_the_power_criterion_at_squares():
+    pair = load_fixture("hilbert_noncommuting_pair.json")
+    a, b = matrix_from_json(pair["a"]), matrix_from_json(pair["b"])
+    assert _loewner_leq_power(a, b, 1)
+    assert not _loewner_leq_power(a, b, 2)
+
+
 def test_effect_validation_for_lattice_ops():
     with pytest.raises(NotAnEffect):
         spectral_meet((np.diag([1.5, 0.5]), np.eye(2)))

@@ -143,6 +143,16 @@ def test_restricted_tribe_rejects_foreign_kernel(restricted, tribe24):
         observable_from_kernel(restricted, k)
 
 
+def test_restricted_tribe_answers_kernels_of_many_support_points():
+    # every column is a carrier element, so every subset sum of the columns
+    # is one too: no support size is refused
+    chain = FiniteTribe(1, 20, carrier=[(F(k, 20),) for k in range(21)])
+    kernel = MarkovKernel([[(F(i), F(1, 20)) for i in range(20)]])
+    x = observable_from_kernel(chain, kernel)
+    assert x.points == tuple(F(i) for i in range(20))
+    assert kernel_from_observable(chain, x) == kernel
+
+
 def test_pushforward_and_quotient_criterion(quotient3):
     f = MeasurableFunction((F(0), F(1, 2), F(1)))
     g = MeasurableFunction((F(0), F(1, 2), F(0)))

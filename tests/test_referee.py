@@ -201,6 +201,7 @@ def test_primitives_match_the_reference(name):
     _assert_family(alg, ref, [])
     for a in elems:
         assert alg.complement(a) == ref.complement(a)
+        assert alg.is_sharp(a) == (ref.bound([a, ref.complement(a)], lower=True) == alg.zero)
         for b in elems:
             assert alg.leq(a, b) == ref.le(a, b), (a, b)
             assert alg.join(a, b) == ref.bound([a, b], lower=False), (a, b)

@@ -1,11 +1,13 @@
 """The trusted constructor against the validating one.
 
 Observables the library computes itself (the closed route, the brute
-force answer and frontier, grid enumeration and negation) are built by
-SimpleObservable._from_cums without re-validation.  Each one must equal,
-field by field, what the validating SimpleObservable(algebra, points,
-weights) builds from its points and weights, and negation must equal the
-image under the map t -> 1 - t, which stays the reference.
+force answer and frontier, grid enumeration, negation and
+StepResolution.to_observable) are built by SimpleObservable._from_cums
+without re-validation.  Each one must equal, field by field, what the
+validating SimpleObservable(algebra, points, weights) builds from its
+points and weights; negation must equal the image under the map
+t -> 1 - t, which stays the reference, and an observable read back from
+its resolution must equal the observable.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from olsonorder.errors import CertificationTooLarge
 from olsonorder.lattice import (
     _brute_force,
     _closed_route,
+    _open_route,
     enumerate_grid_observables,
     merged_grid,
 )
@@ -42,6 +45,12 @@ def _assert_valid(x: SimpleObservable) -> None:
     assert all(type(t) is Fraction for t in x.points)
 
 
+def _resolution_round_trips(x: SimpleObservable) -> None:
+    got = x.resolution().to_observable()
+    _assert_valid(got)
+    assert _fields(got) == _fields(x)
+
+
 def _negation_matches_reference(x: SimpleObservable) -> None:
     if x.points[0] < 0 or x.points[-1] > 1:
         return
@@ -55,9 +64,11 @@ def _check_family(xs) -> int:
     built = []
     grid = merged_grid(xs)
     for lower in (True, False):
-        bound = _closed_route(xs, grid, lower)
-        if bound is not None:
-            built.append(bound)
+        # the open route packs through StepResolution.to_observable
+        for route in (_closed_route, _open_route):
+            bound = route(xs, grid, lower)
+            if bound is not None:
+                built.append(bound)
         try:
             result = _brute_force(xs, CAP, lower)
         except CertificationTooLarge:
@@ -68,6 +79,7 @@ def _check_family(xs) -> int:
     for x in (*xs, *built):
         _assert_valid(x)
         _negation_matches_reference(x)
+        _resolution_round_trips(x)
     return len(built)
 
 
@@ -89,6 +101,7 @@ def test_trusted_builds_match_validation_on_golden_backends():
             for x in enumerated:
                 _assert_valid(x)
                 _negation_matches_reference(x)
+                _resolution_round_trips(x)
             checked += len(enumerated)
     assert checked > 1000
 
@@ -112,4 +125,5 @@ def test_public_chain_constructor_matches_trusted_packing(mv4):
     x = from_closed_values(mv4, ((F(0), q), (F(1, 3), q), (F(1, 2), h), (F(1), mv4.one), (F(2), mv4.one)))
     _assert_valid(x)
     assert x.points == (F(0), F(1, 2), F(1))
-    assert x._cums == (mv4.zero, q, h, mv4.one)
+    # the partial sums are held as payloads: k for k/4
+    assert x._cums == (0, 1, 2, 4)
