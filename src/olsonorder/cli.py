@@ -12,6 +12,7 @@ Exit codes: 0 success (all suite checks pass, comparable verdicts),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import TYPE_CHECKING
@@ -130,22 +131,11 @@ def _cmd_cmp(args) -> int:
     return 3 if verdict.verdict == "incomparable" else 0
 
 
-def _cmd_meet(args) -> int:
-    return _bound(args, olson_meet)
-
-
-def _cmd_join(args) -> int:
-    return _bound(args, olson_join)
-
-
-def _bound(args, op) -> int:
+def _cmd_bound(args, op) -> int:
     _reject_tol(args)
     algebra = algebra_from_json(_load_json(args.backend))
     xs = [observable_from_json(algebra, _load_json(p)) for p in args.observables]
-    if args.cap is None:
-        result = op(xs)
-    else:
-        result = op(xs, cap=args.cap)
+    result = op(xs) if args.cap is None else op(xs, cap=args.cap)
     _emit(bound_to_json(result), args)
     return 0
 
@@ -159,43 +149,28 @@ def _cmd_neg(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
-    from .hilbert import (
-        _norm,
-        loewner_leq,
-        matrix_from_json,
-        matrix_to_json,
-        spectral_join,
-        spectral_leq,
-        spectral_measure,
-        spectral_meet,
-    )
+    from . import hilbert as H
 
     tol = _tolerances(args)
-    mats = [matrix_from_json(_load_json(p), tol) for p in args.matrices]
+    mats = [H.matrix_from_json(_load_json(p), tol) for p in args.matrices]
     if args.op == "measure":
         if len(mats) != 1:
             raise ParseError("spectral measure takes exactly one matrix")
-        measure = spectral_measure(mats[0], tol)
-        _emit(
-            {
-                "grid": [float(t) for t in measure.grid],
-                "cumulative": [matrix_to_json(p) for p in measure.cumulative],
-            },
-            args,
-        )
+        measure = H.spectral_measure(mats[0], tol)
+        grid = [float(t) for t in measure.grid]
+        _emit({"grid": grid, "cumulative": [H.matrix_to_json(p) for p in measure.cumulative]}, args)
         return 0
     if args.op == "cmp":
         if len(mats) != 2:
             raise ParseError("spectral cmp takes exactly two matrices")
         a, b = mats
-        verdict = order_verdict(spectral_leq(a, b, tol), spectral_leq(b, a, tol))
-        _emit({"verdict": verdict, "loewner": loewner_leq(a, b, tol)}, args)
+        verdict = order_verdict(H.spectral_leq(a, b, tol), H.spectral_leq(b, a, tol))
+        _emit({"verdict": verdict, "loewner": H.loewner_leq(a, b, tol)}, args)
         return 3 if verdict == "incomparable" else 0
-    op = spectral_meet if args.op == "meet" else spectral_join
-    bound = op(mats, tol)
-    residual = _norm(spectral_measure(bound, tol).reconstruct() - bound.matrix)
-    residual /= max(1.0, _norm(bound.matrix))
-    _emit({"matrix": matrix_to_json(bound), "max_residual": residual}, args)
+    bound = (H.spectral_meet if args.op == "meet" else H.spectral_join)(mats, tol)
+    residual = H._norm(H.spectral_measure(bound, tol).reconstruct() - bound.matrix)
+    residual /= max(1.0, H._norm(bound.matrix))
+    _emit({"matrix": H.matrix_to_json(bound), "max_residual": residual}, args)
     return 0
 
 
@@ -257,11 +232,11 @@ def _build_parser() -> _Parser:
     c.add_argument("y")
     c.set_defaults(func=_cmd_cmp)
 
-    for name, handler in (("meet", _cmd_meet), ("join", _cmd_join)):
+    for name, op in (("meet", olson_meet), ("join", olson_join)):
         m = sub.add_parser(name, parents=[shared], help=f"{name} of a family of observables")
         m.add_argument("backend")
         m.add_argument("observables", nargs="+")
-        m.set_defaults(func=handler)
+        m.set_defaults(func=functools.partial(_cmd_bound, op=op))
 
     n = sub.add_parser("neg", parents=[shared], help="negation 1 - x of an observable")
     n.add_argument("backend")

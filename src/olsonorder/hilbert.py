@@ -16,6 +16,7 @@ eigensolver backward error at the supported sizes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Iterable, Sequence
 
@@ -75,8 +76,27 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
+@functools.lru_cache(maxsize=DIMENSION_CAP)
+def _eye(dim: int) -> np.ndarray:
+    """The read-only float identity of size dim, built on first use."""
+    eye = np.eye(dim)
+    eye.setflags(write=False)
+    return eye
+
+
 def _norm(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat))
+    """Frobenius norm, summed as np.linalg.norm sums it, without its wrapper."""
+    flat = mat.ravel(order="K")
+    if flat.dtype.kind == "c":
+        re, im = flat.real, flat.imag
+        return math.sqrt(float(re.dot(re)) + float(im.dot(im)))
+    return math.sqrt(float(flat.dot(flat)))
+
+
+def _sq_norms(stack: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a (n, d, d) stack."""
+    flat = stack.reshape(len(stack), -1).view(np.float64)
+    return (flat * flat).sum(axis=1)
 
 
 class HermitianOperator:
@@ -84,49 +104,53 @@ class HermitianOperator:
 
     The constructor checks shape, dimension cap, finiteness and
     hermiticity; the effect and projection flags are computed on first
-    read and cached.
+    read and cached, and so is the eigendecomposition that the effect
+    flag and the spectral measures read.  `_trusted` wraps a matrix this
+    module computed, which is Hermitian bit for bit, without checking it
+    again.
     """
 
-    __slots__ = ("matrix", "dim", "_scale", "_tol", "_is_effect", "_is_projection")
+    __slots__ = ("matrix", "dim", "_scale", "_tol", "_is_effect", "_is_projection", "_spectrum")
 
-    def __init__(
-        self,
-        matrix,
-        tol: Tolerances = DEFAULT_TOLERANCES,
-    ) -> None:
+    def __init__(self, matrix, tol: Tolerances = DEFAULT_TOLERANCES) -> None:
         arr = np.asarray(matrix)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
             raise DimensionMismatch(f"matrix must be square, got shape {arr.shape}")
         if arr.shape[0] > DIMENSION_CAP:
             raise CarrierTooLarge(f"dimension {arr.shape[0]} exceeds the cap {DIMENSION_CAP}")
-        arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64)
+        arr = arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64, copy=False)
         with np.errstate(over="ignore"):
             norm = _norm(arr)
         # before max(): max(1.0, nan) is 1.0
         if not math.isfinite(norm):
             raise ParseError(f"matrix norm {norm} is not finite")
         scale = max(1.0, norm)
-        if _norm(arr - arr.conj().T) > tol.herm * scale:
-            raise NotHermitian(
-                f"hermiticity residual {_norm(arr - arr.conj().T):.3e} exceeds tolerance"
-            )
-        arr = (arr + arr.conj().T) / 2.0
-        arr.setflags(write=False)
-        self.matrix = arr
-        self.dim = int(arr.shape[0])
-        self._scale = scale
-        self._tol = tol
+        adj = arr.conj().T
+        residual = _norm(arr - adj)
+        if residual > tol.herm * scale:
+            raise NotHermitian(f"hermiticity residual {residual:.3e} exceeds tolerance")
+        self._set((arr + adj) / 2.0, scale, tol)
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray, tol: Tolerances) -> "HermitianOperator":
+        op = cls.__new__(cls)
+        op._set(matrix, max(1.0, _norm(matrix)), tol)
+        return op
+
+    def _set(self, matrix: np.ndarray, scale: float, tol: Tolerances) -> None:
+        matrix.setflags(write=False)
+        self.matrix, self.dim, self._scale, self._tol = matrix, int(matrix.shape[0]), scale, tol
         self._is_effect: bool | None = None
         self._is_projection: bool | None = None
+        # (eigenvalues, eigenvectors), cached by _decompose
+        self._spectrum: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def is_effect(self) -> bool:
         """Spectrum within [0, 1] at tolerance."""
         if self._is_effect is None:
-            try:
-                evals = np.linalg.eigvalsh(self.matrix)
-            except np.linalg.LinAlgError as exc:
-                raise EigendecompositionFailure(str(exc)) from exc
+            _decompose((self,))
+            evals = self._spectrum[0]
             slack = self._tol.psd * self._scale
             self._is_effect = bool(evals[0] >= -slack and evals[-1] <= 1.0 + slack)
         return self._is_effect
@@ -174,10 +198,17 @@ def _cluster_means(values: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarr
     cluster's last value.
 
     Consecutive chaining: a value within `gap` of its predecessor joins
-    its cluster, so near-degenerate values share one grid point.
+    its cluster, so near-degenerate values share one grid point.  When
+    no value joins another, the means are `values` itself.
     """
-    ends = np.append(np.flatnonzero(np.diff(values) > gap), len(values) - 1)
-    starts = np.concatenate(([0], ends[:-1] + 1))
+    n = len(values)
+    splits = (values[1:] - values[:-1] > gap).nonzero()[0]
+    if len(splits) == n - 1:
+        return values, np.arange(n)
+    ends = np.empty(len(splits) + 1, dtype=np.intp)
+    ends[:-1], ends[-1] = splits, n - 1
+    starts = np.zeros_like(ends)
+    starts[1:] = splits + 1
     return np.add.reduceat(values, starts) / (ends - starts + 1), ends
 
 
@@ -193,19 +224,25 @@ class SpectralMeasure:
     __slots__ = ("grid", "cumulative", "scale", "_slack", "_padded")
 
     def __init__(
-        self,
-        grid: np.ndarray,
-        cumulative: np.ndarray,
-        scale: float,
+        self, grid: np.ndarray, cumulative: np.ndarray, scale: float,
         tol: Tolerances = DEFAULT_TOLERANCES,
     ) -> None:
-        self.grid = np.asarray(grid, dtype=np.float64)
         cumulative = np.asarray(cumulative)
         # row 0 is the zero projection, the resolution below the grid
-        self._padded = np.concatenate([np.zeros_like(cumulative[:1]), cumulative])
-        self.cumulative = self._padded[1:]
-        self.scale = float(scale)
-        self._slack = tol.eig * self.scale / 2.0
+        padded = np.concatenate([np.zeros_like(cumulative[:1]), cumulative])
+        self._set(np.asarray(grid, dtype=np.float64), padded, float(scale), tol)
+
+    @classmethod
+    def _wrap(
+        cls, grid: np.ndarray, padded: np.ndarray, scale: float, tol: Tolerances
+    ) -> "SpectralMeasure":
+        measure = cls.__new__(cls)
+        measure._set(grid, padded, scale, tol)
+        return measure
+
+    def _set(self, grid: np.ndarray, padded: np.ndarray, scale: float, tol: Tolerances) -> None:
+        self.grid, self._padded, self.cumulative = grid, padded, padded[1:]
+        self.scale, self._slack = scale, tol.eig * scale / 2.0
 
     @property
     def dim(self) -> int:
@@ -213,9 +250,7 @@ class SpectralMeasure:
 
     def cumulative_stack_at(self, ts: np.ndarray) -> np.ndarray:
         """E((-inf, t]) for each t in the 1-d array `ts`, shape (len(ts), d, d)."""
-        return self._padded[
-            np.searchsorted(self.grid, np.asarray(ts) + self._slack, side="right")
-        ]
+        return self._padded[self.grid.searchsorted(np.asarray(ts) + self._slack, side="right")]
 
     def eigenprojections(self) -> np.ndarray:
         return np.diff(self._padded, axis=0)
@@ -230,45 +265,71 @@ class SpectralMeasure:
         Equal images merge their eigenspaces; the cumulative family is a
         subfamily of this one, so no eigensolver call is needed.
         """
-        vals = np.asarray(values, dtype=np.float64)
+        vals = np.array(values, dtype=np.float64)
         if vals.shape != self.grid.shape:
             raise DimensionMismatch("need one image per grid point")
-        if not np.all(np.isfinite(vals)) or np.any(np.diff(vals) < 0):
+        # finite ends and no descent: a NaN fails every comparison
+        if not (
+            math.isfinite(vals[0]) and math.isfinite(vals[-1]) and (vals[1:] >= vals[:-1]).all()
+        ):
             raise ParseError("apply_monotone needs finite nondecreasing images")
         new_grid, ends = _cluster_means(vals, tol.eig * self.scale)
         # cumulative at a merged value is the last original cumulative in it
-        return SpectralMeasure(new_grid, self.cumulative[ends], self.scale, tol)
+        rows = np.concatenate(([0], ends + 1))
+        return SpectralMeasure._wrap(new_grid, self._padded[rows], self.scale, tol)
 
     def to_operator(self, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
         return HermitianOperator(self.reconstruct(), tol)
 
 
+def _decompose(ops: Sequence[HermitianOperator]) -> None:
+    """Cache the eigendecomposition of each operator that has none, one
+    stacked eigh per dtype: stacking a real matrix with a complex one
+    would cast it to complex and change its bits."""
+    todo = [op for op in ops if op._spectrum is None]
+    for dtype in {op.matrix.dtype for op in todo}:
+        group = [op for op in todo if op.matrix.dtype == dtype]
+        try:
+            evals, evecs = np.linalg.eigh(np.array([op.matrix for op in group]))
+        except np.linalg.LinAlgError as exc:
+            raise EigendecompositionFailure(str(exc)) from exc
+        evals.setflags(write=False)
+        evecs.setflags(write=False)
+        for op, spectrum in zip(group, zip(evals, evecs)):
+            op._spectrum = spectrum
+
+
 def spectral_measure(a, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralMeasure:
     """Eigendecompose into a clustered grid of cumulative projections."""
     op = _as_operator(a, tol)
+    _decompose((op,))
+    evals, evecs = op._spectrum
+    d = op.dim
     scale = max(1.0, _norm(op.matrix))
-    try:
-        evals, evecs = np.linalg.eigh(op.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigendecompositionFailure(str(exc)) from exc
     grid, ends = _cluster_means(evals, tol.eig * scale)
-    # running sums of the v_k v_k^*, read at the end of each cluster
-    vecs = evecs.T
-    cumulative = np.cumsum(vecs[:, :, None] @ vecs.conj()[:, None, :], axis=0)[ends]
-    cumulative = (cumulative + cumulative.conj().swapaxes(1, 2)) / 2.0
-    cumulative[-1] = np.eye(op.dim, dtype=evecs.dtype)
-    measure = SpectralMeasure(grid, cumulative, scale, tol)
-    residual = _norm(measure.reconstruct() - op.matrix)
+    k = len(grid)
+    # the zero projection, then the running sums of the v_j v_j^* read at
+    # the end of each cluster, the last of them I
+    padded = np.empty((k + 1, d, d), dtype=evecs.dtype)
+    padded[0] = 0.0
+    padded[k] = _eye(d)
+    vh = evecs.conj().T
+    if k > 1:
+        n = ends[-2] + 1
+        run = (evecs.T[:n, :, None] @ vh[:n, None, :]).cumsum(axis=0)
+        if k < d:
+            run = run[ends[:-1]]
+        inner = padded[1:k]
+        np.add(run, run.conj().swapaxes(1, 2), out=inner)
+        inner /= 2.0
+    # each eigenvalue replaced by the mean of its cluster
+    lam = grid if k == d else grid[np.searchsorted(ends, np.arange(d))]
+    residual = _norm((evecs * lam) @ vh - op.matrix)
     if residual > tol.rec * scale:
         raise EigendecompositionFailure(
             f"spectral reconstruction residual {residual:.3e} exceeds tolerance"
         )
-    return measure
-
-
-def _require_projection(op: HermitianOperator) -> None:
-    if not op.is_projection:
-        raise NotAProjection("operation needs orthogonal projections")
+    return SpectralMeasure._wrap(grid, padded, scale, tol)
 
 
 def _proj_meet_many(stack: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -282,7 +343,7 @@ def _proj_meet_many(stack: np.ndarray, tol: Tolerances) -> np.ndarray:
     rank cutoff tol.ord flag null directions.
     """
     *lead, m, d, _ = stack.shape
-    complements = (np.eye(d) - stack).reshape(*lead, m * d, d)
+    complements = (_eye(d) - stack).reshape(*lead, m * d, d)
     try:
         _, svals, vh = np.linalg.svd(complements, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -294,36 +355,32 @@ def _proj_meet_many(stack: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 def _proj_join_many(stack: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Projections onto the spans of ranges; same shapes as _proj_meet_many."""
-    eye = np.eye(stack.shape[-1])
+    eye = _eye(stack.shape[-1])
     return eye - _proj_meet_many(eye - stack, tol)
+
+
+def _projection_pair(p, q, tol: Tolerances) -> np.ndarray:
+    op_p, op_q = _as_operator(p, tol), _as_operator(q, tol)
+    _same_dim(op_p, op_q)
+    if not (op_p.is_projection and op_q.is_projection):
+        raise NotAProjection("operation needs orthogonal projections")
+    return np.array([op_p.matrix, op_q.matrix])
 
 
 def proj_meet(p, q, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
     """Projection onto range(p) intersected with range(q)."""
-    op_p, op_q = _as_operator(p, tol), _as_operator(q, tol)
-    _same_dim(op_p, op_q)
-    _require_projection(op_p)
-    _require_projection(op_q)
-    return HermitianOperator(_proj_meet_many(np.stack([op_p.matrix, op_q.matrix]), tol), tol)
+    return HermitianOperator._trusted(_proj_meet_many(_projection_pair(p, q, tol), tol), tol)
 
 
 def proj_join(p, q, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
     """Projection onto the closed span of range(p) and range(q)."""
-    op_p, op_q = _as_operator(p, tol), _as_operator(q, tol)
-    _same_dim(op_p, op_q)
-    _require_projection(op_p)
-    _require_projection(op_q)
-    return HermitianOperator(_proj_join_many(np.stack([op_p.matrix, op_q.matrix]), tol), tol)
+    return HermitianOperator._trusted(_proj_join_many(_projection_pair(p, q, tol), tol), tol)
 
 
 def range_leq(p, q, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Range containment of projections: ||(I - q) p|| at tolerance."""
-    op_p, op_q = _as_operator(p, tol), _as_operator(q, tol)
-    _same_dim(op_p, op_q)
-    _require_projection(op_p)
-    _require_projection(op_q)
-    eye = np.eye(op_p.dim)
-    return bool(_norm((eye - op_q.matrix) @ op_p.matrix) <= tol.ord)
+    mat_p, mat_q = _projection_pair(p, q, tol)
+    return bool(_norm((_eye(len(mat_p)) - mat_q) @ mat_p) <= tol.ord)
 
 
 def loewner_leq(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
@@ -349,12 +406,11 @@ def logical_leq(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
 
 
 def _measures_leq(ma: SpectralMeasure, mb: SpectralMeasure, tol: Tolerances) -> bool:
-    ts = np.unique(np.concatenate([ma.grid, mb.grid]))
-    pa = ma.cumulative_stack_at(ts)
-    pb = mb.cumulative_stack_at(ts)
-    eye = np.eye(ma.dim)
-    residual = (eye - pa) @ pb
-    worst = float(np.sqrt((np.abs(residual) ** 2).sum(axis=(1, 2))).max())
+    # unsorted and with repeats: a repeated point repeats its residual,
+    # which leaves the maximum as it is
+    ts = np.concatenate((ma.grid, mb.grid))
+    residual = (_eye(ma.dim) - ma.cumulative_stack_at(ts)) @ mb.cumulative_stack_at(ts)
+    worst = math.sqrt(float(_sq_norms(residual).max()))
     return worst <= tol.ord * max(1.0, ma.scale, mb.scale)
 
 
@@ -362,47 +418,56 @@ def spectral_leq(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Olson order: every E_b((-inf,t]) range-contained in E_a((-inf,t])."""
     op_a, op_b = _as_operator(a, tol), _as_operator(b, tol)
     _same_dim(op_a, op_b)
+    _decompose((op_a, op_b))
     return _measures_leq(spectral_measure(op_a, tol), spectral_measure(op_b, tol), tol)
 
 
-def _effect_family(operators: Iterable, tol: Tolerances) -> list[HermitianOperator]:
+def _effect_measures(operators: Iterable, tol: Tolerances) -> list[SpectralMeasure]:
+    """Measures of a family of effects, every member checked first; the
+    check and the measures read one stacked decomposition."""
     ops = [_as_operator(o, tol) for o in operators]
     if not ops:
         raise EmptyFamily("meet/join needs at least one operator")
     for op in ops[1:]:
         _same_dim(ops[0], op)
+    _decompose(ops)
     for op in ops:
         if not op.is_effect:
             raise NotAnEffect("spectral meet/join is defined on effects")
-    return ops
+    return [spectral_measure(op, tol) for op in ops]
 
 
 def _lattice_bound(
     measures: Sequence[SpectralMeasure], tol: Tolerances, meet: bool
 ) -> HermitianOperator:
     scale = max(1.0, *(m.scale for m in measures))
-    merged = np.sort(np.concatenate([m.grid for m in measures]))
-    grid, _ = _cluster_means(merged, tol.eig * scale)
-    # (points, family, d, d): every grid point combined in one call
-    stack = np.stack([m.cumulative_stack_at(grid) for m in measures], axis=1)
-    cums = (_proj_join_many if meet else _proj_meet_many)(stack, tol)
-    eye = np.eye(cums.shape[-1])
+    grid, _ = _cluster_means(np.sort(np.concatenate([m.grid for m in measures])), tol.eig * scale)
+    k = len(grid)
+    eye = _eye(measures[0].dim)
+    # (points, family, d, d): every grid point but the last, where the
+    # resolution is I, combined in one call
+    stack = np.stack([m.cumulative_stack_at(grid[:-1]) for m in measures], axis=1)
+    cums = np.empty((k, *eye.shape), dtype=stack.dtype)
+    cums[:-1] = (_proj_join_many if meet else _proj_meet_many)(stack, tol)
+    cums[-1] = eye
     # monotone repair: resolutions must be nondecreasing, so a point whose
     # resolution misses its predecessor's range is joined with it; that
-    # changes only the next point's residual, so rescan from there
+    # changes only the next point's residual, so rescan from there.  I
+    # contains every range, so the scan stops before the last point.
     start = 1
-    while True:
-        residuals = np.linalg.norm((eye - cums[start:]) @ cums[start - 1 : -1], axis=(1, 2))
-        failing = np.flatnonzero(residuals > tol.ord)
+    while start < k - 1:
+        residuals = np.sqrt(_sq_norms((eye - cums[start:-1]) @ cums[start - 1 : -2]))
+        failing = (residuals > tol.ord).nonzero()[0]
         if not failing.size:
             break
         i = start + int(failing[0])
         cums[i] = _proj_join_many(cums[i - 1 : i + 1], tol)
         start = i + 1
-    cums[-1] = eye
     # sum_i t_i (P_i - P_{i-1})
-    mat = np.einsum("t,tij->ij", grid, np.diff(cums, axis=0, prepend=np.zeros_like(cums[:1])))
-    return HermitianOperator((mat + mat.conj().T) / 2.0, tol)
+    steps = cums.copy()
+    steps[1:] -= cums[:-1]
+    mat = np.einsum("t,tij->ij", grid, steps)
+    return HermitianOperator._trusted((mat + mat.conj().T) / 2.0, tol)
 
 
 def spectral_meet(operators: Iterable, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
@@ -412,16 +477,12 @@ def spectral_meet(operators: Iterable, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     projection at t is the projection join of the family's cumulatives
     at t, with monotone repair, reconstructed as sum t_i (P_i - P_{i-1}).
     """
-    ops = _effect_family(operators, tol)
-    measures = [spectral_measure(op, tol) for op in ops]
-    return _lattice_bound(measures, tol, meet=True)
+    return _lattice_bound(_effect_measures(operators, tol), tol, meet=True)
 
 
 def spectral_join(operators: Iterable, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
     """Least upper bound of a family of effects in the spectral order."""
-    ops = _effect_family(operators, tol)
-    measures = [spectral_measure(op, tol) for op in ops]
-    return _lattice_bound(measures, tol, meet=False)
+    return _lattice_bound(_effect_measures(operators, tol), tol, meet=False)
 
 
 def negate(a, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
@@ -429,7 +490,7 @@ def negate(a, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
     op = _as_operator(a, tol)
     if not op.is_effect:
         raise NotAnEffect("negation is defined on effects")
-    return HermitianOperator(np.eye(op.dim) - op.matrix, tol)
+    return HermitianOperator._trusted(_eye(op.dim) - op.matrix, tol)
 
 
 def matrix_to_json(a) -> dict:

@@ -7,6 +7,7 @@ suites in `suites`, which run without numpy.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -99,21 +100,9 @@ def run_hilbert(
     eye_cache = {d: HermitianOperator(np.eye(d), tol) for d in dims}
     zero_cache = {d: HermitianOperator(np.zeros((d, d)), tol) for d in dims}
 
-    order_viol = 0
-    order_pos = 0
-    order_count = 0
-    law_viol = 0
-    law_count = 0
-    probe_viol = 0
-    probe_count = 0
-    probe_meet3 = 0
-    probe_indep = 0
+    # examples run and violations found by each check, and the probe kinds
+    n: Counter = Counter()
     max_residual = 0.0
-
-    proj_viol = 0
-    proj_count = 0
-    diag_viol = 0
-    diag_count = 0
 
     for d in dims:
         eye = eye_cache[d]
@@ -134,21 +123,21 @@ def run_hilbert(
                 _norm(mb.reconstruct() - b.matrix) / mb.scale,
             )
 
-            order_count += 1
+            n["order_count"] += 1
             if _measures_leq(ma, mb, tol):
-                order_pos += 1
+                n["order_pos"] += 1
                 if not loewner_leq(a, b, tol):
-                    order_viol += 1
+                    n["order_viol"] += 1
             if _measures_leq(mb, ma, tol):
-                order_pos += 1
+                n["order_pos"] += 1
                 if not loewner_leq(b, a, tol):
-                    order_viol += 1
+                    n["order_viol"] += 1
 
             meet = spectral_meet((a, b), tol)
             join = spectral_join((a, b), tol)
             mm = spectral_measure(meet, tol)
             lat = tol.lat
-            law_count += 1
+            n["law_count"] += 1
             laws_ok = (
                 _norm(spectral_meet((b, a), tol).matrix - meet.matrix) <= lat
                 and _norm(spectral_meet((a, a), tol).matrix - a.matrix) <= lat
@@ -160,7 +149,7 @@ def run_hilbert(
                 and _measures_leq(mm, mb, tol)
             )
             if not laws_ok:
-                law_viol += 1
+                n["law_viol"] += 1
 
             for p in range(probes):
                 if p % 20 == 0:
@@ -169,7 +158,7 @@ def run_hilbert(
                     r = _random_effect(rng, d, tol)
                     cand = spectral_meet((a, b, r), tol)
                     mc = spectral_measure(cand, tol)
-                    probe_meet3 += 1
+                    n["probe_meet3"] += 1
                     if not (
                         _measures_leq(mc, ma, tol) and _measures_leq(mc, mb, tol)
                     ):
@@ -178,40 +167,40 @@ def run_hilbert(
                     src = ma if p % 10 == 3 else mb
                     mc = src.apply_monotone(_monotone_under_id(rng, src.grid), tol)
                     if _measures_leq(mc, ma, tol) and _measures_leq(mc, mb, tol):
-                        probe_indep += 1
+                        n["probe_indep"] += 1
                     else:
                         mc = mm.apply_monotone(_monotone_under_id(rng, mm.grid), tol)
                 else:
                     # image of the meet: below both inputs by calculus,
                     # so only the bound itself needs testing
                     mc = mm.apply_monotone(_monotone_under_id(rng, mm.grid), tol)
-                probe_count += 1
+                n["probe_count"] += 1
                 if not _measures_leq(mc, mm, tol):
-                    probe_viol += 1
+                    n["probe_viol"] += 1
 
         for _ in range(pairs):
             p = _random_projection(rng, d, tol)
             q = _random_projection(rng, d, tol)
-            proj_count += 1
+            n["proj_count"] += 1
             for lo, hi in ((p, q), (q, p)):
                 s = spectral_leq(lo, hi, tol)
                 lw = loewner_leq(lo, hi, tol)
                 rg = range_leq(lo, hi, tol)
                 if not (s == lw == rg):
-                    proj_viol += 1
+                    n["proj_viol"] += 1
 
         for _ in range(max(1, pairs // 10)):
             u = rng.uniform(0.0, 1.0, size=d)
             v = rng.uniform(0.0, 1.0, size=d)
             w = rng.uniform(0.0, 1.0, size=d)
             fam = [HermitianOperator(np.diag(x), tol) for x in (u, v, w)]
-            diag_count += 1
+            n["diag_count"] += 1
             got_meet = spectral_meet(fam, tol).matrix
             got_join = spectral_join(fam, tol).matrix
             if _norm(got_meet - np.diag(np.minimum(np.minimum(u, v), w))) > tol.psd:
-                diag_viol += 1
+                n["diag_viol"] += 1
             if _norm(got_join - np.diag(np.maximum(np.maximum(u, v), w))) > tol.psd:
-                diag_viol += 1
+                n["diag_viol"] += 1
 
     gap_trial, gap_a, gap_b = find_order_gap_pair(seed=seed, tol=tol)
     gap_ok = (
@@ -221,17 +210,23 @@ def run_hilbert(
     )
 
     checks = [
-        _check("spectral_implies_loewner", order_viol == 0, order_count, positives=order_pos),
-        _check("projection_order_equivalence", proj_viol == 0, proj_count),
-        _check("lattice_laws", law_viol == 0, law_count),
-        _check("commuting_diagonal_min_max", diag_viol == 0, diag_count),
-        _check("reconstruction_residual", max_residual <= tol.rec, order_count, max_residual=max_residual),
+        _check(
+            "spectral_implies_loewner", n["order_viol"] == 0, n["order_count"],
+            positives=n["order_pos"],
+        ),
+        _check("projection_order_equivalence", n["proj_viol"] == 0, n["proj_count"]),
+        _check("lattice_laws", n["law_viol"] == 0, n["law_count"]),
+        _check("commuting_diagonal_min_max", n["diag_viol"] == 0, n["diag_count"]),
+        _check(
+            "reconstruction_residual", max_residual <= tol.rec, n["order_count"],
+            max_residual=max_residual,
+        ),
         _check(
             "greatest_lower_bound_probes",
-            probe_viol == 0,
-            probe_count,
-            meet3_probes=probe_meet3,
-            independent_probes=probe_indep,
+            n["probe_viol"] == 0,
+            n["probe_count"],
+            meet3_probes=n["probe_meet3"],
+            independent_probes=n["probe_indep"],
         ),
         _check(
             "loewner_spectral_gap",

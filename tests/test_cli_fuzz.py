@@ -24,6 +24,15 @@ runs on the small backends only.
 The examples are derandomized, so every run draws the same 200 and the
 test is a stable gate; a wider search runs it with more examples and
 other --hypothesis-seed values.
+
+A second test does the same for `spectral measure|cmp|meet|join` on
+matrix literals: seeded effects of dimension 1-4 (real and complex,
+scaled out of [0, 1] or to the effect boundary) and the matrix
+fixtures, mutated by dropping `dim` or `re`, resizing rows, ill-typed
+`dim`, bool, string, null, non-finite and oversized entries (at and
+beyond NORM_CAP), ill-formed `im` parts and asymmetric entries, plus
+dimension 17, mixed dimensions, wrong matrix counts and `--tol`
+overrides from 0 to 1e308.  Those commands exit 0-4 only.
 """
 
 from __future__ import annotations
@@ -33,11 +42,13 @@ import io
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from olsonorder.cli import main
+from olsonorder.hilbert import DEFAULT_TOLERANCES, NORM_CAP
 
 from conftest import FIXTURES
 
@@ -166,6 +177,127 @@ def test_cli_answers_or_fails_typed_on_drawn_inputs(workdir, command):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in EXIT_CODES, (argv, code)
+    text = out.getvalue()
+    if text:
+        json.loads(text)
+    assert "Traceback" not in err.getvalue()
+
+
+# -- spectral commands ------------------------------------------------------
+
+MATRIX_FIXTURES = [
+    lit
+    for name in ("diag_quarter.json", "effect_a_3x3.json", "effect_b_3x3.json",
+                 "proj_p_3x3.json", "proj_q_3x3.json", "hilbert_noncommuting_pair.json")
+    for doc in [json.loads(_fixture(name))]
+    for lit in ([doc["a"], doc["b"]] if "a" in doc else [doc])
+]
+SPECTRAL_EXIT_CODES = {0, 1, 2, 3, 4}
+ENTRIES = st.one_of(
+    st.floats(),
+    st.sampled_from((NORM_CAP, -NORM_CAP, NORM_CAP * (1 + 1e-15), 1e77, 1e308, 10**400, 0.5)),
+    st.integers(-3, 3),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+)
+MUTATIONS = ("entry", "entry", "pair", "drop", "rows", "row", "dim", "im")
+TOL_NAMES = (*DEFAULT_TOLERANCES.__dataclass_fields__, "bogus")
+TOL_VALUES = ("0", "1e308", "1e-300", "1e-12", "1e-3", "1", "-1", "nan", "inf", "1e309", "x", "")
+SPECTRAL_TOLS = st.one_of(
+    st.tuples(st.sampled_from(TOL_NAMES), st.sampled_from(TOL_VALUES)).map("=".join),
+    st.tuples(st.sampled_from(TOL_NAMES[:-1]), st.sampled_from(("0", "1e308"))).map("=".join),
+    st.text(max_size=8),
+)
+
+
+def _effect_literal(seed: int, dim: int, cplx: bool, scale: float) -> dict:
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim))
+    if cplx:
+        g = g + 1j * rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(g)
+    m = (q * rng.uniform(0.0, 1.0, size=dim)) @ q.conj().T
+    m = (m + m.conj().T) / 2.0 * scale
+    lit = {"dim": dim, "re": m.real.tolist()}
+    if cplx:
+        lit["im"] = m.imag.tolist()
+    return lit
+
+
+@st.composite
+def matrix_literals(draw, dim: int):
+    """A seeded effect or a fixture; one literal in four gets one mutation."""
+    if draw(st.integers(0, 5)) == 5:
+        lit = json.loads(json.dumps(draw(st.sampled_from(MATRIX_FIXTURES))))
+    else:
+        scale = draw(st.sampled_from((1.0, 1.0, 1.5, -1.0, 1e-10, 1 + 1e-10, 1e70)))
+        lit = _effect_literal(draw(st.integers(0, 2**32 - 1)), dim, draw(st.booleans()), scale)
+    n = lit["dim"]
+    field = draw(st.sampled_from(("re", "im"))) if "im" in lit else "re"
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    # hypothesis leans to small integers, so the large one picks the rarer branch
+    mutation = draw(st.sampled_from(MUTATIONS)) if draw(st.integers(0, 3)) == 3 else None
+    if mutation == "entry":
+        lit[field][i][j] = draw(ENTRIES)
+    elif mutation == "pair":
+        # both mirror entries, so the literal stays Hermitian when the value is a number
+        value = draw(ENTRIES)
+        lit[field][i][j] = value
+        lit[field][j][i] = -value if field == "im" and isinstance(value, float) else value
+    elif mutation == "drop":
+        del lit[draw(st.sampled_from(("dim", "re")))]
+    elif mutation == "rows":
+        lit[field] = lit[field][:-1] if draw(st.booleans()) else lit[field] + [lit[field][-1]]
+    elif mutation == "row":
+        lit[field][i] = lit[field][i][:-1] if draw(st.booleans()) else lit[field][i] + [0.0]
+    elif mutation == "dim":
+        lit["dim"] = draw(st.one_of(st.integers(-1, 18), st.booleans(), st.none(),
+                                    st.floats(), st.text(max_size=2)))
+    elif mutation == "im":
+        lit["im"] = draw(st.one_of(VALUES, st.just([[0.0] * n] * n), st.just([[0.1] * n] * n)))
+    return lit
+
+
+@st.composite
+def spectral_commands(draw):
+    """(argv template, matrix texts); "{o0}".. name the files."""
+    op = draw(st.sampled_from(("measure", "cmp", "meet", "join")))
+    count = {"measure": 1, "cmp": 2}.get(op) or draw(st.integers(1, 3))
+    if draw(st.integers(0, 9)) == 9:
+        count = draw(st.integers(1, 4))
+    dim = draw(st.sampled_from((1, 2, 2, 3, 3, 4, 4, 17)))
+    texts = []
+    for _ in range(count):
+        kind = draw(st.integers(0, 19))
+        if kind == 19:
+            texts.append(draw(RAW))
+        elif kind == 18:
+            texts.append(json.dumps(draw(VALUES)))
+        else:
+            # a member of another dimension now and then
+            own = dim if kind < 16 else draw(st.sampled_from((1, 2, 3, 4)))
+            texts.append(json.dumps(draw(matrix_literals(own))))
+    argv = ["spectral", op, *(f"{{o{i}}}" for i in range(count))]
+    for _ in range(draw(st.integers(1, 2)) if draw(st.integers(0, 2)) == 2 else 0):
+        argv += ["--tol", draw(SPECTRAL_TOLS)]
+    return argv, texts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(spectral_commands())
+def test_spectral_cli_answers_or_fails_typed_on_drawn_matrices(workdir, command):
+    argv, texts = command
+    paths = {f"{{o{i}}}": workdir / f"mat{i}.json" for i in range(len(texts))}
+    for path, text in zip(paths.values(), texts):
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    argv = [str(paths.get(arg, arg)) for arg in argv]
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in SPECTRAL_EXIT_CODES, (argv, code)
     text = out.getvalue()
     if text:
         json.loads(text)

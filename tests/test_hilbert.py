@@ -8,6 +8,7 @@ import pytest
 from olsonorder.errors import (
     CarrierTooLarge,
     DimensionMismatch,
+    EmptyFamily,
     NotAnEffect,
     NotAProjection,
     NotHermitian,
@@ -182,6 +183,44 @@ def test_effect_validation_for_lattice_ops():
         spectral_meet((np.diag([1.5, 0.5]), np.eye(2)))
     with pytest.raises(DimensionMismatch):
         spectral_meet((np.eye(2), np.eye(3)))
+
+
+HALF2, HALF3 = np.eye(2) / 2, np.eye(3) / 2
+OVER2 = np.diag([1.5, 0.5])
+OVER2_COMPLEX = np.array([[1.0, 0.6j], [-0.6j, 1.0]])
+ASYMMETRIC2 = np.array([[0.5, 1.0], [0.0, 0.5]])
+
+# (family, error): construction of every member first, then the empty
+# family, then every dimension, then every effect check
+FAMILY_ERRORS = [
+    ([], EmptyFamily),
+    ([OVER2, HALF3], DimensionMismatch),
+    ([HALF2, OVER2, HALF3], DimensionMismatch),
+    ([HALF3, OVER2], DimensionMismatch),
+    ([OVER2_COMPLEX, np.eye(3)], DimensionMismatch),
+    ([OVER2, ASYMMETRIC2], NotHermitian),
+    ([ASYMMETRIC2, HALF3], NotHermitian),
+    ([HALF3, np.eye(17)], CarrierTooLarge),
+    ([OVER2], NotAnEffect),
+    ([HALF2, OVER2], NotAnEffect),
+    ([OVER2, HALF2], NotAnEffect),
+    ([HALF2, OVER2_COMPLEX, np.eye(2)], NotAnEffect),
+    ([-HALF2, HALF2 + 0j], NotAnEffect),
+]
+
+
+@pytest.mark.parametrize("bound", [spectral_meet, spectral_join])
+@pytest.mark.parametrize("family, error", FAMILY_ERRORS)
+def test_meet_and_join_raise_the_first_typed_error(bound, family, error):
+    with pytest.raises(error):
+        bound(family)
+    # operators built up front, some with their effect flag already read
+    ops = [HermitianOperator(m) for m in family if m.shape[0] <= 16 and np.allclose(m, m.conj().T)]
+    if len(ops) == len(family):
+        for op in ops[::2]:
+            op.is_effect
+        with pytest.raises(error):
+            bound(ops)
 
 
 def test_apply_monotone_contract():

@@ -5,8 +5,9 @@ eigenvalue clustering, the resolution lookup, the spectral measure, the
 spectral meet/join and the eager operator flags: one SVD per grid point,
 one Python list per cluster, clip/where lookups and flags computed at
 construction.  The library computes the same quantities in one numpy
-call per bound or per measure; each test compares the two to 1e-12 with
-identical flags.
+call per bound or per measure, decomposes a family in one stacked eigh
+per dtype and reads the meet/join effect check from those eigenvalues;
+each test compares the two to 1e-12 with identical flags.
 """
 
 from __future__ import annotations
@@ -15,17 +16,21 @@ import numpy as np
 import pytest
 
 import olsonorder.hilbert as H
-from olsonorder.errors import NotAProjection
+from olsonorder.errors import NotAnEffect, NotAProjection
 from olsonorder.hilbert import (
     DEFAULT_TOLERANCES,
     HermitianOperator,
     SpectralMeasure,
     _cluster_means,
+    _decompose,
+    _effect_measures,
     _lattice_bound,
     _proj_join_many,
     _proj_meet_many,
     matrix_from_json,
+    matrix_to_json,
     spectral_join,
+    spectral_leq,
     spectral_measure,
     spectral_meet,
 )
@@ -342,3 +347,157 @@ def test_flags_on_demand_match_eager_flags():
             with pytest.raises(NotAProjection):
                 op.rank
     assert kinds == {(True, True), (True, False), (False, False)}
+
+
+# -- one stacked eigendecomposition per family -----------------------------------
+
+
+def mixed_families(seed, count=12):
+    """Families mixing real and complex members, degenerate ones included."""
+    rng = np.random.default_rng(seed)
+    for d in DIMS:
+        for k in range(count):
+            family = [rand_effect(rng, d, degenerate=k % 2 == 0) for _ in range(2 + k % 2)]
+            # rand_effect draws real and complex unitaries at random: force both kinds
+            family[0] = family[0].real.copy() if k % 3 else family[0] + 0j
+            yield family
+
+
+def test_stacked_family_measures_match_the_reference():
+    dtypes = set()
+    for family in list(families(19)) + list(mixed_families(20)):
+        ops = [HermitianOperator(m) for m in family]
+        dtypes.add(tuple(sorted({op.matrix.dtype.kind for op in ops})))
+        for op, measure in zip(ops, _effect_measures(ops, TOL)):
+            grid, cumulative = ref_measure(op.matrix, TOL)
+            assert close(measure.grid, grid)
+            assert close(measure.cumulative, cumulative)
+            # a stacked eigh decomposes each matrix as a call of its own does
+            alone = spectral_measure(op)
+            assert np.array_equal(measure.grid, alone.grid)
+            assert np.array_equal(measure.cumulative, alone.cumulative)
+            assert measure.cumulative.dtype == op.matrix.dtype
+    assert {("f",), ("c",), ("c", "f")} <= dtypes
+
+
+def test_one_stacked_eigh_per_dtype_and_call(monkeypatch):
+    rng = np.random.default_rng(25)
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append((a.shape, a.dtype.kind))
+        return real_eigh(a, *args, **kwargs)
+
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    for d in DIMS:
+        cplx = [rand_effect(rng, d) + 0j for _ in range(3)]
+        real = rand_effect(rng, d).real.copy()
+        for bound in (spectral_meet, spectral_join):
+            calls.clear()
+            bound(cplx)
+            assert calls == [((3, d, d), "c")]
+            calls.clear()
+            bound([cplx[0], real, cplx[1]])
+            assert sorted(calls) == [((1, d, d), "f"), ((2, d, d), "c")]
+        calls.clear()
+        spectral_leq(cplx[0], cplx[1])
+        assert calls == [((2, d, d), "c")]
+        # operators that already hold their decomposition are not decomposed again
+        ops = [HermitianOperator(m) for m in cplx]
+        assert all(op.is_effect for op in ops)
+        calls.clear()
+        spectral_meet(ops)
+        spectral_leq(ops[0], ops[1])
+        assert calls == []
+
+
+def test_stacked_eigh_is_bit_identical_per_dtype():
+    rng = np.random.default_rng(21)
+    for d in DIMS:
+        real = [rand_effect(rng, d).real.copy() for _ in range(2)]
+        cplx = [rand_effect(rng, d) + 0j for _ in range(2)]
+        ops = [HermitianOperator(m) for m in (real[0], cplx[0], real[1], cplx[1])]
+        _decompose(ops)
+        for op in ops:
+            evals, evecs = op._spectrum
+            want_vals, want_vecs = np.linalg.eigh(op.matrix)
+            assert np.array_equal(evals, want_vals)
+            assert np.array_equal(evecs, want_vecs)
+            assert evecs.dtype == op.matrix.dtype
+        # an operator that has its decomposition is not decomposed again
+        cached = [op._spectrum for op in ops]
+        _decompose(ops[:2] + [HermitianOperator(real[0])])
+        assert all(op._spectrum is c for op, c in zip(ops, cached))
+
+
+def test_measures_do_not_depend_on_the_cached_decomposition():
+    for family in mixed_families(24, count=4):
+        fresh = [spectral_measure(m) for m in family]
+        ops = [HermitianOperator(m) for m in family]
+        spectral_meet(ops)
+        for op, want in zip(ops, fresh):
+            got = spectral_measure(op)
+            assert np.array_equal(got.grid, want.grid)
+            assert np.array_equal(got.cumulative, want.cumulative)
+
+
+def at_slack(rng, d, low, factor):
+    """A rotated effect with one eigenvalue `factor` psd slacks below 0
+    (low) or above 1, the others 0.5."""
+    vals = np.full(d, 0.5)
+    vals[0] = 0.0 if low else 1.0
+    scale = max(1.0, float(np.linalg.norm(vals)))
+    vals[0] = -factor * TOL.psd * scale if low else 1.0 + factor * TOL.psd * scale
+    q = rand_unitary(rng, d)
+    m = (q * vals) @ q.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+def boundary_matrices():
+    rng = np.random.default_rng(22)
+    for d in DIMS:
+        yield np.eye(d) * (1 + 1e-10)
+        yield np.eye(d) * -1e-10
+        for low in (True, False):
+            for factor in (0.999, 1.001, 2.0):
+                yield at_slack(rng, d, low, factor)
+        for _ in range(5):
+            yield rand_effect(rng, d) * 1.5
+            yield rand_effect(rng, d)
+    yield from fixture_operators()
+
+
+def test_effect_check_from_eigh_matches_the_eager_flag():
+    verdicts = set()
+    for mat in boundary_matrices():
+        effect = ref_flags(mat)[0]
+        verdicts.add(effect)
+        op = HermitianOperator(mat)
+        assert op.is_effect == effect
+        assert np.array_equal(op._spectrum[0], np.linalg.eigh(op.matrix)[0])
+        # a fresh operator, so the meet and join read the eigh eigenvalues
+        for bound in (spectral_meet, spectral_join):
+            if effect:
+                bound([HermitianOperator(mat)])
+            else:
+                with pytest.raises(NotAnEffect):
+                    bound([HermitianOperator(mat)])
+    assert verdicts == {True, False}
+
+
+def test_real_families_give_real_results():
+    rng = np.random.default_rng(23)
+    for d in DIMS:
+        family = [rand_effect(rng, d).real.copy() for _ in range(3)]
+        assert all(np.isrealobj(m) for m in family)
+        for bound in (spectral_meet, spectral_join):
+            got = bound(family)
+            assert got.matrix.dtype == np.float64
+            assert "im" not in matrix_to_json(got)
+        assert spectral_measure(family[0]).cumulative.dtype == np.float64
+        assert isinstance(spectral_leq(family[0], family[1]), bool)

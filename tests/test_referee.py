@@ -23,12 +23,17 @@ included.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import random
 
 import pytest
 
+from olsonorder import cli
 from olsonorder.algebras import DEFAULT_TABLE_CAP, TableEffectAlgebra
 from olsonorder.errors import InvalidAlgebra
+from olsonorder.lattice import brute_force_join, brute_force_meet
 from olsonorder.observables import question
 
 from test_algebras import ALL_BACKENDS
@@ -138,6 +143,36 @@ def test_loop_lemma_predicts_which_pastings_are_lattices():
     assert _missing_joins(GENERATED["loop5"]) == []
     for n in (3, 4):
         assert _missing_joins(GENERATED[f"loop{n}"]), n
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_loop_lemma_predictions_hold_in_the_lattice_oracle_report(n, tmp_path):
+    alg = GENERATED[f"loop{n}"]
+    path = tmp_path / f"loop{n}.json"
+    path.write_text(json.dumps(alg.describe()))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["check", "lattice-oracle", str(path)])
+    report = json.loads(out.getvalue())
+    # every pair of question observables: the library's meet and join
+    # against the brute-force oracle
+    assert code == 0 and report["passed"], report
+    assert report["mode"] == "questions" and report["enumeration_count"] == alg.size
+    assert {c["name"]: c["count"] for c in report["checks"]} == {
+        "meet_matches_oracle": alg.size ** 2,
+        "join_matches_oracle": alg.size ** 2,
+    }
+    # the oracle's answers on those pairs: the questions of a and b have
+    # a join (meet) exactly when a and b do, so a 5-loop misses none and
+    # the shorter loops miss some
+    elems = list(alg.elements())
+    pairs = [(a, b) for a in elems for b in elems]
+    qs = {a: question(alg, a) for a in elems}
+    no_join = [(a, b) for a, b in pairs if not brute_force_join((qs[a], qs[b])).exists]
+    no_meet = [(a, b) for a, b in pairs if not brute_force_meet((qs[a], qs[b])).exists]
+    assert no_join == _missing_joins(alg)
+    assert no_meet == [(a, b) for a, b in pairs if alg.meet(a, b) is None]
+    assert (no_join == [] and no_meet == []) == (n == 5)
 
 
 # -- the reference, from the addition alone -------------------------------------
