@@ -25,7 +25,10 @@ order direction as a parameter.  Lattice backends compute the n-ary
 bound with arithmetic.  Explicit carriers (the table and a restricted
 tribe) index their elements in elements() order while they validate,
 keep one up-set and one down-set bitset per element, and find a bound
-as the AND of those sets: it exists iff the AND is principal.
+as the AND of those sets: it exists iff the AND is principal.  The
+exhaustive chain walk of lattice.py sees either kind through one hook,
+_chain_levels: bitsets over the compiled carrier, or payload lists
+scanned with _le on lattice backends, which compile nothing.
 """
 
 from __future__ import annotations
@@ -119,6 +122,7 @@ class EffectAlgebra(ABC):
         """Compile an explicit carrier: bit i stands for payloads[i] (elements()
         order), and up[i]/down[i] are the sets of the elements above/below it."""
         self._elems = tuple(map(self._wrap, payloads))
+        self._payloads, self._ups, self._downs = tuple(payloads), tuple(up), tuple(down)
         self._bit = {p: i for i, p in enumerate(payloads)}
         self._up, self._down = dict(zip(payloads, up)), dict(zip(payloads, down))
         # a family's common upper bounds have a least one iff they form its up-set
@@ -162,6 +166,20 @@ class EffectAlgebra(ABC):
         le = self._le
         return [q for q in (e.payload for e in self.elements())
                 if all(le(p, q) if upper else le(q, p) for p in payloads)]
+
+    def _chain_levels(self, rows, upper: bool):
+        """The carrier as the grid-chain walk sees it: level j admits the
+        common upper (upper) or lower bounds of rows[j], every element for an
+        empty row.  Chains are tuples of nodes led by zero's node;
+        extend(chains, j) continues each by every node of level j above its
+        last, in elements() order, and extremal(chain), for a chain ended by
+        one's node, tells whether no single value of it can move down (up,
+        for lower bounds) within its level while the chain stays monotone.
+        Bitsets over the compiled carrier on explicit carriers; payload lists
+        from the _bounds scan on lattice backends, which compile nothing."""
+        if not self.lattice_guaranteed:
+            return _BitLevels(self, rows, upper)
+        return _ScannedLevels(self, rows, upper)
 
     # -- public primitives -------------------------------------------------
 
@@ -302,13 +320,16 @@ def rational_to_json(q: Fraction) -> str:
     return str(q)
 
 
+OVERSIZED = f"<integer or rational of over {RATIONAL_DIGIT_CAP} digits>"
+
+
 def _shown(value, text=repr) -> str:
-    """text(value) for an error message, or a placeholder when value holds a
-    number that Python refuses to print (over RATIONAL_DIGIT_CAP digits)."""
+    """text(value) for an error message, or the OVERSIZED placeholder when
+    value holds a number that Python refuses to print (over RATIONAL_DIGIT_CAP digits)."""
     try:
         return text(value)
     except ValueError:
-        return f"<integer or rational of over {RATIONAL_DIGIT_CAP} digits>"
+        return OVERSIZED
 
 
 def _ground_set(kind: str, omega) -> int:
@@ -317,6 +338,80 @@ def _ground_set(kind: str, omega) -> int:
     if omega > GROUND_SET_CAP:
         raise CarrierTooLarge(f"{kind} ground set exceeds cap {GROUND_SET_CAP}")
     return omega
+
+
+class _BitLevels:
+    """Chain levels on a compiled carrier: nodes are element indices, a level
+    is the bitset of _common, and every test is a few ANDs; _le is never called."""
+
+    def __init__(self, alg: EffectAlgebra, rows, upper: bool) -> None:
+        self.levels = [alg._common(row, upper) for row in rows]
+        self._ups = alg._ups
+        self._near, self._far = (alg._ups, alg._downs) if upper else (alg._downs, alg._ups)
+        self._side = 0 if upper else 2
+        self.zero, self.one = alg._bit[alg.zero.payload], alg._bit[alg.one.payload]
+        self.payload = alg._payloads.__getitem__
+
+    def extend(self, chains: list, j: int) -> list:
+        # successors: the bits of up[last] & level, low bit first
+        ups, level, out = self._ups, self.levels[j], []
+        for c in chains:
+            s = ups[c[-1]] & level
+            while s:
+                low = s & -s
+                out.append((*c, low.bit_length() - 1))
+                s ^= low
+        return out
+
+    def extremal(self, chain: tuple) -> bool:
+        # at each level the chain's node is the only admitted one between
+        # itself and its neighbour on the anchor side
+        near, far, side = self._near, self._far, self._side
+        for j, level in enumerate(self.levels):
+            node = chain[j + 1]
+            if near[chain[j + side]] & level & far[node] != 1 << node:
+                return False
+        return True
+
+
+class _ScannedLevels:
+    """Chain levels on a lattice backend: nodes are payloads, a level is the
+    list of the _bounds scan, and every test calls _le.  The extremal nodes
+    of a level beside one anchor are found once, with |candidates| x
+    |answer| tests: one test per candidate on a lattice, whose answer is a
+    single node."""
+
+    def __init__(self, alg: EffectAlgebra, rows, upper: bool) -> None:
+        le = self._le = alg._le
+        self.levels = [alg._bounds(row, upper) for row in rows]
+        # extremal nodes are the minimal ones in this order
+        self._toward = le if upper else (lambda a, b: le(b, a))
+        self._side = 0 if upper else 2
+        self._extremes: dict = {}
+        self.zero, self.one = alg.zero.payload, alg.one.payload
+
+    @staticmethod
+    def payload(node):
+        return node
+
+    def extend(self, chains: list, j: int) -> list:
+        le, level = self._le, self.levels[j]
+        return [(*c, e) for c in chains for e in level if le(c[-1], e)]
+
+    def extremal(self, chain: tuple) -> bool:
+        toward, side = self._toward, self._side
+        for j, level in enumerate(self.levels):
+            anchor = chain[j + side]
+            ext = self._extremes.get((j, anchor))
+            if ext is None:
+                ext = []
+                for e in level:
+                    if toward(anchor, e) and not any(toward(m, e) for m in ext):
+                        ext = [m for m in ext if not toward(e, m)] + [e]
+                self._extremes[j, anchor] = ext
+            if chain[j + 1] not in ext:
+                return False
+        return True
 
 
 class MVChain(EffectAlgebra):

@@ -4,7 +4,9 @@ The order compares interval resolutions pointwise, inverted: x is below y
 when y((-inf,t)) <= x((-inf,t)) for every real t.  All resolutions here
 are step functions, constant between consecutive points of the merged
 grid t_0 < ... < t_{n-1} (the sorted union of the spectra).  One sort of
-the family's points reads every member's closed values off: when c_j of
+the family's points, which compares floats and integers and compares
+Fractions only when two distinct points share a float, reads every
+member's closed values off: when c_j of
 its spectral points lie at or below t_j, x((-inf,t_j]) is the c_j-th partial
 weight sum, and that value also holds throughout the gap (t_j, t_{j+1})
 and, for the last point, everywhere above the grid.  The open value at
@@ -24,7 +26,10 @@ route against, and no default path runs it.  When some pointwise bound
 does not exist in the backend, existence is settled by exhaustive
 enumeration of all observables on the merged grid, which is sound and
 complete: any lower or upper bound can be moved onto the grid without
-leaving the bounding set.
+leaving the bounding set.  The enumeration walks chains of closed values
+on the backend's chain levels (bitsets on explicit carriers), and each
+chain is tested for extremality point by point rather than against the
+other chains.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from itertools import repeat
 from operator import getitem
 from typing import Iterable, Sequence
 
-from .algebras import EffectAlgebra, EffectElement, _shown
+from .algebras import OVERSIZED, RATIONAL_DIGIT_CAP, EffectAlgebra, EffectElement, _shown
 from .errors import (
     BackendMismatch,
     CertificationTooLarge,
@@ -108,26 +113,44 @@ def merged_grid(xs: Iterable[SimpleObservable]) -> tuple[Fraction, ...]:
     return tuple(sorted({t for x in xs for t in x.points}))
 
 
-def _point_key(t: Fraction) -> float:
-    try:
-        return t.numerator / t.denominator  # float(t), without its generic path
-    except OverflowError:
-        return math.inf if t > 0 else -math.inf
+_END = (math.nan, 0, 0, 0, None)  # past the last mark: no denominator is 0
 
 
 def _columns(xs: Sequence[SimpleObservable]) -> tuple[list[Fraction], list[tuple]]:
     """The merged grid of a family and, per member, the payloads of its
     closed values x((-inf, t_j]) there, from one sort of all its points.
 
-    The key (float(t), t) is exact, as rounding to a float is monotone, and
-    Fractions are compared only where floats tie; no common denominator is
-    formed, as its size grows with every distinct denominator of the family."""
-    marks = sorted((_point_key(t), t, m) for m, x in enumerate(xs) for t in x.points)
+    A point t = n/d sorts by (float(t), n, d, member): rounding to a float
+    is monotone, a float overflow maps to plus or minus infinity, and as
+    Fractions are normalized, equal floats with equal (n, d) are one point,
+    so the sort compares only floats and ints.  When two distinct points
+    share a float, the marks are sorted again by (float(t), t, member),
+    which compares their Fractions exactly.  No common denominator is
+    formed, as its size grows with every distinct denominator of the family.
+    """
+    marks = []
+    for m, x in enumerate(xs):
+        for t in x.points:
+            n, d = t._numerator, t._denominator
+            try:
+                marks.append((n / d, n, d, m, t))
+            except OverflowError:
+                marks.append((math.inf if n > 0 else -math.inf, n, d, m, t))
+    marks.sort()
     sums = [x._cums for x in xs]
-    grid, rows, counts = [], [], [0] * len(xs)
-    for (f, t, m), (g, u, _) in zip(marks, [*marks[1:], (math.nan, None, 0)]):
+    return (_merge(marks, sums, exact=False)
+            or _merge(sorted(marks, key=lambda k: (k[0], k[4], k[3])), sums, exact=True))
+
+
+def _merge(marks: list, sums: list, exact: bool):
+    """Grid and payload columns of sorted marks; None when marks are not
+    exactly sorted, i.e. two distinct points share a float."""
+    grid, rows, counts = [], [], [0] * len(sums)
+    for (f, n, d, m, t), (g, n2, d2, _, _) in zip(marks, [*marks[1:], _END]):
         counts[m] += 1
-        if f != g or t != u:
+        if n != n2 or d != d2:
+            if f == g and not exact:
+                return None
             grid.append(t)
             rows.append(tuple(map(getitem, sums, counts)))
     return grid, list(zip(*rows))
@@ -339,43 +362,51 @@ def olson_join(
 # -- exhaustive oracles -------------------------------------------------------
 
 
-def _grid_chains(
-    algebra: EffectAlgebra,
-    size: int,
-    cap: int,
-    levels: Iterable[Sequence] | None = None,
-):
-    """Yield every monotone chain c_1 <= ... <= c_size = one of closed
-    values on a grid of size points, as a tuple of payloads.
+# 2**(10c/3) > 10**c, as 2**10 > 10**3: a power of at least this many bits
+# has over RATIONAL_DIGIT_CAP digits and prints as OVERSIZED
+_PRINTABLE_BITS = 10 * RATIONAL_DIGIT_CAP // 3
 
-    Chains come depth first, each c_j running through algebra.elements()
-    in order.  levels, when given, lists the payloads admitted at each
-    point j < size - 1, in that order, and the walk yields exactly the
-    chains of admitted values.  Raises CertificationTooLarge when the
-    unpruned chain space can exceed cap; the carrier and the levels are
-    listed only after that check and only for grids of 2+ points.
+
+def _check_cap(algebra: EffectAlgebra, size: int, cap: int) -> None:
+    """Refuse a grid of size points when its |E|**(size-1) chains can exceed cap.
+
+    With b one less than the bit length of |E|, the bound is at least
+    2**(b * (size-1)).  When that exponent reaches both cap's bit length
+    and _PRINTABLE_BITS, the bound exceeds cap and prints as OVERSIZED, so
+    it is not formed: its size grows with |E|'s bits times the grid's.
     """
-    bound = algebra.size ** (size - 1)
-    if bound > cap:
-        raise CertificationTooLarge(
-            f"up to {_shown(bound, str)} grid observables exceeds cap {cap}"
-        )
-    one = algebra.one.payload
-    if size == 1:
-        yield (one,)
-        return
-    levels = list(levels or [tuple(e.payload for e in algebra.elements())] * (size - 1))
-    le = algebra._le
-
-    def walk(chain, prev, j):
-        if j == size - 1:
-            yield (*chain, one)
+    n = algebra.size
+    floor_bits = (n.bit_length() - 1) * (size - 1)
+    if floor_bits >= max(cap.bit_length(), _PRINTABLE_BITS):
+        shown = OVERSIZED
+    else:
+        bound = n ** (size - 1)
+        if bound <= cap:
             return
-        for e in levels[j]:
-            if le(prev, e):
-                yield from walk((*chain, e), e, j + 1)
+        shown = _shown(bound, str)
+    raise CertificationTooLarge(f"up to {shown} grid observables exceeds cap {cap}")
 
-    yield from walk((), algebra.zero.payload, 0)
+
+def _grid_chains(
+    algebra: EffectAlgebra, size: int, cap: int, rows: Sequence = (), upper: bool = True
+):
+    """Every monotone chain 0 <= c_1 <= ... <= c_size = one of closed values
+    on a grid of size points, as a tuple of nodes of the carrier view
+    algebra._chain_levels, led by zero's node; returns (view, chains).
+
+    The value at point j < size - 1 runs through level j, which admits
+    the common upper (upper) or lower bounds of rows[j] and every element
+    when rows is empty.  Each chain's successors are the elements of the
+    next level above its last value, in elements() order, so chains come
+    in depth-first enumeration order.  Raises CertificationTooLarge when
+    the unpruned chain space can exceed cap; no level is listed before that check.
+    """
+    _check_cap(algebra, size, cap)
+    view = algebra._chain_levels(rows or [()] * (size - 1), upper)
+    chains = [(view.zero,)]
+    for j in range(size - 1):
+        chains = view.extend(chains, j)
+    return view, [(*c, view.one) for c in chains]
 
 
 def enumerate_grid_observables(
@@ -394,8 +425,9 @@ def enumerate_grid_observables(
     pts = tuple(sorted({_rational(t) for t in grid}))
     if not pts:
         raise EmptyFamily("grid must be nonempty")
-    for chain in _grid_chains(algebra, len(pts), cap):
-        yield _pack_closed(algebra, pts, chain)
+    view, chains = _grid_chains(algebra, len(pts), cap)
+    for c in chains:
+        yield _pack_closed(algebra, pts, list(map(view.payload, c[1:])))
 
 
 def _brute_force(xs: Iterable[SimpleObservable], cap: int, lower: bool) -> BoundResult:
@@ -405,38 +437,31 @@ def _brute_force(xs: Iterable[SimpleObservable], cap: int, lower: bool) -> Bound
 
     On one grid the Olson order is the reversed pointwise order of the
     closed values, so the walk admits at each point only the values that
-    bound the family's there, candidates compare as chains, and only the
-    answer is built as an observable.
+    bound the family's there, and a lower bound is maximal iff its chain
+    is pointwise minimal among the admitted chains.  If an admitted chain
+    h lies pointwise below g, so does g with its value at the first point
+    where they differ lowered to h's; so g is minimal iff at each point
+    its value is the only admitted one between g's value at the point
+    before (zero before the grid) and itself.  Dually, an upper bound's
+    value must be the only admitted one between itself and its value at
+    the point after (one past the grid).  In a finite set the only minimal
+    chain, if there is just one, is the least, so the bound exists iff
+    exactly one chain passes; only what is returned is built.
     """
     family = _family(xs)
     alg = family[0].algebra
     grid, columns = _columns(family)
-
-    def value_le(a, b) -> bool:
-        # le on closed values: the carrier order, reversed for meets
-        return alg._le(b, a) if lower else alg._le(a, b)
-
-    def le(g: tuple, h: tuple) -> bool:
-        # the order of the bound's direction on chains: reversed for joins
-        return all(map(value_le, g, h))
-
     # a lower bound's closed values sit above the family's at every point
-    levels = (alg._bounds(row, upper=lower) for row in list(zip(*columns))[:-1])
-    bounds = list(_grid_chains(alg, len(grid), cap, levels))
+    view, chains = _grid_chains(alg, len(grid), cap, list(zip(*columns))[:-1], upper=lower)
     # never empty: the least (greatest) grid observable bounds any family
-    # from below (above); a greatest bound, if there is one, survives the scan
-    best = bounds[0]
-    for g in bounds[1:]:
-        if le(best, g):
-            best = g
-
-    if all(le(h, best) for h in bounds):
-        return BoundResult(True, _pack_closed(alg, grid, best), "exhaustive")
-    frontier = tuple(
-        _pack_closed(alg, grid, g)
-        for g in bounds if not any(g != h and le(g, h) for h in bounds)
-    )
-    return BoundResult(False, None, "exhaustive", frontier)
+    # from below (above), and a finite set of chains has extremal ones
+    frontier = [
+        _pack_closed(alg, grid, list(map(view.payload, c[1:])))
+        for c in filter(view.extremal, chains)
+    ]
+    if len(frontier) == 1:
+        return BoundResult(True, frontier[0], "exhaustive")
+    return BoundResult(False, None, "exhaustive", tuple(frontier))
 
 
 def brute_force_meet(

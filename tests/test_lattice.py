@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from olsonorder.algebras import FiniteSetAlgebra, MVChain, block_cycle_algebra
+from olsonorder.algebras import GROUND_SET_CAP, FiniteSetAlgebra, MVChain, block_cycle_algebra
 from olsonorder.errors import (
     BackendMismatch,
     CertificationTooLarge,
@@ -29,7 +31,8 @@ from olsonorder.lattice import (
     olson_meet,
     right_regularize,
 )
-from olsonorder.observables import from_closed_values, from_weights, question
+from olsonorder.observables import SimpleObservable, from_closed_values, from_weights, question
+from olsonorder.serialize import algebra_from_json
 from olsonorder.suites import (
     random_grid_observable,
     random_monotone_family,
@@ -39,6 +42,8 @@ from olsonorder.suites import (
     run_lattice_oracle,
     run_order,
 )
+
+from conftest import load_fixture
 
 F = Fraction
 
@@ -262,6 +267,47 @@ def test_cap_refusal_prints_an_oversized_bound():
     family = tuple(question(algebra, algebra.subset((p,))) for p in (0, 1))
     with pytest.raises(CertificationTooLarge, match="over 4300 digits"):
         brute_force_meet(family)
+
+
+def test_cap_refusal_of_a_huge_carrier_does_not_form_the_bound():
+    # |E|**(k-1) would have about 4 * 10**9 bits; the message is unchanged
+    algebra = FiniteSetAlgebra(GROUND_SET_CAP)
+    singletons = [algebra.subset((p,)) for p in range(3999)]
+    rest = algebra.complement(algebra.subset(range(3999)))
+    x = SimpleObservable(algebra, [F(k) for k in range(4000)], [*singletons, rest])
+    start = time.perf_counter()
+    with pytest.raises(CertificationTooLarge) as refused:
+        brute_force_meet((x,))
+    assert time.perf_counter() - start < 0.5
+    assert str(refused.value) == (
+        "up to <integer or rational of over 4300 digits> grid observables exceeds cap 100000"
+    )
+
+
+def test_brute_force_tests_the_order_only_to_pack_its_answer():
+    # the walk, the levels and the frontier test are bit operations on the
+    # compiled carrier: the only _le calls left are _pack_closed's, one per
+    # kept jump of the answer or of each frontier member
+    checked = 0
+    for name in ("table_mo2", "table_block_cycle", "tribe_restricted"):
+        algebra = algebra_from_json(load_fixture(name + ".json"))
+        questions = [question(algebra, a) for a in algebra.elements()]
+        calls = Counter()
+        le = algebra._le
+
+        def counted(pa, pb, le=le, calls=calls):
+            calls["le"] += 1
+            return le(pa, pb)
+
+        algebra._le = counted
+        for pair in itertools.combinations(questions, 2):
+            for oracle in (brute_force_meet, brute_force_join):
+                calls.clear()
+                got = oracle(pair)
+                packed = (*got.frontier, *([got.observable] if got.exists else []))
+                assert calls["le"] == sum(len(x.points) for x in packed)
+                checked += 1
+    assert checked == 2 * (15 + 153 + 21)
 
 
 def test_enumerated_observables_live_on_grid(set2):

@@ -28,6 +28,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from olsonorder import lattice
 from olsonorder.algebras import MVChain
 from olsonorder.errors import InvalidAlgebra, OlsonOrderError
 from olsonorder.lattice import (
@@ -198,6 +199,72 @@ def test_merge_matches_merged_grid_and_walk(xs):
     assert tuple(grid) == merged_grid(xs)
     assert all(type(t) is Fraction for t in grid)
     assert columns == [tuple(_closed_on_grid(x, grid)) for x in xs]
+
+
+def _pooled_observable(algebra, rng, points):
+    n = algebra.n
+    levels = sorted(rng.randint(0, n) for _ in points)
+    levels[-1] = n
+    values = [algebra.element(F(k, n)) for k in levels]
+    return from_closed_values(algebra, tuple(zip(sorted(points), values)))
+
+
+def _assert_merge_matches_reference(xs):
+    grid, columns = _columns(xs)
+    assert tuple(grid) == merged_grid(xs)
+    assert all(type(t) is Fraction for t in grid)
+    assert columns == [tuple(_closed_on_grid(x, grid)) for x in xs]
+
+
+def test_merge_matches_reference_on_large_families():
+    # 100-500 members drawing from a few shared points, with and without
+    # the float collisions of MERGE_POOL
+    algebra = MVChain(4)
+    shared = tuple(F(k, 7) for k in range(-3, 10))
+    rng = random.Random(1313)
+    for members in (100, 250, 500):
+        for pool in (shared, sorted({*shared, *MERGE_POOL})):
+            xs = tuple(
+                _pooled_observable(algebra, rng, rng.sample(pool, rng.randint(1, 6)))
+                for _ in range(members)
+            )
+            _assert_merge_matches_reference(xs)
+
+
+def _merge_passes(monkeypatch, xs) -> list[bool]:
+    """The exact flag of each merge pass _columns makes on xs."""
+    passes = []
+    merge = lattice._merge
+
+    def spy(marks, sums, exact):
+        passes.append(exact)
+        return merge(marks, sums, exact)
+
+    monkeypatch.setattr(lattice, "_merge", spy)
+    _assert_merge_matches_reference(xs)
+    monkeypatch.undo()
+    return passes
+
+
+def test_float_collisions_take_the_exact_sort(monkeypatch):
+    algebra = MVChain(4)
+    third, top = F(1, 3), F(2**1024)
+    pairs = (
+        (third - F(1, _BIG), third, third + F(1, _BIG)),
+        (F(2**53), F(2**53 + 1)),
+        (top - 1, top + 1),
+        (-top - 1, -top + 1),
+    )
+    rng = random.Random(77)
+    for points in pairs:
+        # one member per colliding point, sharing the points 0 and 1 with
+        # the others, and one member holding them all
+        xs = tuple(_pooled_observable(algebra, rng, [F(0), t, F(1)]) for t in points)
+        xs += (_pooled_observable(algebra, rng, points),)
+        assert _merge_passes(monkeypatch, xs) == [False, True]
+    # shared points and distinct floats: one pass
+    xs = tuple(_pooled_observable(algebra, rng, [F(0), F(k, 5), F(1)]) for k in range(1, 5))
+    assert _merge_passes(monkeypatch, xs) == [False]
 
 
 def test_merge_of_long_denominators_is_fast():
