@@ -6,10 +6,10 @@ are step functions, constant between consecutive points of the merged
 grid t_0 < ... < t_{n-1} (the sorted union of the spectra).  One sort of
 the family's points, which compares floats and integers and compares
 Fractions only when two distinct points share a float, reads every
-member's closed values off: when c_j of
-its spectral points lie at or below t_j, x((-inf,t_j]) is the c_j-th partial
-weight sum, and that value also holds throughout the gap (t_j, t_{j+1})
-and, for the last point, everywhere above the grid.  The open value at
+member's closed values off: when c_j of its spectral points lie at or
+below t_j, x((-inf,t_j]) is the c_j-th partial weight sum, and that
+value also holds throughout the gap (t_j, t_{j+1}) and, for the last
+point, everywhere above the grid.  The open value at
 t_j is the closed value at t_{j-1}, and every resolution is zero below
 the grid, so the closed values at the grid points are everything the
 order and the bounds depend on; each is read and tested once, as a payload.

@@ -378,3 +378,21 @@ TABLES = {
 @given(table_families(), st.sampled_from((CAP, DEFAULT_ENUMERATION_CAP)))
 def test_brute_force_matches_reference_on_table_families(xs, cap):
     _assert_brute_force_agrees(xs, cap)
+
+
+def test_scanned_chain_levels_match_the_reference_off_lattices():
+    # a table flagged as a lattice walks the scanned levels of lattice
+    # backends; off a lattice their extremal nodes are not unique
+    frontiers = 0
+    for name in ("table_mo2", "table_block_cycle"):
+        alg = algebra_from_json(load_fixture(name + ".json"))
+        alg.lattice_guaranteed = True
+        elems = list(alg.elements())
+        families = [(question(alg, a), question(alg, b)) for a in elems for b in elems]
+        rng = random.Random(6262)
+        families += [tuple(_draw(alg, elems, rng, 0.0) for _ in range(2)) for _ in range(40)]
+        for xs in families:
+            for got in _assert_brute_force_agrees(xs, CAP):
+                frontiers += isinstance(got, BoundResult) and len(got.frontier) > 1
+    assert frontiers > 0
+
