@@ -79,8 +79,9 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        # JSONDecodeError, UnicodeDecodeError and the int digit limit
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError, the int digit limit and
+        # nesting deeper than the parser's recursion limit
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -115,8 +116,11 @@ def _reject_tol(args) -> None:
 def _emit(obj, args) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -47,7 +47,6 @@ from .errors import (
     CertificationTooLarge,
     EmptyFamily,
     InvalidAlgebra,
-    NonIncreasingPoints,
     NonMonotoneInput,
     SpectrumOutsideUnitInterval,
 )
@@ -56,6 +55,7 @@ from .observables import (
     PiecewiseMap,
     SimpleObservable,
     StepResolution,
+    _checked_chain,
     _pack_closed,
     _rational,
     question,
@@ -214,24 +214,6 @@ def compare(x: SimpleObservable, y: SimpleObservable) -> OlsonComparison:
 # -- regularization of monotone grid families --------------------------------
 
 
-def _grid_pairs(
-    algebra: EffectAlgebra,
-    pairs: Sequence[tuple[Fraction, EffectElement]],
-) -> tuple[tuple[Fraction, ...], tuple[EffectElement, ...]]:
-    if not pairs:
-        raise NonMonotoneInput("need at least one grid value")
-    ts = tuple(_rational(t) for t, _ in pairs)
-    ws = tuple(w for _, w in pairs)
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise NonIncreasingPoints(f"grid not strictly increasing: {_shown(ts)}")
-    for w in ws:
-        algebra._payload(w)
-    for a, b in zip(ws, ws[1:]):
-        if not algebra.leq(a, b):
-            raise NonMonotoneInput("grid values must be nondecreasing")
-    return ts, ws
-
-
 def left_regularize(
     algebra: EffectAlgebra,
     pairs: Sequence[tuple[Fraction, EffectElement]],
@@ -243,12 +225,14 @@ def left_regularize(
     the open side of each point.  The closure is then the left-continuous
     step with value w_i on (t_i, t_{i+1}], i.e. the unique step
     resolution whose open-interval values extend the input.  The first
-    value must be zero; a second application is the identity.
+    value must be zero; a second application is the identity.  Its closed
+    values at the grid points are the right_regularize values, which are
+    checked there once and packed by _pack_closed into the view's observable.
     """
-    ts, ws = _grid_pairs(algebra, pairs)
-    if ws[0] != algebra.zero:
+    ts, closed = zip(*right_regularize(algebra, pairs))
+    if pairs[0][1] != algebra.zero:
         raise NonMonotoneInput("family must start at 0")
-    return StepResolution(algebra, ts, (*ws, algebra.one))
+    return _pack_closed(algebra, ts, [v.payload for v in closed]).resolution()
 
 
 def right_regularize(
@@ -263,9 +247,12 @@ def right_regularize(
     left_regularize this yields exactly the closed-interval family of
     the induced observable.
     """
-    ts, ws = _grid_pairs(algebra, pairs)
-    shifted = (*ws[1:], algebra.one)
-    return tuple(zip(ts, shifted))
+    if not pairs:
+        raise NonMonotoneInput("need at least one grid value")
+    ts = tuple(_rational(t) for t, _ in pairs)
+    ws = [w for _, w in pairs]
+    _checked_chain(algebra, ts, ws, ("grid", "grid values"))
+    return tuple(zip(ts, (*ws[1:], algebra.one)))
 
 
 # -- meets and joins ----------------------------------------------------------

@@ -9,9 +9,9 @@ It is equivalently described by its open-interval resolution
                  = 1             for t > u_k,
 
 a left-continuous monotone step function, or by the closed-interval
-values x((-inf, t]) obtained by sampling just above t.  StepResolution
-stores the step data; SimpleObservable stores spectrum and weights and
-converts both ways losslessly.
+values x((-inf, t]) obtained by sampling just above t.  SimpleObservable
+stores it once, as the points and the payloads of the partial sums; the
+weights are read from it and StepResolution is a view of it.
 
 All scalars are `fractions.Fraction`; Borel sets are finite unions of
 rational intervals, and spectrum maps are piecewise affine with rational
@@ -298,15 +298,15 @@ class PiecewiseMap:
 
 
 class StepResolution:
-    """Left-continuous monotone step data of one observable.
+    """Left-continuous monotone step data of one observable, as a view of it.
 
     breakpoints t_1 < ... < t_n and values v_0 <= ... <= v_n with
     v_0 = 0 and v_n = 1; the function is v_i on (t_i, t_{i+1}] with
-    t_0 = -inf and t_{n+1} = +inf.  Construction canonicalizes by
-    dropping breakpoints that carry no jump.
+    t_0 = -inf and t_{n+1} = +inf.  Construction checks the data and
+    packs the observable it views, dropping breakpoints without a jump.
     """
 
-    __slots__ = ("algebra", "breakpoints", "values")
+    __slots__ = ("_x",)
 
     def __init__(
         self,
@@ -318,51 +318,36 @@ class StepResolution:
         vals = tuple(values)
         if len(vals) != len(pts) + 1:
             raise InvalidAlgebra("step resolution needs one more value than breakpoints")
-        if any(b <= a for a, b in zip(pts, pts[1:])):
-            raise NonIncreasingPoints(f"breakpoints not strictly increasing: {_shown(pts)}")
-        for v in vals:
-            algebra._payload(v)
-        for a, b in zip(vals, vals[1:]):
-            if not algebra.leq(a, b):
-                raise NonMonotoneInput("step values must be nondecreasing")
-        if vals[0] != algebra.zero:
+        payloads = _checked_chain(algebra, pts, vals, ("breakpoints", "step values"))
+        if payloads[0] != algebra.zero.payload:
             raise NonMonotoneInput("resolution must start at 0")
-        if vals[-1] != algebra.one:
+        if payloads[-1] != algebra.one.payload:
             raise NonMonotoneInput("resolution must end at 1")
-        keep_pts = []
-        keep_vals = [vals[0]]
-        for t, v in zip(pts, vals[1:]):
-            if v == keep_vals[-1]:
-                continue
-            keep_pts.append(t)
-            keep_vals.append(v)
-        self.algebra = algebra
-        self.breakpoints = tuple(keep_pts)
-        self.values = tuple(keep_vals)
+        # v_i is the closed value at t_i
+        self._x = _pack_closed(algebra, pts, payloads[1:])
+
+    algebra = property(lambda self: self._x.algebra)
+    breakpoints = property(lambda self: self._x.points)
+    values = property(lambda self: tuple(map(self._x.algebra._wrap, self._x._cums)))
 
     def open_at(self, t: Fraction | int) -> EffectElement:
         """Value of x((-inf, t))."""
-        return self.values[bisect_left(self.breakpoints, _rational(t))]
+        return self._x.resolution_open(t)
 
     def closed_at(self, t: Fraction | int) -> EffectElement:
         """Value of x((-inf, t])."""
-        return self.values[bisect_right(self.breakpoints, _rational(t))]
+        return self._x.resolution_closed(t)
 
     def to_observable(self) -> "SimpleObservable":
-        # validated on construction: strictly increasing from 0 to 1
-        return SimpleObservable._from_cums(
-            self.algebra, self.breakpoints, [v.payload for v in self.values]
-        )
+        return self._x
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StepResolution):
             return NotImplemented
-        return (self.algebra is other.algebra
-                and self.breakpoints == other.breakpoints
-                and self.values == other.values)
+        return self._x == other._x
 
     def __hash__(self) -> int:
-        return hash((id(self.algebra), self.breakpoints, self.values))
+        return hash(self._x)
 
     def __repr__(self) -> str:
         steps = ", ".join(
@@ -375,13 +360,13 @@ class StepResolution:
 class SimpleObservable:
     """A finitely supported observable in canonical form.
 
-    points are strictly increasing rationals, weights are nonzero and sum
-    to 1.  Instances are immutable value objects; equality is canonical
-    (same backend instance, same points, same weights).  _cums holds the
-    payloads of the partial weight sums 0 = c_0 < ... < c_k = 1.
+    points are strictly increasing rationals and _cums the payloads of the
+    partial weight sums 0 = c_0 < ... < c_k = 1, from which the nonzero
+    weights are read.  Instances are immutable value objects; equality is
+    canonical (same backend instance, same points, same partial sums).
     """
 
-    __slots__ = ("algebra", "points", "weights", "_cums")
+    __slots__ = ("algebra", "points", "_cums")
 
     def __init__(
         self,
@@ -409,7 +394,6 @@ class SimpleObservable:
             raise WeightsNotSummable("weights must sum to 1")
         self.algebra = algebra
         self.points = pts
-        self.weights = wts
         self._cums = tuple(cums)
 
     @classmethod
@@ -423,15 +407,19 @@ class SimpleObservable:
 
         points are strictly increasing Fractions and cums the payloads of
         strictly increasing closed values 0 = c_0 < ... < c_k = 1 of the
-        algebra, one more than points; nothing is checked, and weight i is
-        the one _diff c_i - c_{i-1}.
+        algebra, one more than points; nothing is checked.
         """
         self = object.__new__(cls)
         self.algebra = algebra
         self.points = tuple(points)
-        self._cums = cums = tuple(cums)
-        self.weights = tuple(map(algebra._wrap, map(algebra._diff, cums[1:], cums)))
+        self._cums = tuple(cums)
         return self
+
+    @property
+    def weights(self) -> tuple[EffectElement, ...]:
+        """The point masses: weight i is the one _diff c_i - c_{i-1}."""
+        alg, cums = self.algebra, self._cums
+        return tuple(map(alg._wrap, map(alg._diff, cums[1:], cums)))
 
     # -- resolutions ------------------------------------------------------
 
@@ -440,7 +428,10 @@ class SimpleObservable:
         return self.points
 
     def resolution(self) -> StepResolution:
-        return StepResolution(self.algebra, self.points, map(self.algebra._wrap, self._cums))
+        """The step-resolution view of this observable, not checked again."""
+        view = object.__new__(StepResolution)
+        view._x = self
+        return view
 
     def resolution_open(self, t: Fraction | int) -> EffectElement:
         """x((-inf, t)): sum of weights strictly below t."""
@@ -493,9 +484,9 @@ class SimpleObservable:
 
     def is_sharp_observable(self) -> bool:
         """True when every subset sum of the weights is sharp (2^k scan)."""
-        if len(self.weights) > SHARPNESS_SCAN_CAP:
+        if len(self.points) > SHARPNESS_SCAN_CAP:
             raise SpectrumTooLargeForSharpnessScan(
-                f"spectrum size {len(self.weights)} exceeds scan cap {SHARPNESS_SCAN_CAP}"
+                f"spectrum size {len(self.points)} exceeds scan cap {SHARPNESS_SCAN_CAP}"
             )
         sums = {self.algebra.zero}
         for w in self.weights:
@@ -526,10 +517,10 @@ class SimpleObservable:
             return NotImplemented
         return (self.algebra is other.algebra
                 and self.points == other.points
-                and self.weights == other.weights)
+                and self._cums == other._cums)
 
     def __hash__(self) -> int:
-        return hash((id(self.algebra), self.points, self.weights))
+        return hash((id(self.algebra), self.points, self._cums))
 
     def __repr__(self) -> str:
         pairs = ", ".join(
@@ -557,15 +548,10 @@ def from_weights(
 
 
 def question(algebra: EffectAlgebra, a: EffectElement) -> SimpleObservable:
-    """The yes-no observable of one effect: mass a at 1 and a' at 0."""
-    algebra._payload(a)
-    if a == algebra.zero:
-        return SimpleObservable(algebra, (Fraction(0),), (algebra.one,))
-    if a == algebra.one:
-        return SimpleObservable(algebra, (Fraction(1),), (algebra.one,))
-    return SimpleObservable(
-        algebra, (Fraction(0), Fraction(1)), (algebra.complement(a), a)
-    )
+    """The yes-no observable of one effect: mass a at 1 and a' at 0, i.e.
+    closed values a' at 0 and 1 at 1, a zero jump dropping out."""
+    closed = (algebra._complement(algebra._payload(a)), algebra.one.payload)
+    return _pack_closed(algebra, (Fraction(0), Fraction(1)), closed)
 
 
 def from_closed_values(
@@ -588,6 +574,23 @@ def from_closed_values(
     if vals[-1] != algebra.one:
         raise WeightsNotSummable("closed-resolution values must reach 1")
     return _pack_closed(algebra, ts, [v.payload for v in vals])
+
+
+def _checked_chain(
+    algebra: EffectAlgebra,
+    points: Sequence[Fraction],
+    values: Sequence[EffectElement],
+    nouns: tuple[str, str],
+) -> list:
+    """The payloads of values on points after the one check of step data:
+    points strictly increasing, then every value owned by algebra, then
+    the values nondecreasing.  nouns name the points and the values."""
+    if any(b <= a for a, b in zip(points, points[1:])):
+        raise NonIncreasingPoints(f"{nouns[0]} not strictly increasing: {_shown(points)}")
+    payloads = list(map(algebra._payload, values))
+    if not all(map(algebra._le, payloads, payloads[1:])):
+        raise NonMonotoneInput(f"{nouns[1]} must be nondecreasing")
+    return payloads
 
 
 def _pack_closed(

@@ -22,7 +22,7 @@ from .algebras import (
 )
 from .errors import BackendMismatch, OlsonOrderError, ParseError
 from .lattice import BoundResult, OlsonComparison
-from .observables import SimpleObservable, StepResolution
+from .observables import SimpleObservable
 
 
 def algebra_from_json(obj) -> EffectAlgebra:

@@ -254,6 +254,27 @@ def test_out_writes_file_instead_of_stdout(capsys, tmp_path):
     assert json.loads(target.read_text(encoding="utf-8")) == {"verdict": "equal"}
 
 
+def test_unwritable_out_exits_1(capsys, tmp_path):
+    for target in (tmp_path / "no_such_dir" / "report.json", tmp_path):
+        code, out, err = run(["cmp", MV4, Q14, Q34, "--out", str(target)], capsys)
+        assert code == 1 and out == "", target
+        assert err.startswith("ParseError: cannot write ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
+def test_deeply_nested_json_exits_1(capsys, tmp_path):
+    closed = tmp_path / "closed.json"
+    closed.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    unclosed = tmp_path / "unclosed.json"
+    unclosed.write_text("[" * 100_000, encoding="utf-8")
+    for bad in (str(closed), str(unclosed)):
+        for argv in (["cmp", bad, Q14, Q34], ["cmp", MV4, bad, Q34], ["spectral", "measure", bad]):
+            code, out, err = run(argv, capsys)
+            assert code == 1 and out == "", argv
+            assert err.startswith(f"ParseError: {bad} is not valid JSON: maximum recursion")
+            assert err.count("\n") == 1, err
+
+
 def test_flags_parse_before_and_after_subcommand(capsys):
     first = run(["--seed", "9", "--cap", "40", "check", "involution", MV4], capsys)
     second = run(["check", "involution", MV4, "--seed", "9", "--cap", "40"], capsys)

@@ -1,8 +1,8 @@
 """The trusted constructor against the validating one.
 
 Observables the library computes itself (the closed route, the brute
-force answer and frontier, grid enumeration, negation and
-StepResolution.to_observable) are built by SimpleObservable._from_cums
+force answer and frontier, grid enumeration, negation and the
+observable a StepResolution holds) are built by SimpleObservable._from_cums
 without re-validation.  Each one must equal, field by field, what the
 validating SimpleObservable(algebra, points, weights) builds from its
 points and weights; negation must equal the image under the map
@@ -42,6 +42,7 @@ def _fields(x: SimpleObservable) -> tuple:
 def _assert_valid(x: SimpleObservable) -> None:
     ref = SimpleObservable(x.algebra, x.points, x.weights)
     assert _fields(x) == _fields(ref)
+    assert x == ref and hash(x) == hash(ref)
     assert all(type(t) is Fraction for t in x.points)
 
 
@@ -64,7 +65,7 @@ def _check_family(xs) -> int:
     built = []
     grid = merged_grid(xs)
     for lower in (True, False):
-        # the open route packs through StepResolution.to_observable
+        # the open route packs through left_regularize's view
         for route in (_closed_route, _open_route):
             bound = route(xs, grid, lower)
             if bound is not None:
