@@ -25,10 +25,7 @@ order direction as a parameter.  Lattice backends compute the n-ary
 bound with arithmetic.  Explicit carriers (the table and a restricted
 tribe) index their elements in elements() order while they validate,
 keep one up-set and one down-set bitset per element, and find a bound
-as the AND of those sets: it exists iff the AND is principal.  The
-exhaustive chain walk of lattice.py sees either kind through one hook,
-_chain_levels: bitsets over the compiled carrier, or payload lists
-scanned with _le on lattice backends, which compile nothing.
+as the AND of those sets: it exists iff the AND is principal.
 """
 
 from __future__ import annotations
@@ -54,6 +51,7 @@ DEFAULT_TABLE_CAP = 256
 #: have: Python's default limit for converting an int to a string
 RATIONAL_DIGIT_CAP = 4300
 GROUND_SET_CAP = 10**6  #: most points of a ground set, and bits of a full tribe's size
+SHOWN_CAP = 200  #: most characters of an input an error message echoes
 
 
 class EffectElement:
@@ -114,7 +112,7 @@ class EffectAlgebra(ABC):
     def _payload(self, a: EffectElement):
         if not isinstance(a, EffectElement) or a.algebra is not self:
             raise ElementForeignToAlgebra(
-                f"element {a!r} does not belong to this {self.kind} instance"
+                f"element {_shown(a)} does not belong to this {self.kind} instance"
             )
         return a.payload
 
@@ -166,20 +164,6 @@ class EffectAlgebra(ABC):
         le = self._le
         return [q for q in (e.payload for e in self.elements())
                 if all(le(p, q) if upper else le(q, p) for p in payloads)]
-
-    def _chain_levels(self, rows, upper: bool):
-        """The carrier as the grid-chain walk sees it: level j admits the
-        common upper (upper) or lower bounds of rows[j], every element for an
-        empty row.  Chains are tuples of nodes led by zero's node;
-        extend(chains, j) continues each by every node of level j above its
-        last, in elements() order, and extremal(chain), for a chain ended by
-        one's node, tells whether no single value of it can move down (up,
-        for lower bounds) within its level while the chain stays monotone.
-        Bitsets over the compiled carrier on explicit carriers; payload lists
-        from the _bounds scan on lattice backends, which compile nothing."""
-        if not self.lattice_guaranteed:
-            return _BitLevels(self, rows, upper)
-        return _ScannedLevels(self, rows, upper)
 
     # -- public primitives -------------------------------------------------
 
@@ -278,8 +262,8 @@ def _parse_rational(obj) -> Fraction:
     if q is not None:
         return q
     if isinstance(obj, str):
-        raise ParseError(f"bad rational literal {obj!r}")
-    raise ParseError(f"expected a rational literal, got {obj!r}")
+        raise ParseError(f"bad rational literal {_shown(obj)}")
+    raise ParseError(f"expected a rational literal, got {_shown(obj)}")
 
 
 def _bounded_rational(obj) -> Fraction | None:
@@ -325,11 +309,15 @@ OVERSIZED = f"<integer or rational of over {RATIONAL_DIGIT_CAP} digits>"
 
 def _shown(value, text=repr) -> str:
     """text(value) for an error message, or the OVERSIZED placeholder when
-    value holds a number that Python refuses to print (over RATIONAL_DIGIT_CAP digits)."""
+    value holds a number that Python refuses to print (over RATIONAL_DIGIT_CAP digits).
+    A text over SHOWN_CAP characters is cut there, its full length noted."""
     try:
-        return text(value)
+        shown = text(value)
     except ValueError:
         return OVERSIZED
+    if len(shown) > SHOWN_CAP:
+        return f"{shown[:SHOWN_CAP]}... ({len(shown)} characters)"
+    return shown
 
 
 def _ground_set(kind: str, omega) -> int:
@@ -338,80 +326,6 @@ def _ground_set(kind: str, omega) -> int:
     if omega > GROUND_SET_CAP:
         raise CarrierTooLarge(f"{kind} ground set exceeds cap {GROUND_SET_CAP}")
     return omega
-
-
-class _BitLevels:
-    """Chain levels on a compiled carrier: nodes are element indices, a level
-    is the bitset of _common, and every test is a few ANDs; _le is never called."""
-
-    def __init__(self, alg: EffectAlgebra, rows, upper: bool) -> None:
-        self.levels = [alg._common(row, upper) for row in rows]
-        self._ups = alg._ups
-        self._near, self._far = (alg._ups, alg._downs) if upper else (alg._downs, alg._ups)
-        self._side = 0 if upper else 2
-        self.zero, self.one = alg._bit[alg.zero.payload], alg._bit[alg.one.payload]
-        self.payload = alg._payloads.__getitem__
-
-    def extend(self, chains: list, j: int) -> list:
-        # successors: the bits of up[last] & level, low bit first
-        ups, level, out = self._ups, self.levels[j], []
-        for c in chains:
-            s = ups[c[-1]] & level
-            while s:
-                low = s & -s
-                out.append((*c, low.bit_length() - 1))
-                s ^= low
-        return out
-
-    def extremal(self, chain: tuple) -> bool:
-        # at each level the chain's node is the only admitted one between
-        # itself and its neighbour on the anchor side
-        near, far, side = self._near, self._far, self._side
-        for j, level in enumerate(self.levels):
-            node = chain[j + 1]
-            if near[chain[j + side]] & level & far[node] != 1 << node:
-                return False
-        return True
-
-
-class _ScannedLevels:
-    """Chain levels on a lattice backend: nodes are payloads, a level is the
-    list of the _bounds scan, and every test calls _le.  The extremal nodes
-    of a level beside one anchor are found once, with |candidates| x
-    |answer| tests: one test per candidate on a lattice, whose answer is a
-    single node."""
-
-    def __init__(self, alg: EffectAlgebra, rows, upper: bool) -> None:
-        le = self._le = alg._le
-        self.levels = [alg._bounds(row, upper) for row in rows]
-        # extremal nodes are the minimal ones in this order
-        self._toward = le if upper else (lambda a, b: le(b, a))
-        self._side = 0 if upper else 2
-        self._extremes: dict = {}
-        self.zero, self.one = alg.zero.payload, alg.one.payload
-
-    @staticmethod
-    def payload(node):
-        return node
-
-    def extend(self, chains: list, j: int) -> list:
-        le, level = self._le, self.levels[j]
-        return [(*c, e) for c in chains for e in level if le(c[-1], e)]
-
-    def extremal(self, chain: tuple) -> bool:
-        toward, side = self._toward, self._side
-        for j, level in enumerate(self.levels):
-            anchor = chain[j + side]
-            ext = self._extremes.get((j, anchor))
-            if ext is None:
-                ext = []
-                for e in level:
-                    if toward(anchor, e) and not any(toward(m, e) for m in ext):
-                        ext = [m for m in ext if not toward(e, m)] + [e]
-                self._extremes[j, anchor] = ext
-            if chain[j + 1] not in ext:
-                return False
-        return True
 
 
 class MVChain(EffectAlgebra):
@@ -533,7 +447,7 @@ class FiniteSetAlgebra(_BitmaskAlgebra):
         mask = 0
         for p in points:
             if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < self.omega:
-                raise SetOutOfRange(f"point {p!r} outside ground set of size {self.omega}")
+                raise SetOutOfRange(f"point {_shown(p)} outside ground set of size {self.omega}")
             mask |= 1 << p
         return self._wrap(mask)
 
@@ -548,13 +462,13 @@ class FiniteSetAlgebra(_BitmaskAlgebra):
 
     def element_from_json(self, obj):
         if not isinstance(obj, list):
-            raise ParseError(f"set literal must be an array of indices, got {obj!r}")
+            raise ParseError(f"set literal must be an array of indices, got {_shown(obj)}")
         seen = set()
         for p in obj:
             if isinstance(p, (list, dict)):
                 break  # no point: subset refuses it
             if p in seen:
-                raise ParseError(f"duplicate point {p!r} in set literal")
+                raise ParseError(f"duplicate point {_shown(p)} in set literal")
             seen.add(p)
         return self.subset(obj)
 
@@ -590,7 +504,7 @@ class TableEffectAlgebra(EffectAlgebra):
                 raise InvalidAlgebra("addition table must be square")
             for entry in row:
                 if entry is not None and not (isinstance(entry, int) and 0 <= entry < m):
-                    raise InvalidAlgebra(f"bad table entry {entry!r}")
+                    raise InvalidAlgebra(f"bad table entry {_shown(entry)}")
         if not (0 <= zero < m and 0 <= one < m):
             raise InvalidAlgebra("zero/one indices out of range")
         if zero == one:
@@ -649,7 +563,7 @@ class TableEffectAlgebra(EffectAlgebra):
 
     def element(self, index: int) -> EffectElement:
         if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < self.m:
-            raise ParseError(f"table element index {index!r} out of range")
+            raise ParseError(f"table element index {_shown(index)} out of range")
         return self._elems[index]
 
     def _add(self, pa, pb):
@@ -815,7 +729,7 @@ class FiniteTribe(EffectAlgebra):
                 raise ParseError(str(exc)) from exc
         p = self._numerators(f)
         if self.carrier is not None and p not in self._bit:
-            raise ParseError(f"function {f!r} is outside the restricted carrier")
+            raise ParseError(f"function {_shown(f)} is outside the restricted carrier")
         return self._wrap(p)
 
     def function_values(self, a: EffectElement) -> tuple[Fraction, ...]:
@@ -866,7 +780,7 @@ class FiniteTribe(EffectAlgebra):
 
     def element_from_json(self, obj):
         if not isinstance(obj, list):
-            raise ParseError(f"tribe element must be an array of rationals, got {obj!r}")
+            raise ParseError(f"tribe element must be an array of rationals, got {_shown(obj)}")
         return self.element(obj)
 
 
@@ -902,7 +816,7 @@ class QuotientBooleanAlgebra(_BitmaskAlgebra):
         null_mask = 0
         for p in null_points:
             if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < omega:
-                raise SetOutOfRange(f"null point {p!r} outside ground set of size {omega}")
+                raise SetOutOfRange(f"null point {_shown(p)} outside ground set of size {omega}")
             null_mask |= 1 << p
         if null_mask == self.base.full_mask:
             raise InvalidAlgebra("null set cannot be the whole ground set")
@@ -937,5 +851,5 @@ class QuotientBooleanAlgebra(_BitmaskAlgebra):
 
     def element_from_json(self, obj):
         if not isinstance(obj, list):
-            raise ParseError(f"set literal must be an array of indices, got {obj!r}")
+            raise ParseError(f"set literal must be an array of indices, got {_shown(obj)}")
         return self.quotient_map(obj)

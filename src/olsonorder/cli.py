@@ -17,6 +17,7 @@ import json
 import sys
 from typing import TYPE_CHECKING
 
+from .algebras import _shown
 from .errors import (
     BackendMismatch,
     DimensionMismatch,
@@ -57,7 +58,7 @@ def _seed(text: str) -> int:
     try:
         val = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {_shown(text)}")
     if not 0 <= val < 2 ** 64:
         raise argparse.ArgumentTypeError("seed must fit an unsigned 64-bit integer")
     return val
@@ -67,7 +68,7 @@ def _positive(text: str) -> int:
     try:
         val = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"cap must be an integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"cap must be an integer, got {_shown(text)}")
     if val < 1:
         raise argparse.ArgumentTypeError("cap must be positive")
     return val
@@ -92,11 +93,11 @@ def _tolerances(args) -> Tolerances:
     for item in args.tol or ():
         name, eq, val = item.partition("=")
         if not eq or not name:
-            raise ParseError(f"--tol needs NAME=FLOAT, got {item!r}")
+            raise ParseError(f"--tol needs NAME=FLOAT, got {_shown(item)}")
         try:
             overrides[name] = float(val)
         except ValueError:
-            raise ParseError(f"--tol value {val!r} is not a number")
+            raise ParseError(f"--tol value {_shown(val)} is not a number")
     if not overrides:
         return DEFAULT_TOLERANCES
     try:

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .algebras import _shown
 from .errors import (
     CarrierTooLarge,
     DimensionMismatch,
@@ -447,7 +448,9 @@ def _lattice_bound(
     # (points, family, d, d): every grid point but the last, where the
     # resolution is I, combined in one call
     stack = np.stack([m.cumulative_stack_at(grid[:-1]) for m in measures], axis=1)
-    cums = np.empty((k, *eye.shape), dtype=stack.dtype)
+    # row 0 is the zero projection below the grid, as in SpectralMeasure
+    padded = np.zeros((k + 1, *eye.shape), dtype=stack.dtype)
+    cums = padded[1:]
     cums[:-1] = (_proj_join_many if meet else _proj_meet_many)(stack, tol)
     cums[-1] = eye
     # monotone repair: resolutions must be nondecreasing, so a point whose
@@ -464,10 +467,8 @@ def _lattice_bound(
         cums[i] = _proj_join_many(cums[i - 1 : i + 1], tol)
         start = i + 1
     # sum_i t_i (P_i - P_{i-1})
-    steps = cums.copy()
-    steps[1:] -= cums[:-1]
-    mat = np.einsum("t,tij->ij", grid, steps)
-    return HermitianOperator._trusted((mat + mat.conj().T) / 2.0, tol)
+    bound = SpectralMeasure._wrap(grid, padded, scale, tol)
+    return HermitianOperator._trusted(bound.reconstruct(), tol)
 
 
 def spectral_meet(operators: Iterable, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
@@ -507,10 +508,10 @@ def matrix_to_json(a) -> dict:
 
 def matrix_from_json(obj, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
     if not isinstance(obj, dict) or "dim" not in obj or "re" not in obj:
-        raise ParseError(f"matrix literal needs 'dim' and 're', got {obj!r}")
+        raise ParseError(f"matrix literal needs 'dim' and 're', got {_shown(obj)}")
     dim = obj["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ParseError(f"matrix 'dim' must be a positive integer, got {dim!r}")
+        raise ParseError(f"matrix 'dim' must be a positive integer, got {_shown(dim)}")
 
     def _rows(field: str) -> np.ndarray:
         rows = obj[field]
@@ -523,9 +524,9 @@ def matrix_from_json(obj, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOper
         for r in rows:
             for v in r:
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ParseError(f"matrix entry {v!r} is not a number")
+                    raise ParseError(f"matrix entry {_shown(v)} is not a number")
                 if not abs(v) <= NORM_CAP:  # also refuses NaN
-                    raise ParseError(f"matrix entry {v!r} is not finite or too large")
+                    raise ParseError(f"matrix entry {_shown(v)} is not finite or too large")
         return np.array(rows, dtype=np.float64)
 
     mat: np.ndarray = _rows("re")

@@ -19,6 +19,7 @@ from .algebras import (
     FiniteTribe,
     QuotientBooleanAlgebra,
     _parse_rational,
+    _shown,
     rational_to_json,
 )
 from .errors import (
@@ -65,7 +66,7 @@ class MeasurableFunction:
     @classmethod
     def from_json(cls, obj) -> "MeasurableFunction":
         if not isinstance(obj, dict) or not isinstance(obj.get("values"), list):
-            raise ParseError(f"function literal needs a 'values' array, got {obj!r}")
+            raise ParseError(f"function literal needs a 'values' array, got {_shown(obj)}")
         return cls(obj["values"])
 
 
@@ -207,7 +208,7 @@ class MarkovKernel:
     @classmethod
     def from_json(cls, obj) -> "MarkovKernel":
         if not isinstance(obj, dict) or not isinstance(obj.get("rows"), list):
-            raise ParseError(f"kernel literal needs a 'rows' array, got {obj!r}")
+            raise ParseError(f"kernel literal needs a 'rows' array, got {_shown(obj)}")
         rows = []
         for row in obj["rows"]:
             if (
@@ -216,7 +217,9 @@ class MarkovKernel:
                 or not isinstance(row.get("mass"), list)
                 or len(row["support"]) != len(row["mass"])
             ):
-                raise ParseError(f"kernel row needs paired 'support' and 'mass' arrays, got {row!r}")
+                raise ParseError(
+                    f"kernel row needs paired 'support' and 'mass' arrays, got {_shown(row)}"
+                )
             rows.append(list(zip(row["support"], row["mass"])))
         return cls(rows)
 

@@ -374,22 +374,102 @@ def _check_cap(algebra: EffectAlgebra, size: int, cap: int) -> None:
     raise CertificationTooLarge(f"up to {shown} grid observables exceeds cap {cap}")
 
 
+class _BitLevels:
+    """Chain levels on a compiled carrier: nodes are element indices, a level
+    is the bitset of _common, and every test is a few ANDs; _le is never called."""
+
+    def __init__(self, alg: EffectAlgebra, rows, upper: bool) -> None:
+        self.levels = [alg._common(row, upper) for row in rows]
+        self._ups = alg._ups
+        self._near, self._far = (alg._ups, alg._downs) if upper else (alg._downs, alg._ups)
+        self._side = 0 if upper else 2
+        self.zero, self.one = alg._bit[alg.zero.payload], alg._bit[alg.one.payload]
+        self.payload = alg._payloads.__getitem__
+
+    def extend(self, chains: list, j: int) -> list:
+        # successors: the bits of up[last] & level, low bit first
+        ups, level, out = self._ups, self.levels[j], []
+        for c in chains:
+            s = ups[c[-1]] & level
+            while s:
+                low = s & -s
+                out.append((*c, low.bit_length() - 1))
+                s ^= low
+        return out
+
+    def extremal(self, chain: tuple) -> bool:
+        # at each level the chain's node is the only admitted one between
+        # itself and its neighbour on the anchor side
+        near, far, side = self._near, self._far, self._side
+        for j, level in enumerate(self.levels):
+            node = chain[j + 1]
+            if near[chain[j + side]] & level & far[node] != 1 << node:
+                return False
+        return True
+
+
+class _ScannedLevels:
+    """Chain levels on a lattice backend: nodes are payloads, a level is the
+    list of the _bounds scan, and every test calls _le.  The extremal nodes
+    of a level beside one anchor are found once, with |candidates| x
+    |answer| tests: one test per candidate on a lattice, whose answer is a
+    single node."""
+
+    def __init__(self, alg: EffectAlgebra, rows, upper: bool) -> None:
+        le = self._le = alg._le
+        self.levels = [alg._bounds(row, upper) for row in rows]
+        # extremal nodes are the minimal ones in this order
+        self._toward = le if upper else (lambda a, b: le(b, a))
+        self._side = 0 if upper else 2
+        self._extremes: dict = {}
+        self.zero, self.one = alg.zero.payload, alg.one.payload
+
+    @staticmethod
+    def payload(node):
+        return node
+
+    def extend(self, chains: list, j: int) -> list:
+        le, level = self._le, self.levels[j]
+        return [(*c, e) for c in chains for e in level if le(c[-1], e)]
+
+    def extremal(self, chain: tuple) -> bool:
+        toward, side = self._toward, self._side
+        for j, level in enumerate(self.levels):
+            anchor = chain[j + side]
+            ext = self._extremes.get((j, anchor))
+            if ext is None:
+                ext = []
+                for e in level:
+                    if toward(anchor, e) and not any(toward(m, e) for m in ext):
+                        ext = [m for m in ext if not toward(e, m)] + [e]
+                self._extremes[j, anchor] = ext
+            if chain[j + 1] not in ext:
+                return False
+        return True
+
+
 def _grid_chains(
     algebra: EffectAlgebra, size: int, cap: int, rows: Sequence = (), upper: bool = True
 ):
     """Every monotone chain 0 <= c_1 <= ... <= c_size = one of closed values
-    on a grid of size points, as a tuple of nodes of the carrier view
-    algebra._chain_levels, led by zero's node; returns (view, chains).
+    on a grid of size points, as a tuple of nodes of a chain-level view of
+    the carrier, led by zero's node; returns (view, chains).
 
     The value at point j < size - 1 runs through level j, which admits
     the common upper (upper) or lower bounds of rows[j] and every element
-    when rows is empty.  Each chain's successors are the elements of the
-    next level above its last value, in elements() order, so chains come
-    in depth-first enumeration order.  Raises CertificationTooLarge when
-    the unpruned chain space can exceed cap; no level is listed before that check.
+    when rows is empty.  The view is _BitLevels on explicit carriers and
+    _ScannedLevels on lattice backends, which compile nothing.  Its
+    extend(chains, j) continues each chain by every node of level j above
+    its last, in elements() order, so chains come in depth-first
+    enumeration order; extremal(chain), for a chain ended by one's node,
+    tells whether no single value of it can move down (up, for lower
+    bounds) within its level while the chain stays monotone.  Raises
+    CertificationTooLarge when the unpruned chain space can exceed cap;
+    no level is listed before that check.
     """
     _check_cap(algebra, size, cap)
-    view = algebra._chain_levels(rows or [()] * (size - 1), upper)
+    levels = _ScannedLevels if algebra.lattice_guaranteed else _BitLevels
+    view = levels(algebra, rows or [()] * (size - 1), upper)
     chains = [(view.zero,)]
     for j in range(size - 1):
         chains = view.extend(chains, j)

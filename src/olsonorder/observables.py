@@ -15,13 +15,26 @@ weights are read from it and StepResolution is a view of it.
 
 All scalars are `fractions.Fraction`; Borel sets are finite unions of
 rational intervals, and spectrum maps are piecewise affine with rational
-coefficients, so every operation here is exact.
+coefficients, so every operation here is exact, including evaluate,
+apply_map and preimage.
+
+An interval is stored on the order of Dedekind cuts: the cut (t, 0) sits
+just below t and (t, 1) just above it, and (-inf, 1) and (inf, 0) are
+the two ends of the line.  An interval is the cut range start <= c < end
+(a closed lower end a starts at (a, 0), an open one at (a, 1); a closed
+upper end b ends at (b, 1), an open one at (b, 0)) and holds t iff
+start <= (t, 0) < end.  So emptiness, intersection (the larger start,
+the smaller end), the merge of a union (while the next start is at most
+the current end), the complement (the gaps between consecutive cuts)
+and a preimage (t -> p*t + q moves each cut, and p < 0 reverses them and
+flips each side) are each one comparison of cuts.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .algebras import EffectAlgebra, EffectElement, _shown
@@ -44,70 +57,60 @@ def _rational(t) -> Fraction:
     return t if type(t) is Fraction else Fraction(t)
 
 
+_INF = float("inf")
+_ENDS = (-_INF, _INF)
+
+
+def _pulled(cut, p: Fraction, q: Fraction):
+    """The cut that t -> p*t + q (p nonzero) sends onto cut: its point moves
+    to (c - q)/p, and when p < 0 reverses the order its side flips."""
+    c, side = cut
+    if p > 0:
+        return (c if c in _ENDS else (c - q) / p, side)
+    return (-c if c in _ENDS else (c - q) / p, 1 - side)
+
+
 class Interval:
     """One rational interval; None endpoints are infinite and always open."""
 
-    __slots__ = ("lo", "hi", "lo_closed", "hi_closed")
+    __slots__ = ("start", "end")
 
-    def __init__(
-        self,
-        lo: Fraction | None,
-        hi: Fraction | None,
-        lo_closed: bool = False,
-        hi_closed: bool = False,
-    ) -> None:
-        if lo is None:
-            lo_closed = False
-        if hi is None:
-            hi_closed = False
-        if lo is not None and hi is not None:
-            if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
-                raise ParseError(f"empty interval ({lo}, {hi})")
-        self.lo = lo
-        self.hi = hi
-        self.lo_closed = lo_closed
-        self.hi_closed = hi_closed
+    def __init__(self, lo: Fraction | None, hi: Fraction | None,
+                 lo_closed: bool = False, hi_closed: bool = False) -> None:
+        self.start = (-_INF, 1) if lo is None else (lo, 0 if lo_closed else 1)
+        self.end = (_INF, 0) if hi is None else (hi, 1 if hi_closed else 0)
+        if self.end <= self.start:
+            raise ParseError(f"empty interval ({_shown(lo, str)}, {_shown(hi, str)})")
+
+    @classmethod
+    def _cut(cls, start, end) -> "Interval | None":
+        """The interval of the cut range [start, end), None when it is empty."""
+        if end <= start:
+            return None
+        iv = object.__new__(cls)
+        iv.start, iv.end = start, end
+        return iv
+
+    lo = property(lambda self: None if self.start[0] in _ENDS else self.start[0])
+    hi = property(lambda self: None if self.end[0] in _ENDS else self.end[0])
+    lo_closed = property(lambda self: self.start[1] == 0)
+    hi_closed = property(lambda self: self.end[1] == 1)
 
     def contains(self, t: Fraction) -> bool:
-        if self.lo is not None and (t < self.lo or (t == self.lo and not self.lo_closed)):
-            return False
-        if self.hi is not None and (t > self.hi or (t == self.hi and not self.hi_closed)):
-            return False
-        return True
+        # start <= (t, 0) < end, one comparison of t per end
+        (a, s), (b, e) = self.start, self.end
+        return (a < t if s else a <= t) and (t <= b if e else t < b)
 
     def intersect(self, other: "Interval") -> "Interval | None":
-        if other.lo is None or (self.lo is not None and self.lo > other.lo):
-            lo, lo_closed = self.lo, self.lo_closed
-        elif self.lo is None or other.lo > self.lo:
-            lo, lo_closed = other.lo, other.lo_closed
-        else:
-            lo, lo_closed = self.lo, self.lo_closed and other.lo_closed
-        if other.hi is None or (self.hi is not None and self.hi < other.hi):
-            hi, hi_closed = self.hi, self.hi_closed
-        elif self.hi is None or other.hi < self.hi:
-            hi, hi_closed = other.hi, other.hi_closed
-        else:
-            hi, hi_closed = self.hi, self.hi_closed and other.hi_closed
-        if lo is not None and hi is not None:
-            if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
-                return None
-        return Interval(lo, hi, lo_closed, hi_closed)
-
-    def _key(self):
-        return (
-            self.lo is not None,
-            self.lo if self.lo is not None else Fraction(0),
-            not self.lo_closed,
-        )
+        return Interval._cut(max(self.start, other.start), min(self.end, other.end))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Interval):
             return NotImplemented
-        return (self.lo, self.hi, self.lo_closed, self.hi_closed) == (
-            other.lo, other.hi, other.lo_closed, other.hi_closed)
+        return (self.start, self.end) == (other.start, other.end)
 
     def __hash__(self) -> int:
-        return hash((self.lo, self.hi, self.lo_closed, self.hi_closed))
+        return hash((self.start, self.end))
 
     def __repr__(self) -> str:
         lo = "(-inf" if self.lo is None else ("[" if self.lo_closed else "(") + str(self.lo)
@@ -121,28 +124,14 @@ class BorelSetExpr:
     __slots__ = ("pieces",)
 
     def __init__(self, pieces: Iterable[Interval] = ()) -> None:
-        items = sorted(pieces, key=Interval._key)
         merged: list[Interval] = []
-        for piece in items:
-            if merged:
-                last = merged[-1]
-                # overlap, or touching with at least one closed end
-                touches = last.hi is None or (
-                    piece.lo is not None
-                    and (piece.lo < last.hi
-                         or (piece.lo == last.hi and (last.hi_closed or piece.lo_closed)))
-                ) or piece.lo is None
-                if touches:
-                    if last.hi is None or (
-                        piece.hi is not None and piece.hi < last.hi
-                    ) or (piece.hi is not None and piece.hi == last.hi):
-                        hi, hi_closed = last.hi, last.hi_closed or (
-                            piece.hi == last.hi and piece.hi_closed)
-                    else:
-                        hi, hi_closed = piece.hi, piece.hi_closed
-                    merged[-1] = Interval(last.lo, hi, last.lo_closed, hi_closed)
-                    continue
-            merged.append(piece)
+        for piece in sorted(pieces, key=attrgetter("start")):
+            # overlapping, or touching at a point one of them holds
+            if merged and piece.start <= merged[-1].end:
+                if merged[-1].end < piece.end:
+                    merged[-1] = Interval._cut(merged[-1].start, piece.end)
+            else:
+                merged.append(piece)
         self.pieces = tuple(merged)
 
     @classmethod
@@ -154,13 +143,8 @@ class BorelSetExpr:
         return cls((Interval(None, None),))
 
     @classmethod
-    def interval(
-        cls,
-        lo: Fraction | int | None,
-        hi: Fraction | int | None,
-        lo_closed: bool = False,
-        hi_closed: bool = False,
-    ) -> "BorelSetExpr":
+    def interval(cls, lo: Fraction | int | None, hi: Fraction | int | None,
+                 lo_closed: bool = False, hi_closed: bool = False) -> "BorelSetExpr":
         lo = Fraction(lo) if lo is not None else None
         hi = Fraction(hi) if hi is not None else None
         return cls((Interval(lo, hi, lo_closed, hi_closed),))
@@ -182,29 +166,13 @@ class BorelSetExpr:
         return BorelSetExpr(self.pieces + other.pieces)
 
     def complement(self) -> "BorelSetExpr":
-        out: list[Interval] = []
-        cursor: tuple[Fraction | None, bool] = (None, False)  # next gap start, closedness
-        for piece in self.pieces:
-            if piece.lo is not None:
-                lo, lo_closed = cursor
-                if lo is None or lo < piece.lo or (
-                    lo == piece.lo and lo_closed and not piece.lo_closed
-                ):
-                    out.append(Interval(lo, piece.lo, lo_closed, not piece.lo_closed))
-            if piece.hi is None:
-                return BorelSetExpr(out)
-            cursor = (piece.hi, not piece.hi_closed)
-        out.append(Interval(cursor[0], None, cursor[1], False))
-        return BorelSetExpr(out)
+        """The gaps before, between and after the pieces."""
+        cuts = [(-_INF, 1), *(c for iv in self.pieces for c in (iv.start, iv.end)), (_INF, 0)]
+        return BorelSetExpr(filter(None, map(Interval._cut, cuts[::2], cuts[1::2])))
 
     def intersect(self, other: "BorelSetExpr") -> "BorelSetExpr":
-        out = []
-        for a in self.pieces:
-            for b in other.pieces:
-                got = a.intersect(b)
-                if got is not None:
-                    out.append(got)
-        return BorelSetExpr(out)
+        pairs = (a.intersect(b) for a in self.pieces for b in other.pieces)
+        return BorelSetExpr(filter(None, pairs))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BorelSetExpr):
@@ -235,7 +203,7 @@ class PiecewiseMap:
         for i, (iv_a, _, _) in enumerate(items):
             for iv_b, _, _ in items[i + 1:]:
                 if iv_a.intersect(iv_b) is not None:
-                    raise ParseError(f"map pieces overlap: {iv_a!r} and {iv_b!r}")
+                    raise ParseError(f"map pieces overlap: {_shown(iv_a)} and {_shown(iv_b)}")
         self.pieces = items
 
     @classmethod
@@ -283,15 +251,8 @@ class PiecewiseMap:
                     out.append(iv)
                 continue
             for span in target.pieces:
-                if p > 0:
-                    lo = None if span.lo is None else (span.lo - q) / p
-                    hi = None if span.hi is None else (span.hi - q) / p
-                    pulled = Interval(lo, hi, span.lo_closed, span.hi_closed)
-                else:
-                    lo = None if span.hi is None else (span.hi - q) / p
-                    hi = None if span.lo is None else (span.lo - q) / p
-                    pulled = Interval(lo, hi, span.hi_closed, span.lo_closed)
-                got = pulled.intersect(iv)
+                ends = sorted((_pulled(span.start, p, q), _pulled(span.end, p, q)))
+                got = Interval._cut(*ends).intersect(iv)
                 if got is not None:
                     out.append(got)
         return BorelSetExpr(out)

@@ -18,6 +18,7 @@ from .algebras import (
     TableEffectAlgebra,
     _bounded_rational,
     _parse_rational,
+    _shown,
     rational_to_json,
 )
 from .errors import BackendMismatch, OlsonOrderError, ParseError
@@ -28,7 +29,7 @@ from .observables import SimpleObservable
 def algebra_from_json(obj) -> EffectAlgebra:
     """Build a backend from its JSON description."""
     if not isinstance(obj, dict) or "kind" not in obj:
-        raise ParseError(f"backend literal needs a 'kind' field, got {obj!r}")
+        raise ParseError(f"backend literal needs a 'kind' field, got {_shown(obj)}")
     kind = obj["kind"]
     try:
         if kind == "mv_chain":
@@ -58,13 +59,13 @@ def algebra_from_json(obj) -> EffectAlgebra:
     except OlsonOrderError as exc:
         # construction-time validation failures are input errors here
         raise ParseError(str(exc)) from exc
-    raise ParseError(f"unknown backend kind {kind!r}")
+    raise ParseError(f"unknown backend kind {_shown(kind)}")
 
 
 def _int_field(obj: dict, field: str) -> int:
     value = obj.get(field)
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f"backend field '{field}' must be an integer, got {value!r}")
+        raise ParseError(f"backend field '{field}' must be an integer, got {_shown(value)}")
     return value
 
 
@@ -86,7 +87,7 @@ def observable_from_json(algebra: EffectAlgebra, obj) -> SimpleObservable:
         or not isinstance(obj.get("weights"), list)
     ):
         raise ParseError(
-            f"observable literal needs 'points' and 'weights' arrays, got {obj!r}"
+            f"observable literal needs 'points' and 'weights' arrays, got {_shown(obj)}"
         )
     points = [_parse_rational(p) for p in obj["points"]]
     weights = []
@@ -98,7 +99,7 @@ def observable_from_json(algebra: EffectAlgebra, obj) -> SimpleObservable:
             weights.append(algebra.element_from_json(w))
         except ParseError as exc:
             raise BackendMismatch(
-                f"weight {w!r} does not type-check against the {algebra.kind} backend: {exc}"
+                f"weight {_shown(w)} does not type-check against the {algebra.kind} backend: {exc}"
             ) from exc
     return SimpleObservable(algebra, points, weights)
 

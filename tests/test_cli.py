@@ -379,3 +379,13 @@ def test_nested_literals_raise_typed_errors(capsys, tmp_path, backend, observabl
     obs = write_json(tmp_path, "x.json", observable) if observable else Q14
     got, out, err = run(["neg", write_json(tmp_path, "b.json", backend), obs], capsys)
     assert (got, out) == (code, "") and err.startswith(error + ": ")
+
+
+def test_error_messages_clip_echoed_input(capsys, tmp_path):
+    # the message shows the first 200 characters of an input it echoes
+    ints = write_json(tmp_path, "ints.json", list(range(300_000)))
+    long_weights = write_json(tmp_path, "x.json", {"points": ["0"], "weights": "w" * 10**6})
+    for argv in (["cmp", ints, Q14, Q34], ["cmp", MV4, long_weights, Q34]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "") and err.startswith("ParseError: ")
+        assert len(err.encode()) < 1000 and "characters)" in err

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import time
 from fractions import Fraction
 
@@ -218,3 +219,95 @@ def test_oversized_rationals_raise_typed_errors(call, error):
     with pytest.raises(error, match="rational of over 4300 digits"):
         call()
     assert time.perf_counter() - start < 1.0
+
+
+# -- Borel sets and spectrum maps, checked point by point ---------------------
+
+_ENDS = [F(k, 2) for k in range(-4, 5)]
+# every endpoint, preimage of an endpoint and point between two of them
+# in the drawn data is some k/8 here
+_PROBES = [F(k, 8) for k in range(-80, 81)]
+
+
+def _draw_interval(rng):
+    while True:
+        lo, hi = (None if rng.random() < 0.15 else rng.choice(_ENDS) for _ in "lh")
+        try:
+            return Interval(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
+        except ParseError:
+            pass
+
+
+def _draw_set(rng):
+    return BorelSetExpr(_draw_interval(rng) for _ in range(rng.randrange(5)))
+
+
+def _draw_map(rng):
+    """Pieces between sorted cuts, each cut held by the piece on its left,
+    on its right or by neither; some pieces dropped, so maps may be partial."""
+    cuts = [None, *sorted(rng.sample(_ENDS, rng.randrange(4))), None]
+    sides = [rng.randrange(3) for _ in cuts]
+    pieces = []
+    for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+        if rng.random() < 0.8:
+            iv = Interval(lo, hi, sides[i] == 1, sides[i + 1] == 0)
+            p = rng.choice((F(0), F(1), F(-1), F(2), F(-1, 2)))
+            pieces.append((iv, p, rng.choice(_ENDS)))
+    rng.shuffle(pieces)
+    return PiecewiseMap(pieces)
+
+
+def _assert_canonical(expr):
+    # sorted, disjoint and not touching: two pieces that meet at a point
+    # both leave it out
+    for a, b in zip(expr.pieces, expr.pieces[1:]):
+        assert a.hi is not None and b.lo is not None
+        assert a.hi < b.lo or (a.hi == b.lo and not a.hi_closed and not b.lo_closed)
+
+
+def test_set_operations_match_pointwise_membership():
+    rng = random.Random(2024)
+    for _ in range(150):
+        a, b = _draw_set(rng), _draw_set(rng)
+        union, meet, comp = a.union(b), a.intersect(b), a.complement()
+        for expr in (a, union, meet, comp):
+            _assert_canonical(expr)
+        for t in _PROBES:
+            in_a, in_b = a.contains(t), b.contains(t)
+            assert union.contains(t) == (in_a or in_b)
+            assert meet.contains(t) == (in_a and in_b)
+            assert comp.contains(t) != in_a
+        assert comp.complement() == a
+
+
+def test_preimage_holds_the_points_mapped_into_the_set():
+    rng = random.Random(4048)
+    for _ in range(150):
+        mapping, target = _draw_map(rng), _draw_set(rng)
+        pulled = mapping.preimage(target)
+        _assert_canonical(pulled)
+        for t in _PROBES:
+            try:
+                want = target.contains(mapping.evaluate(t))
+            except MapUndefinedOnSpectrum:
+                want = False
+            assert pulled.contains(t) == want
+
+
+def test_borel_inputs_raise_parse_errors():
+    with pytest.raises(ParseError, match=r"^empty interval \(1, 0\)$"):
+        Interval(F(1), F(0), True, True)
+    with pytest.raises(ParseError, match="empty interval"):
+        Interval(F(1), F(1), True, False)
+    with pytest.raises(ParseError, match="empty interval"):
+        BorelSetExpr.interval(2, 2)
+    with pytest.raises(ParseError, match=r"^map pieces overlap: \(-inf, 1\] and \[1, 2\)$"):
+        PiecewiseMap((
+            (Interval(None, F(1), False, True), F(1), F(0)),
+            (Interval(F(1), F(2), True, False), F(0), F(0)),
+        ))
+    # endpoints too long to print still get the typed error
+    with pytest.raises(ParseError, match="rational of over 4300 digits"):
+        Interval(HUGE, F(0))
+    with pytest.raises(ParseError, match="rational of over 4300 digits"):
+        PiecewiseMap(((Interval(F(0), HUGE), F(1), F(0)), (Interval(F(1), F(2)), F(1), F(0))))
