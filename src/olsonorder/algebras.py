@@ -165,6 +165,29 @@ class EffectAlgebra(ABC):
         return [q for q in (e.payload for e in self.elements())
                 if all(le(p, q) if upper else le(q, p) for p in payloads)]
 
+    def _extremes(self, payloads, upper: bool) -> list:
+        """The minimal common upper bounds (upper) or maximal common lower
+        bounds of payloads, in elements() order: on explicit carriers the
+        bits i of S = _common with down[i] & S (up[i], for lower bounds)
+        holding only i, on the others a minimal-element pass over _bounds."""
+        if not self.lattice_guaranteed:
+            s = self._common(payloads, upper)
+            near, out, rest = self._downs if upper else self._ups, [], s
+            while rest:
+                low = rest & -rest
+                i = low.bit_length() - 1
+                if near[i] & s == low:
+                    out.append(self._payloads[i])
+                rest ^= low
+            return out
+        le = self._le
+        toward = le if upper else (lambda a, b: le(b, a))
+        ext: list = []
+        for e in self._bounds(payloads, upper):
+            if not any(toward(m, e) for m in ext):
+                ext = [m for m in ext if not toward(e, m)] + [e]
+        return ext
+
     # -- public primitives -------------------------------------------------
 
     def add(self, a: EffectElement, b: EffectElement) -> EffectElement | None:
@@ -221,6 +244,8 @@ class EffectAlgebra(ABC):
     # -- enumeration -----------------------------------------------------
 
     def elements(self) -> Iterator[EffectElement]:
+        """Every element once, with payloads in increasing order, so that
+        sorting payload tuples restores the order of chains listed from it."""
         raise NotEnumerable(f"{self.kind} carrier is not finitely enumerable")
 
     @property

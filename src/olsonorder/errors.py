@@ -97,4 +97,5 @@ class EigendecompositionFailure(OlsonOrderError):
 
 
 class ParseError(OlsonOrderError):
-    """Malformed JSON input for a backend, element, observable or matrix."""
+    """Malformed JSON input for a backend, element, observable or matrix,
+    or a point that is no rational number."""

@@ -26,10 +26,12 @@ route against, and no default path runs it.  When some pointwise bound
 does not exist in the backend, existence is settled by exhaustive
 enumeration of all observables on the merged grid, which is sound and
 complete: any lower or upper bound can be moved onto the grid without
-leaving the bounding set.  The enumeration walks chains of closed values
-on the backend's chain levels (bitsets on explicit carriers), and each
-chain is tested for extremality point by point rather than against the
-other chains.
+leaving the bounding set.  The enumeration walks only the frontier: a
+maximal lower bound's closed value at each point is a minimal common
+upper bound of the family's values there and its own value at the point
+before, so the walk branches over the backend's extremal bounds
+(EffectAlgebra._extremes) point by point and never lists a chain that
+is not extremal.
 """
 
 from __future__ import annotations
@@ -374,108 +376,6 @@ def _check_cap(algebra: EffectAlgebra, size: int, cap: int) -> None:
     raise CertificationTooLarge(f"up to {shown} grid observables exceeds cap {cap}")
 
 
-class _BitLevels:
-    """Chain levels on a compiled carrier: nodes are element indices, a level
-    is the bitset of _common, and every test is a few ANDs; _le is never called."""
-
-    def __init__(self, alg: EffectAlgebra, rows, upper: bool) -> None:
-        self.levels = [alg._common(row, upper) for row in rows]
-        self._ups = alg._ups
-        self._near, self._far = (alg._ups, alg._downs) if upper else (alg._downs, alg._ups)
-        self._side = 0 if upper else 2
-        self.zero, self.one = alg._bit[alg.zero.payload], alg._bit[alg.one.payload]
-        self.payload = alg._payloads.__getitem__
-
-    def extend(self, chains: list, j: int) -> list:
-        # successors: the bits of up[last] & level, low bit first
-        ups, level, out = self._ups, self.levels[j], []
-        for c in chains:
-            s = ups[c[-1]] & level
-            while s:
-                low = s & -s
-                out.append((*c, low.bit_length() - 1))
-                s ^= low
-        return out
-
-    def extremal(self, chain: tuple) -> bool:
-        # at each level the chain's node is the only admitted one between
-        # itself and its neighbour on the anchor side
-        near, far, side = self._near, self._far, self._side
-        for j, level in enumerate(self.levels):
-            node = chain[j + 1]
-            if near[chain[j + side]] & level & far[node] != 1 << node:
-                return False
-        return True
-
-
-class _ScannedLevels:
-    """Chain levels on a lattice backend: nodes are payloads, a level is the
-    list of the _bounds scan, and every test calls _le.  The extremal nodes
-    of a level beside one anchor are found once, with |candidates| x
-    |answer| tests: one test per candidate on a lattice, whose answer is a
-    single node."""
-
-    def __init__(self, alg: EffectAlgebra, rows, upper: bool) -> None:
-        le = self._le = alg._le
-        self.levels = [alg._bounds(row, upper) for row in rows]
-        # extremal nodes are the minimal ones in this order
-        self._toward = le if upper else (lambda a, b: le(b, a))
-        self._side = 0 if upper else 2
-        self._extremes: dict = {}
-        self.zero, self.one = alg.zero.payload, alg.one.payload
-
-    @staticmethod
-    def payload(node):
-        return node
-
-    def extend(self, chains: list, j: int) -> list:
-        le, level = self._le, self.levels[j]
-        return [(*c, e) for c in chains for e in level if le(c[-1], e)]
-
-    def extremal(self, chain: tuple) -> bool:
-        toward, side = self._toward, self._side
-        for j, level in enumerate(self.levels):
-            anchor = chain[j + side]
-            ext = self._extremes.get((j, anchor))
-            if ext is None:
-                ext = []
-                for e in level:
-                    if toward(anchor, e) and not any(toward(m, e) for m in ext):
-                        ext = [m for m in ext if not toward(e, m)] + [e]
-                self._extremes[j, anchor] = ext
-            if chain[j + 1] not in ext:
-                return False
-        return True
-
-
-def _grid_chains(
-    algebra: EffectAlgebra, size: int, cap: int, rows: Sequence = (), upper: bool = True
-):
-    """Every monotone chain 0 <= c_1 <= ... <= c_size = one of closed values
-    on a grid of size points, as a tuple of nodes of a chain-level view of
-    the carrier, led by zero's node; returns (view, chains).
-
-    The value at point j < size - 1 runs through level j, which admits
-    the common upper (upper) or lower bounds of rows[j] and every element
-    when rows is empty.  The view is _BitLevels on explicit carriers and
-    _ScannedLevels on lattice backends, which compile nothing.  Its
-    extend(chains, j) continues each chain by every node of level j above
-    its last, in elements() order, so chains come in depth-first
-    enumeration order; extremal(chain), for a chain ended by one's node,
-    tells whether no single value of it can move down (up, for lower
-    bounds) within its level while the chain stays monotone.  Raises
-    CertificationTooLarge when the unpruned chain space can exceed cap;
-    no level is listed before that check.
-    """
-    _check_cap(algebra, size, cap)
-    levels = _ScannedLevels if algebra.lattice_guaranteed else _BitLevels
-    view = levels(algebra, rows or [()] * (size - 1), upper)
-    chains = [(view.zero,)]
-    for j in range(size - 1):
-        chains = view.extend(chains, j)
-    return view, [(*c, view.one) for c in chains]
-
-
 def enumerate_grid_observables(
     algebra: EffectAlgebra,
     grid: Sequence[Fraction],
@@ -492,9 +392,14 @@ def enumerate_grid_observables(
     pts = tuple(sorted({_rational(t) for t in grid}))
     if not pts:
         raise EmptyFamily("grid must be nonempty")
-    view, chains = _grid_chains(algebra, len(pts), cap)
+    _check_cap(algebra, len(pts), cap)
+    # each value runs over the upper bounds of the last in elements() order,
+    # so the chains come in depth-first enumeration order
+    chains = [(algebra.zero.payload,)]
+    for _ in pts[1:]:
+        chains = [(*c, e) for c in chains for e in algebra._bounds(c[-1:], True)]
     for c in chains:
-        yield _pack_closed(algebra, pts, list(map(view.payload, c[1:])))
+        yield _pack_closed(algebra, pts, [*c[1:], algebra.one.payload])
 
 
 def _brute_force(xs: Iterable[SimpleObservable], cap: int, lower: bool) -> BoundResult:
@@ -503,29 +408,33 @@ def _brute_force(xs: Iterable[SimpleObservable], cap: int, lower: bool) -> Bound
     in enumeration order.
 
     On one grid the Olson order is the reversed pointwise order of the
-    closed values, so the walk admits at each point only the values that
-    bound the family's there, and a lower bound is maximal iff its chain
-    is pointwise minimal among the admitted chains.  If an admitted chain
-    h lies pointwise below g, so does g with its value at the first point
-    where they differ lowered to h's; so g is minimal iff at each point
-    its value is the only admitted one between g's value at the point
-    before (zero before the grid) and itself.  Dually, an upper bound's
-    value must be the only admitted one between itself and its value at
-    the point after (one past the grid).  In a finite set the only minimal
-    chain, if there is just one, is the least, so the bound exists iff
-    exactly one chain passes; only what is returned is built.
+    closed values, so a lower bound's chain takes at each point a value
+    above the family's there, and it is maximal iff the chain is
+    pointwise minimal among such chains.  If one of them, h, lies
+    pointwise below g, so does g with its value at the first point where
+    they differ lowered to h's; so g is minimal iff at each point its
+    value is a minimal common upper bound of the family's values there
+    and g's value at the point before (zero before the grid).  The walk
+    builds exactly these chains, left to right, branching over the
+    minimal bounds at each point.  Dually, an upper bound's value is a
+    maximal common lower bound of the family's values and its value at
+    the point after (one past the grid), walked right to left and sorted
+    back into enumeration order.  The frontier is never empty, and in a
+    finite set the only minimal chain, if there is just one, is the
+    least, so the bound exists iff the walk never branches.
     """
     family = _family(xs)
     alg = family[0].algebra
     grid, columns = _columns(family)
-    # a lower bound's closed values sit above the family's at every point
-    view, chains = _grid_chains(alg, len(grid), cap, list(zip(*columns))[:-1], upper=lower)
-    # never empty: the least (greatest) grid observable bounds any family
-    # from below (above), and a finite set of chains has extremal ones
-    frontier = [
-        _pack_closed(alg, grid, list(map(view.payload, c[1:])))
-        for c in filter(view.extremal, chains)
-    ]
+    _check_cap(alg, len(grid), cap)
+    rows = list(zip(*columns))[:-1]
+    one = alg.one.payload
+    chains = [(alg.zero.payload if lower else one,)]
+    for row in rows if lower else rows[::-1]:
+        chains = [(*c, e) for c in chains for e in alg._extremes((*row, c[-1]), lower)]
+    # payloads ascend in elements() order, so sorted payload chains are in enumeration order
+    chains = [(*c[1:], one) for c in chains] if lower else sorted((*c[:0:-1], one) for c in chains)
+    frontier = [_pack_closed(alg, grid, c) for c in chains]
     if len(frontier) == 1:
         return BoundResult(True, frontier[0], "exhaustive")
     return BoundResult(False, None, "exhaustive", tuple(frontier))

@@ -53,8 +53,14 @@ SHARPNESS_SCAN_CAP = 20
 
 
 def _rational(t) -> Fraction:
-    """t as a Fraction; a Fraction passes through without a new object."""
-    return t if type(t) is Fraction else Fraction(t)
+    """t as a Fraction; a Fraction passes through without a new object.
+    What Fraction refuses (NaN, infinities, non-numbers) raises ParseError."""
+    if type(t) is Fraction:
+        return t
+    try:
+        return Fraction(t)
+    except (ValueError, OverflowError, TypeError, ZeroDivisionError) as exc:
+        raise ParseError(f"expected a rational number, got {_shown(t)}") from exc
 
 
 _INF = float("inf")
@@ -527,14 +533,11 @@ def from_closed_values(
     if not pairs:
         raise WeightsNotSummable("at least one grid value is needed")
     ts = [_rational(t) for t, _ in pairs]
-    vals = [v for _, v in pairs]
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise NonIncreasingPoints(f"grid not strictly increasing: {_shown(ts)}")
-    if not all(map(algebra.leq, [algebra.zero, *vals], vals)):
-        raise NonMonotoneInput("closed-resolution values must be nondecreasing")
-    if vals[-1] != algebra.one:
+    payloads = _checked_chain(algebra, ts, [v for _, v in pairs],
+                              ("grid", "closed-resolution values"))
+    if payloads[-1] != algebra.one.payload:
         raise WeightsNotSummable("closed-resolution values must reach 1")
-    return _pack_closed(algebra, ts, [v.payload for v in vals])
+    return _pack_closed(algebra, ts, payloads)
 
 
 def _checked_chain(

@@ -193,6 +193,14 @@ def test_quotient_canonical_representatives(quotient3):
         QuotientBooleanAlgebra(2, (0, 1))
 
 
+@pytest.mark.parametrize("algebra", ALL_BACKENDS, ids=lambda a: repr(a.describe())[:40])
+def test_elements_list_payloads_in_increasing_order(algebra):
+    # brute-force joins sort payload chains back into enumeration order
+    payloads = [e.payload for e in algebra.elements()]
+    assert len(payloads) == algebra.size
+    assert all(a < b for a, b in zip(payloads, payloads[1:]))
+
+
 def test_element_json_round_trips():
     for algebra in ALL_BACKENDS:
         for e in algebra.elements():

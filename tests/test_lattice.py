@@ -310,6 +310,22 @@ def test_brute_force_tests_the_order_only_to_pack_its_answer():
     assert checked == 2 * (15 + 153 + 21)
 
 
+def test_brute_force_walks_the_frontier_on_lattice_backends():
+    # one scan of the carrier and one minimal-element pass per grid point
+    # of the single frontier chain, not a walk over every admitted chain
+    algebra = _CountingChain(40)
+    grid = (F(0), F(1, 3), F(2, 3), F(1))
+    k, size = len(grid), algebra.size
+    for oracle, levels in (
+        (brute_force_meet, ((1, 2, 3), (2, 2, 4))),
+        (brute_force_join, ((36, 37, 38), (37, 37, 39))),
+    ):
+        family = tuple(_grid_observable(algebra, 40, [*ks, 40], grid) for ks in levels)
+        algebra.calls.clear()
+        assert oracle(family).exists
+        assert algebra.calls["leq"] <= 2 * (k - 1) * (len(family) + 2) * size
+
+
 def test_enumerated_observables_live_on_grid(set2):
     grid = (F(0), F(1, 2), F(1))
     for x in enumerate_grid_observables(set2, grid, cap=1000):

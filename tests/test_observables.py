@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from olsonorder.algebras import MVChain, FiniteSetAlgebra, FiniteTribe
 from olsonorder.errors import (
+    ElementForeignToAlgebra,
     InvalidAlgebra,
     MapUndefinedOnSpectrum,
     NonIncreasingPoints,
@@ -18,7 +19,7 @@ from olsonorder.errors import (
     SpectrumOutsideUnitInterval,
     WeightsNotSummable,
 )
-from olsonorder.lattice import left_regularize, right_regularize
+from olsonorder.lattice import enumerate_grid_observables, left_regularize, right_regularize
 from olsonorder.observables import (
     BorelSetExpr,
     Interval,
@@ -127,6 +128,17 @@ def test_from_closed_values_matches_resolution(mv4):
         chain_observable(mv4, (F(0), F(1)), (q, h))
 
 
+def test_chain_entry_points_check_ownership_before_order(mv4):
+    # the chain falls before it reaches the foreign value: every entry
+    # point names the foreign value, as the one chain validator checks
+    # ownership first
+    pairs = ((F(0), mv4.element(F(1, 2))), (F(1, 2), mv4.element(F(1, 4))),
+             (F(1), MVChain(4).one))
+    for entry in (from_closed_values, right_regularize):
+        with pytest.raises(ElementForeignToAlgebra):
+            entry(mv4, pairs)
+
+
 def test_left_regularize_known_families(mv4):
     q = mv4.element(F(1, 4))
     h = mv4.element(F(1, 2))
@@ -219,6 +231,27 @@ def test_oversized_rationals_raise_typed_errors(call, error):
     with pytest.raises(error, match="rational of over 4300 digits"):
         call()
     assert time.perf_counter() - start < 1.0
+
+
+_NAN, _INF = float("nan"), float("inf")
+_X = SimpleObservable(_MV4, [0, 1], [_HALF, _HALF])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: SimpleObservable(_MV4, [_NAN], [_MV4.one]),
+    lambda: SimpleObservable(_MV4, [None], [_MV4.one]),
+    lambda: StepResolution(_MV4, [-_INF], [_MV4.zero, _MV4.one]),
+    lambda: from_closed_values(_MV4, (("1/0", _MV4.one),)),
+    lambda: right_regularize(_MV4, ((_INF, _MV4.zero),)),
+    lambda: _X.resolution_open("x"),
+    lambda: _X.resolution_closed(_INF),
+    lambda: _X.resolution_closed([1]),
+    lambda: list(enumerate_grid_observables(_MV4, [0, _NAN])),
+], ids=["nan_point", "none_point", "minus_inf_breakpoint", "zero_denominator",
+        "inf_grid", "text_lookup", "inf_lookup", "list_lookup", "nan_grid"])
+def test_points_that_are_no_rationals_raise_parse_errors(call):
+    with pytest.raises(ParseError, match="expected a rational number"):
+        call()
 
 
 # -- Borel sets and spectrum maps, checked point by point ---------------------

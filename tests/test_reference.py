@@ -12,15 +12,17 @@ must give the same answers as the reference on seeded families over
 every shipped exact backend fixture and on hypothesis-drawn chain
 families.
 
-The pruned chain walk of brute_force_meet/brute_force_join is checked
+The frontier walk of brute_force_meet/brute_force_join is checked
 against the enumeration reference: every observable on the merged grid
 is built, the family's bounds are kept by olson_leq, and the frontier
 keeps enumeration order.  Answers, frontier order, refusals and their
-messages must agree.
+messages must agree.  The enumeration itself is checked against the
+leq-monotone tuples of the carrier, listed by itertools.product.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -287,6 +289,23 @@ def test_merge_of_long_denominators_is_fast():
 # -- brute force ----------------------------------------------------------------
 
 
+def test_enumeration_matches_the_monotone_tuples_of_the_carrier():
+    # independent of the walk: every tuple of carrier elements, kept when
+    # leq-monotone, with one appended, in itertools.product order
+    for name, _, _ in BACKENDS:
+        alg = algebra_from_json(load_fixture(name + ".json"))
+        elems = list(alg.elements())
+        for k in (1, 2, 3):
+            grid = (F(0), F(1, 2), F(1))[:k]
+            expected = [
+                from_closed_values(alg, tuple(zip(grid, (*vals, alg.one))))
+                for vals in itertools.product(elems, repeat=k - 1)
+                if all(map(alg.leq, vals, vals[1:]))
+            ]
+            got = list(enumerate_grid_observables(alg, grid, cap=DEFAULT_ENUMERATION_CAP))
+            assert got == expected, (name, k)
+
+
 def _ref_brute_force(xs, cap, lower):
     grid = merged_grid(xs)
 
@@ -381,8 +400,9 @@ def test_brute_force_matches_reference_on_table_families(xs, cap):
 
 
 def test_scanned_chain_levels_match_the_reference_off_lattices():
-    # a table flagged as a lattice walks the scanned levels of lattice
-    # backends; off a lattice their extremal nodes are not unique
+    # a table flagged as a lattice takes the order-scan branch of
+    # _extremes that lattice backends take; off a lattice a point's
+    # minimal (maximal) bounds are not unique, so that branch can branch
     frontiers = 0
     for name in ("table_mo2", "table_block_cycle"):
         alg = algebra_from_json(load_fixture(name + ".json"))
