@@ -18,18 +18,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from .algebras import _shown
-from .errors import (
-    BackendMismatch,
-    DimensionMismatch,
-    DomainMismatch,
-    EigendecompositionFailure,
-    ElementForeignToAlgebra,
-    NotAnEffect,
-    NotAProjection,
-    NotHermitian,
-    OlsonOrderError,
-    ParseError,
-)
+from .errors import OlsonOrderError, ParseError
 from .lattice import compare, olson_join, olson_meet, order_verdict
 from .serialize import (
     algebra_from_json,
@@ -265,19 +254,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ParseError as exc:
-        return _fail(1, exc)
-    except (BackendMismatch, DimensionMismatch, DomainMismatch, ElementForeignToAlgebra) as exc:
-        return _fail(2, exc)
-    except (NotHermitian, NotAnEffect, NotAProjection, EigendecompositionFailure) as exc:
-        return _fail(4, exc)
     except OlsonOrderError as exc:
-        return _fail(1, exc)
-
-
-def _fail(code: int, exc: OlsonOrderError) -> int:
-    sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
-    return code
+        sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
+        return exc.exit_code
 
 
 def entry() -> None:

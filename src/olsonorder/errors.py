@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Every error raised on a contract violation derives from OlsonOrderError so
-callers can catch the whole family at one place (the CLI maps subfamilies to
-exit codes).
+callers can catch the whole family at one place.  Each class carries the
+CLI's exit code for it: 1 by default, 2 for mismatched backends, dimensions
+and domains, 4 for a matrix that fails a numerical gate.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 
 class OlsonOrderError(Exception):
     """Base class for all contract violations raised by this package."""
+
+    exit_code = 1
 
 
 class InvalidAlgebra(OlsonOrderError):
@@ -22,6 +25,8 @@ class CarrierTooLarge(OlsonOrderError):
 
 class ElementForeignToAlgebra(OlsonOrderError):
     """An element was used with a backend instance that does not own it."""
+
+    exit_code = 2
 
 
 class NotEnumerable(OlsonOrderError):
@@ -55,6 +60,8 @@ class SpectrumTooLargeForSharpnessScan(OlsonOrderError):
 class BackendMismatch(OlsonOrderError):
     """Observables from different backend instances cannot be combined."""
 
+    exit_code = 2
+
 
 class EmptyFamily(OlsonOrderError):
     """Meets and joins require at least one observable."""
@@ -71,6 +78,8 @@ class CertificationTooLarge(OlsonOrderError):
 class DomainMismatch(OlsonOrderError):
     """A function or kernel does not match the backend's ground set."""
 
+    exit_code = 2
+
 
 class KernelValueOutsideTribe(OlsonOrderError):
     """A kernel induces a set function that leaves the tribe's carrier."""
@@ -79,21 +88,31 @@ class KernelValueOutsideTribe(OlsonOrderError):
 class DimensionMismatch(OlsonOrderError):
     """Operator arguments must share one Hilbert-space dimension."""
 
+    exit_code = 2
+
 
 class NotHermitian(OlsonOrderError):
     """Matrix input is not Hermitian within tolerance."""
+
+    exit_code = 4
 
 
 class NotAnEffect(OlsonOrderError):
     """Operator spectrum is not within [0,1] up to tolerance."""
 
+    exit_code = 4
+
 
 class NotAProjection(OlsonOrderError):
     """Operator is not idempotent Hermitian within tolerance."""
 
+    exit_code = 4
+
 
 class EigendecompositionFailure(OlsonOrderError):
     """The eigensolver failed to converge or produced invalid output."""
+
+    exit_code = 4
 
 
 class ParseError(OlsonOrderError):

@@ -15,23 +15,22 @@ the grid, so the closed values at the grid points are everything the
 order and the bounds depend on; each is read and tested once, as a payload.
 
 A join is a meet with the order reversed, so one code path serves both,
-with the direction as its parameter and the backend's n-ary bound (the
-join for meets, the meet for joins) as its pointwise step on the closed
-values, checked against its row and packaged by the trusted
-packer _pack_closed, which does not re-validate what the library has
-just computed.  The open-interval route through left_regularize
-(the sup-from-the-left closure of Olson's construction) computes the
-same observable; it stays as the reference the tests hold the closed
-route against, and no default path runs it.  When some pointwise bound
-does not exist in the backend, existence is settled by exhaustive
-enumeration of all observables on the merged grid, which is sound and
-complete: any lower or upper bound can be moved onto the grid without
-leaving the bounding set.  The enumeration walks only the frontier: a
-maximal lower bound's closed value at each point is a minimal common
-upper bound of the family's values there and its own value at the point
-before, so the walk branches over the backend's extremal bounds
-(EffectAlgebra._extremes) point by point and never lists a chain that
-is not extremal.
+with the direction as its parameter.  Every bound is one walk over the
+grid rows: a maximal lower bound's closed value at each point is a
+minimal common upper bound of the family's values there and its own
+value at the point before, so the walk branches over the backend's
+extremal bounds (EffectAlgebra._extremes) and lists only the frontier.
+Enumerating the grid observables this way is sound and complete: any
+lower or upper bound can be moved onto the grid without leaving the
+bounding set.  olson_meet first forces the walk through the backend's
+pointwise joins of the rows (meets, for a join), each checked against
+its row, and packs them with the trusted _pack_closed.  A meet exists
+iff every row has its join, since at the first row without one the walk
+branches; so from olson_meet and olson_join "exhaustive" certification
+always comes with exists false.  The open-interval route through
+left_regularize (the sup-from-the-left closure of Olson's construction)
+computes the same observable; it stays as the reference the tests hold
+the closed route against, and no default path runs it.
 """
 
 from __future__ import annotations
@@ -260,19 +259,19 @@ def right_regularize(
 # -- meets and joins ----------------------------------------------------------
 
 
-def _pointwise(algebra: EffectAlgebra, columns: Sequence[Sequence], lower: bool) -> list | None:
-    """The backend's bound of each grid row of the payload columns, the
-    join for a meet (lower) and the meet for a join; None once one is missing.
+def _pointwise(algebra: EffectAlgebra, rows: Iterable[Sequence], lower: bool) -> list:
+    """The backend's bound of each grid row in turn, the join for a meet
+    (lower) and the meet for a join, up to the first row without one.
 
     Each bound must sit above (below) every value of its row, or the
     backend's n-ary bound is broken and InvalidAlgebra is raised.
     """
     bound, le = algebra._bound, algebra._le
     vals = []
-    for row in zip(*columns):
+    for row in rows:
         v = bound(row, not lower)
         if v is None:
-            return None
+            break
         if not all(map(le, row, repeat(v)) if lower else map(le, repeat(v), row)):
             name = "join_many" if lower else "meet_many"
             raise InvalidAlgebra(f"{name} does not bound its inputs; backend is inconsistent")
@@ -292,8 +291,9 @@ def _open_route(
     The open-interval reference for _closed_route; no default path runs it.
     """
     alg = xs[0].algebra
-    vals = _pointwise(alg, [[alg.zero.payload, *_closed_on_grid(x, grid)[:-1]] for x in xs], lower)
-    if vals is None:
+    opens = ([alg.zero.payload, *_closed_on_grid(x, grid)[:-1]] for x in xs)
+    vals = _pointwise(alg, zip(*opens), lower)
+    if len(vals) < len(grid):
         return None
     return left_regularize(alg, tuple(zip(grid, map(alg._wrap, vals)))).to_observable()
 
@@ -305,24 +305,11 @@ def _closed_route(
 ) -> SimpleObservable | None:
     """Bounds of the closed values inside the gaps (just above each grid
     point), packaged by _pack_closed; grid must hold every spectral point
-    of xs.  The reference for _olson_bound's columns; no default path runs it."""
-    vals = _pointwise(xs[0].algebra, [_closed_on_grid(x, grid) for x in xs], lower)
-    if vals is None:
+    of xs.  The reference for olson_meet's columns; no default path runs it."""
+    vals = _pointwise(xs[0].algebra, zip(*(_closed_on_grid(x, grid) for x in xs)), lower)
+    if len(vals) < len(grid):
         return None
     return _pack_closed(xs[0].algebra, grid, vals)
-
-
-def _olson_bound(xs: Iterable[SimpleObservable], cap: int, lower: bool) -> BoundResult:
-    """Meet (lower) or join of a family: the closed route, with the
-    enumeration oracle deciding when a pointwise bound is missing."""
-    family = _family(xs)
-    alg = family[0].algebra
-    grid, columns = _columns(family)
-    vals = _pointwise(alg, columns, lower)
-    if vals is not None:
-        return BoundResult(True, _pack_closed(alg, grid, vals), "elementwise")
-    oracle = brute_force_meet if lower else brute_force_join
-    return oracle(family, cap=cap)
 
 
 def olson_meet(
@@ -333,11 +320,12 @@ def olson_meet(
 
     Pointwise joins of the closed resolution values on the merged grid
     give the meet whenever every needed join exists in the backend; each
-    join is checked to lie above the values it joins.  If some pointwise
-    join is missing, existence is settled by the exhaustive
-    grid-observable oracle and its answer is returned.
+    join is checked to lie above the values it joins.  The meet exists
+    iff every grid row has its join: at the first row without one the
+    walk of brute_force_meet branches, so "exhaustive" comes only with
+    exists false, and with the oracle's frontier.
     """
-    return _olson_bound(xs, cap, lower=True)
+    return _brute_force(xs, cap, lower=True, oracle=False)
 
 
 def olson_join(
@@ -345,7 +333,7 @@ def olson_join(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> BoundResult:
     """Least upper bound; dual of olson_meet in every respect."""
-    return _olson_bound(xs, cap, lower=False)
+    return _brute_force(xs, cap, lower=False, oracle=False)
 
 
 # -- exhaustive oracles -------------------------------------------------------
@@ -402,7 +390,8 @@ def enumerate_grid_observables(
         yield _pack_closed(algebra, pts, [*c[1:], algebra.one.payload])
 
 
-def _brute_force(xs: Iterable[SimpleObservable], cap: int, lower: bool) -> BoundResult:
+def _brute_force(xs: Iterable[SimpleObservable], cap: int, lower: bool,
+                 oracle: bool = True) -> BoundResult:
     """Greatest lower (lower) or least upper bound among the grid
     observables; without one, the maximal lower or minimal upper bounds
     in enumeration order.
@@ -422,18 +411,25 @@ def _brute_force(xs: Iterable[SimpleObservable], cap: int, lower: bool) -> Bound
     back into enumeration order.  The frontier is never empty, and in a
     finite set the only minimal chain, if there is just one, is the
     least, so the bound exists iff the walk never branches.
+
+    Without the oracle the walk first takes the rows' pointwise bounds
+    while they exist: each is above (below) the one before, so it is the
+    row's only extremal bound.  The oracle never calls _bound.
     """
     family = _family(xs)
     alg = family[0].algebra
     grid, columns = _columns(family)
+    rows = list(zip(*columns))[::1 if lower else -1]
+    prefix = [] if oracle else _pointwise(alg, rows, lower)
+    if len(prefix) == len(rows):
+        return BoundResult(True, _pack_closed(alg, grid, prefix if lower else prefix[::-1]),
+                           "elementwise")
     _check_cap(alg, len(grid), cap)
-    rows = list(zip(*columns))[:-1]
-    one = alg.one.payload
-    chains = [(alg.zero.payload if lower else one,)]
-    for row in rows if lower else rows[::-1]:
+    chains = [(alg.zero.payload if lower else alg.one.payload, *prefix)]
+    for row in rows[len(prefix):]:
         chains = [(*c, e) for c in chains for e in alg._extremes((*row, c[-1]), lower)]
     # payloads ascend in elements() order, so sorted payload chains are in enumeration order
-    chains = [(*c[1:], one) for c in chains] if lower else sorted((*c[:0:-1], one) for c in chains)
+    chains = [c[1:] for c in chains] if lower else sorted(c[:0:-1] for c in chains)
     frontier = [_pack_closed(alg, grid, c) for c in chains]
     if len(frontier) == 1:
         return BoundResult(True, frontier[0], "exhaustive")

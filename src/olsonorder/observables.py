@@ -77,14 +77,15 @@ def _pulled(cut, p: Fraction, q: Fraction):
 
 
 class Interval:
-    """One rational interval; None endpoints are infinite and always open."""
+    """One rational interval; None endpoints are infinite and always open,
+    the others are read by _rational."""
 
     __slots__ = ("start", "end")
 
     def __init__(self, lo: Fraction | None, hi: Fraction | None,
                  lo_closed: bool = False, hi_closed: bool = False) -> None:
-        self.start = (-_INF, 1) if lo is None else (lo, 0 if lo_closed else 1)
-        self.end = (_INF, 0) if hi is None else (hi, 1 if hi_closed else 0)
+        self.start = (-_INF, 1) if lo is None else (_rational(lo), 0 if lo_closed else 1)
+        self.end = (_INF, 0) if hi is None else (_rational(hi), 1 if hi_closed else 0)
         if self.end <= self.start:
             raise ParseError(f"empty interval ({_shown(lo, str)}, {_shown(hi, str)})")
 
@@ -151,21 +152,19 @@ class BorelSetExpr:
     @classmethod
     def interval(cls, lo: Fraction | int | None, hi: Fraction | int | None,
                  lo_closed: bool = False, hi_closed: bool = False) -> "BorelSetExpr":
-        lo = Fraction(lo) if lo is not None else None
-        hi = Fraction(hi) if hi is not None else None
         return cls((Interval(lo, hi, lo_closed, hi_closed),))
 
     @classmethod
     def point(cls, t: Fraction | int) -> "BorelSetExpr":
-        t = Fraction(t)
+        t = _rational(t)
         return cls((Interval(t, t, True, True),))
 
     @classmethod
     def below(cls, t: Fraction | int, closed: bool = False) -> "BorelSetExpr":
-        return cls((Interval(None, Fraction(t), False, closed),))
+        return cls((Interval(None, _rational(t), False, closed),))
 
     def contains(self, t: Fraction | int) -> bool:
-        t = Fraction(t)
+        t = _rational(t)
         return any(piece.contains(t) for piece in self.pieces)
 
     def union(self, other: "BorelSetExpr") -> "BorelSetExpr":
@@ -199,13 +198,14 @@ class PiecewiseMap:
 
     Pieces are pairwise disjoint intervals, each carrying t -> p*t + q.
     The map needs to cover only the points it is evaluated at; evaluation
-    outside every piece raises MapUndefinedOnSpectrum.
+    outside every piece raises MapUndefinedOnSpectrum.  The coefficients
+    are read by _rational.
     """
 
     __slots__ = ("pieces",)
 
     def __init__(self, pieces: Iterable[tuple[Interval, Fraction, Fraction]]) -> None:
-        items = tuple((iv, Fraction(p), Fraction(q)) for iv, p, q in pieces)
+        items = tuple((iv, _rational(p), _rational(q)) for iv, p, q in pieces)
         for i, (iv_a, _, _) in enumerate(items):
             for iv_b, _, _ in items[i + 1:]:
                 if iv_a.intersect(iv_b) is not None:
@@ -218,7 +218,7 @@ class PiecewiseMap:
 
     @classmethod
     def constant(cls, c: Fraction | int) -> "PiecewiseMap":
-        return cls(((Interval(None, None), Fraction(0), Fraction(c)),))
+        return cls(((Interval(None, None), Fraction(0), c),))
 
     @classmethod
     def one_minus_t(cls) -> "PiecewiseMap":

@@ -10,6 +10,7 @@ import pytest
 
 import olsonorder
 
+from olsonorder import cli, errors
 from olsonorder.cli import main
 from olsonorder.observables import question
 from olsonorder.serialize import observable_from_json
@@ -200,6 +201,32 @@ def test_exit_code_5_suite_failure(capsys):
     )
     assert code == 5
     assert json.loads(out)["passed"] is False
+
+
+# README's exit-code table: 2 for a backend, dimension or domain mismatch,
+# 4 for a matrix that fails a numerical gate, 1 for every other error
+_README_EXIT_CODES = {
+    "BackendMismatch": 2,
+    "DimensionMismatch": 2,
+    "DomainMismatch": 2,
+    "ElementForeignToAlgebra": 2,
+    "NotHermitian": 4,
+    "NotAnEffect": 4,
+    "NotAProjection": 4,
+    "EigendecompositionFailure": 4,
+}
+
+
+@pytest.mark.parametrize("error", errors.OlsonOrderError.__subclasses__(),
+                         ids=lambda cls: cls.__name__)
+def test_every_error_class_exits_with_its_readme_code(error, capsys, monkeypatch):
+    def raising(args):
+        raise error("raised by the command")
+
+    monkeypatch.setattr(cli, "_cmd_neg", raising)
+    code, out, err = run(["neg", MV4, Q14], capsys)
+    assert code == _README_EXIT_CODES.get(error.__name__, 1)
+    assert out == "" and err == f"{error.__name__}: raised by the command\n"
 
 
 def test_usage_errors_exit_1(capsys):

@@ -285,9 +285,9 @@ def test_cap_refusal_of_a_huge_carrier_does_not_form_the_bound():
 
 
 def test_brute_force_tests_the_order_only_to_pack_its_answer():
-    # the walk, the levels and the frontier test are bit operations on the
-    # compiled carrier: the only _le calls left are _pack_closed's, one per
-    # kept jump of the answer or of each frontier member
+    # the walk's one step, _extremes, builds the frontier by bit operations
+    # on the compiled carrier: the only _le calls left are _pack_closed's,
+    # one per kept jump of the answer or of each frontier member
     checked = 0
     for name in ("table_mo2", "table_block_cycle", "tribe_restricted"):
         algebra = algebra_from_json(load_fixture(name + ".json"))

@@ -344,3 +344,48 @@ def test_borel_inputs_raise_parse_errors():
         Interval(HUGE, F(0))
     with pytest.raises(ParseError, match="rational of over 4300 digits"):
         PiecewiseMap(((Interval(F(0), HUGE), F(1), F(0)), (Interval(F(1), F(2)), F(1), F(0))))
+
+
+# every scalar of the Borel layer is read as its exact Fraction or refused
+_SCALARS = (
+    lambda rng: F(rng.randint(-8, 8), rng.randint(1, 4)),
+    lambda rng: rng.randint(-3, 3),
+    lambda rng: rng.choice((-1.5, -0.25, 0.0, 0.1, 0.5, 2.0)),
+    lambda rng: rng.choice((_NAN, _INF, -_INF)),
+    lambda rng: rng.choice(("1/2", "-3", "0.75", " 2 ", "1e1", "a", "", "1/0", "nan", "inf")),
+    lambda rng: None,
+)
+_TARGET = BorelSetExpr((Interval(F(-1), F(0), True, False), Interval(F(1, 2), None, True)))
+# (call, arity, whether None is an infinite endpoint there)
+_BOREL_CALLS = (
+    (lambda a, b: Interval(a, b, True, False), 2, True),
+    (lambda a, b: BorelSetExpr.interval(a, b, False, True), 2, True),
+    (lambda a: BorelSetExpr.point(a), 1, False),
+    (lambda a: BorelSetExpr.below(a, True), 1, False),
+    (lambda a: _TARGET.contains(a), 1, False),
+    (lambda a, b: PiecewiseMap(((Interval(None, F(1)), a, b),)).preimage(_TARGET), 2, False),
+    (lambda a: PiecewiseMap.constant(a).preimage(_TARGET), 1, False),
+)
+
+
+def _borel_outcome(call, args):
+    try:
+        got = call(*args)
+    except ParseError:
+        return ParseError
+    for iv in (got,) if isinstance(got, Interval) else getattr(got, "pieces", ()):
+        assert all(e is None or type(e) is F for e in (iv.lo, iv.hi)), args
+    return repr(got)
+
+
+def test_borel_scalars_answer_exactly_or_raise_parse_errors():
+    rng = random.Random(5150)
+    for _ in range(3000):
+        call, arity, none_is_infinite = rng.choice(_BOREL_CALLS)
+        args = [rng.choice(_SCALARS)(rng) for _ in range(arity)]
+        try:
+            exact = [None if a is None and none_is_infinite else F(a) for a in args]
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            assert _borel_outcome(call, args) is ParseError, args
+            continue
+        assert _borel_outcome(call, args) == _borel_outcome(call, exact), args

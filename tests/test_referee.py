@@ -27,15 +27,18 @@ import contextlib
 import io
 import json
 import random
+from fractions import Fraction as F
 
 import pytest
 
-from olsonorder import cli
-from olsonorder.algebras import DEFAULT_TABLE_CAP, TableEffectAlgebra
+from olsonorder import cli, lattice
+from olsonorder.algebras import DEFAULT_TABLE_CAP, MVChain, TableEffectAlgebra, block_cycle_algebra
 from olsonorder.errors import InvalidAlgebra
-from olsonorder.lattice import brute_force_join, brute_force_meet
+from olsonorder.lattice import brute_force_join, brute_force_meet, olson_join, olson_meet
 from olsonorder.observables import question
+from olsonorder.serialize import algebra_from_json, bound_to_json
 
+from conftest import load_fixture
 from test_algebras import ALL_BACKENDS
 from test_golden import CAP, _draw
 from test_reference import _assert_brute_force_agrees
@@ -269,3 +272,48 @@ def test_brute_force_matches_reference_on_generated_backends(name):
     missing = sum(not isinstance(got, tuple) and not got.exists for got in outcomes)
     assert (refused > 0) == (alg.size >= 18), refused
     assert (missing > 0) == (name in ("loop3", "loop4")), missing
+
+
+class _NoBound(MVChain):
+    def _bound(self, payloads, lower):
+        raise AssertionError("the oracle called _bound")
+
+
+def test_olson_bounds_walk_once_and_agree_with_the_oracle(monkeypatch):
+    # the pointwise bounds seed the oracle's walk: same bound or frontier,
+    # and "exhaustive" exactly when there is no bound
+    tables = {name: algebra_from_json(load_fixture(name + ".json"))
+              for name in ("table_mo2", "table_block_cycle")}
+    branched = 0
+    for name, alg in sorted({**tables, **REFEREED}.items()):
+        elems = list(alg.elements())
+        rng = random.Random(8400 + alg.size)
+        families = [tuple(_draw(alg, elems, rng, 0.5) for _ in range(rng.choice((1, 2, 3))))
+                    for _ in range(16)]
+        families += [(question(alg, a), question(alg, b)) for a in elems for b in elems
+                     if alg.meet(a, b) is None or alg.join(a, b) is None][:12]
+        for xs in families:
+            for fast, oracle in ((olson_meet, brute_force_meet), (olson_join, brute_force_join)):
+                got, want = fast(xs, cap=10**6), oracle(xs, cap=10**6)
+                assert (got.exists, got.observable, got.frontier) == (
+                    want.exists, want.observable, want.frontier), (name, xs)
+                assert (got.certified == "exhaustive") == (not got.exists), (name, xs)
+                branched += not got.exists
+    assert branched > 0
+
+    # one merge of the family, also when the walk branches
+    alg = block_cycle_algebra()
+    a, b = next((a, b) for a in alg.elements() for b in alg.elements() if alg.join(a, b) is None)
+    merges = []
+    columns = lattice._columns
+    monkeypatch.setattr(lattice, "_columns", lambda xs: merges.append(xs) or columns(xs))
+    assert not olson_join((question(alg, a), question(alg, b))).exists
+    assert len(merges) == 1
+
+    # the oracle never asks the backend for a pointwise bound
+    for oracle in (brute_force_meet, brute_force_join):
+        answers = []
+        for alg in (MVChain(4), _NoBound(4)):
+            xs = [question(alg, alg.element(F(k, 4))) for k in (1, 3)]
+            answers.append(bound_to_json(oracle(xs)))
+        assert answers[0] == answers[1] and answers[0]["exists"]
