@@ -303,13 +303,7 @@ def _bounded_rational(obj) -> Fraction | None:
     if isinstance(obj, bool):
         return None
     if isinstance(obj, str):
-        exponent = obj.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
-        if exponent.isdecimal() and (
-            len(exponent) > 9 or int(exponent) > RATIONAL_DIGIT_CAP
-        ):
-            raise ParseError(
-                f"rational literal {obj[:40]!r} has an exponent above {RATIONAL_DIGIT_CAP}"
-            )
+        _check_exponent(obj)
         try:
             q = Fraction(obj)
         except (ValueError, ZeroDivisionError):
@@ -323,6 +317,16 @@ def _bounded_rational(obj) -> Fraction | None:
         if term.bit_length() > 3 * RATIONAL_DIGIT_CAP and abs(term) >= 10**RATIONAL_DIGIT_CAP:
             raise ParseError(f"rational literal has more than {RATIONAL_DIGIT_CAP} digits")
     return q
+
+
+def _check_exponent(text: str) -> None:
+    """Refuse a literal whose decimal exponent exceeds RATIONAL_DIGIT_CAP in
+    size before Fraction computes 10**exponent in full."""
+    exponent = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+    if exponent.isdecimal() and (len(exponent) > 9 or int(exponent) > RATIONAL_DIGIT_CAP):
+        raise ParseError(
+            f"rational literal {text[:40]!r} has an exponent above {RATIONAL_DIGIT_CAP}"
+        )
 
 
 def rational_to_json(q: Fraction) -> str:
@@ -709,6 +713,11 @@ class FiniteTribe(EffectAlgebra):
         self.lattice_guaranteed = carrier is None
         if carrier is not None:
             values = frozenset(tuple(v) for v in carrier)
+            # the pass below compares every pair of functions
+            if len(values) > DEFAULT_TABLE_CAP:
+                raise CarrierTooLarge(
+                    f"tribe carrier size {len(values)} exceeds cap {DEFAULT_TABLE_CAP}"
+                )
             for f in values:
                 if len(f) != omega:
                     raise InvalidAlgebra("carrier function has wrong domain size")

@@ -425,11 +425,18 @@ def _brute_force(xs: Iterable[SimpleObservable], cap: int, lower: bool,
         return BoundResult(True, _pack_closed(alg, grid, prefix if lower else prefix[::-1]),
                            "elementwise")
     _check_cap(alg, len(grid), cap)
-    chains = [(alg.zero.payload if lower else alg.one.payload, *prefix)]
-    for row in rows[len(prefix):]:
+    # every closed value at the last grid point is one, so the bound's is too:
+    # a meet's walk stops before that row, and a join's starts past it
+    one = alg.one.payload
+    if lower:
+        chains, todo = [(alg.zero.payload, *prefix)], rows[len(prefix):-1]
+    else:
+        head = prefix or [one]
+        chains, todo = [(one, *head)], rows[len(head):]
+    for row in todo:
         chains = [(*c, e) for c in chains for e in alg._extremes((*row, c[-1]), lower)]
     # payloads ascend in elements() order, so sorted payload chains are in enumeration order
-    chains = [c[1:] for c in chains] if lower else sorted(c[:0:-1] for c in chains)
+    chains = [(*c[1:], one) for c in chains] if lower else sorted(c[:0:-1] for c in chains)
     frontier = [_pack_closed(alg, grid, c) for c in chains]
     if len(frontier) == 1:
         return BoundResult(True, frontier[0], "exhaustive")
@@ -462,13 +469,6 @@ def brute_force_join(
 # -- involution lattice on unit-interval observables --------------------------
 
 
-def _require_unit_spectrum(x: SimpleObservable) -> None:
-    if x.points[0] < 0 or x.points[-1] > 1:
-        raise SpectrumOutsideUnitInterval(
-            f"involution needs spectra inside [0,1], got {_shown(x.points)}"
-        )
-
-
 def involution_suite(x: SimpleObservable, y: SimpleObservable) -> dict[str, bool]:
     """Check the involution-lattice identities on a pair of unit-interval
     observables.
@@ -487,99 +487,57 @@ def involution_suite(x: SimpleObservable, y: SimpleObservable) -> dict[str, bool
     family = _family((x, y))
     alg = family[0].algebra
     for z in family:
-        _require_unit_spectrum(z)
+        if z.points[0] < 0 or z.points[-1] > 1:
+            raise SpectrumOutsideUnitInterval(
+                f"involution needs spectra inside [0,1], got {_shown(z.points)}"
+            )
     g_map = PiecewiseMap.min_t_one_minus_t()
-    h_map = PiecewiseMap.max_t_one_minus_t()
-    h_literal = PiecewiseMap((
-        (Interval(None, Fraction(0)), Fraction(-1), Fraction(1)),
-        (Interval(Fraction(0), None, True), Fraction(0), Fraction(1)),
-    ))
-
-    report: dict[str, bool] = {}
+    h_maps = {
+        "spread_join": PiecewiseMap.max_t_one_minus_t(),
+        "spread_join_literal": PiecewiseMap((
+            (Interval(None, Fraction(0)), Fraction(-1), Fraction(1)),
+            (Interval(Fraction(0), None, True), Fraction(0), Fraction(1)),
+        )),
+    }
     nx, ny = x.negate(), y.negate()
-
-    report["double_negation"] = nx.negate() == x and ny.negate() == y
-
-    antitone = True
-    if olson_leq(x, y):
-        antitone = antitone and olson_leq(ny, nx)
-    if olson_leq(y, x):
-        antitone = antitone and olson_leq(nx, ny)
-    report["antitone"] = antitone
-
-    report["bounds_reflection"] = (
-        question(alg, alg.zero).negate() == question(alg, alg.one)
-        and question(alg, alg.one).negate() == question(alg, alg.zero)
-    )
-
-    meet_xy = olson_meet((x, y))
-    join_xy = olson_join((x, y))
-    meet_neg = olson_meet((nx, ny))
-    join_neg = olson_join((nx, ny))
-    de_morgan_meet = True
-    if meet_xy.exists:
-        de_morgan_meet = (
-            join_neg.exists and meet_xy.observable.negate() == join_neg.observable
-        )
-    de_morgan_join = True
-    if join_xy.exists:
-        de_morgan_join = (
-            meet_neg.exists and join_xy.observable.negate() == meet_neg.observable
-        )
-    report["de_morgan_meet"] = de_morgan_meet
-    report["de_morgan_join"] = de_morgan_join
-
-    question_negation = True
-    for z, nz in ((x, nx), (y, ny)):
-        a = z.question_element()
-        if a is not None:
-            question_negation = question_negation and nz == question(
-                alg, alg.complement(a)
-            )
-    report["question_negation"] = question_negation
-
-    question_lattice = True
     a, b = x.question_element(), y.question_element()
-    if a is not None and b is not None:
-        ab_meet = alg.meet(a, b)
-        ab_join = alg.join(a, b)
-        if ab_meet is not None:
-            question_lattice = question_lattice and (
-                meet_xy.exists and meet_xy.observable == question(alg, ab_meet)
-            )
-        if ab_join is not None:
-            question_lattice = question_lattice and (
-                join_xy.exists and join_xy.observable == question(alg, ab_join)
-            )
-        question_lattice = question_lattice and (
-            olson_leq(x, y) == alg.leq(a, b)
-        ) and (olson_leq(y, x) == alg.leq(b, a))
-    report["question_lattice"] = question_lattice
+    fwd, bwd = olson_leq(x, y), olson_leq(y, x)
+    bottom, top = question(alg, alg.zero), question(alg, alg.one)
+    meet_xy, join_xy = olson_meet((x, y)), olson_join((x, y))
+    meet_neg, join_neg = olson_meet((nx, ny)), olson_join((nx, ny))
 
-    spread_meet = True
-    spread_join = True
-    spread_join_literal = True
-    sharp_kernel = True
-    for z, nz in ((x, nx), (y, ny)):
-        self_meet = olson_meet((z, nz))
-        self_join = olson_join((z, nz))
+    def negates_to(bound: BoundResult, dual: BoundResult) -> bool:
+        """A bound that exists negates to the dual bound of the negations."""
+        return not bound.exists or (dual.exists and bound.observable.negate() == dual.observable)
+
+    def question_of(bound: BoundResult, e: EffectElement | None) -> bool:
+        """A backend bound e that exists has the bound of the questions as its question."""
+        return e is None or (bound.exists and bound.observable == question(alg, e))
+
+    report = {
+        "double_negation": nx.negate() == x and ny.negate() == y,
+        "antitone": (not fwd or olson_leq(ny, nx)) and (not bwd or olson_leq(nx, ny)),
+        "bounds_reflection": bottom.negate() == top and top.negate() == bottom,
+        "de_morgan_meet": negates_to(meet_xy, join_neg),
+        "de_morgan_join": negates_to(join_xy, meet_neg),
+        "question_negation": all(q is None or nz == question(alg, alg.complement(q))
+                                 for q, nz in ((a, nx), (b, ny))),
+        "question_lattice": a is None or b is None or (
+            question_of(meet_xy, alg.meet(a, b)) and question_of(join_xy, alg.join(a, b))
+            and fwd == alg.leq(a, b) and bwd == alg.leq(b, a)),
+        "spread_meet": True,
+        **dict.fromkeys(h_maps, True),
+        "sharp_question_kernel": True,
+    }
+    for z, nz, q in ((x, nx, a), (y, ny, b)):
+        self_meet, self_join = olson_meet((z, nz)), olson_join((z, nz))
         if self_meet.exists:
-            spread_meet = spread_meet and olson_leq(
-                z.apply_map(g_map), self_meet.observable
-            )
+            report["spread_meet"] = report["spread_meet"] and olson_leq(
+                z.apply_map(g_map), self_meet.observable)
         if self_join.exists:
-            spread_join = spread_join and olson_leq(
-                self_join.observable, z.apply_map(h_map)
-            )
-            spread_join_literal = spread_join_literal and olson_leq(
-                self_join.observable, z.apply_map(h_literal)
-            )
-        a = z.question_element()
-        if a is not None and self_meet.exists:
-            is_bottom = self_meet.observable == question(alg, alg.zero)
-            sharp_kernel = sharp_kernel and (is_bottom == alg.is_sharp(a))
-    report["spread_meet"] = spread_meet
-    report["spread_join"] = spread_join
-    report["spread_join_literal"] = spread_join_literal
-    report["sharp_question_kernel"] = sharp_kernel
+            for key, h_map in h_maps.items():
+                report[key] = report[key] and olson_leq(self_join.observable, z.apply_map(h_map))
+        if q is not None and self_meet.exists:
+            report["sharp_question_kernel"] = report["sharp_question_kernel"] and (
+                (self_meet.observable == bottom) == alg.is_sharp(q))
     return report

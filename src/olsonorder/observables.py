@@ -37,7 +37,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Sequence
 
-from .algebras import EffectAlgebra, EffectElement, _shown
+from .algebras import EffectAlgebra, EffectElement, _check_exponent, _shown
 from .errors import (
     InvalidAlgebra,
     MapUndefinedOnSpectrum,
@@ -54,9 +54,12 @@ SHARPNESS_SCAN_CAP = 20
 
 def _rational(t) -> Fraction:
     """t as a Fraction; a Fraction passes through without a new object.
-    What Fraction refuses (NaN, infinities, non-numbers) raises ParseError."""
+    What Fraction refuses (NaN, infinities, non-numbers) and a string whose
+    exponent exceeds RATIONAL_DIGIT_CAP raise ParseError."""
     if type(t) is Fraction:
         return t
+    if isinstance(t, str):
+        _check_exponent(t)
     try:
         return Fraction(t)
     except (ValueError, OverflowError, TypeError, ZeroDivisionError) as exc:
@@ -105,6 +108,7 @@ class Interval:
 
     def contains(self, t: Fraction) -> bool:
         # start <= (t, 0) < end, one comparison of t per end
+        t = _rational(t)
         (a, s), (b, e) = self.start, self.end
         return (a < t if s else a <= t) and (t <= b if e else t < b)
 
@@ -243,6 +247,7 @@ class PiecewiseMap:
         ))
 
     def evaluate(self, t: Fraction) -> Fraction:
+        t = _rational(t)
         for iv, p, q in self.pieces:
             if iv.contains(t):
                 return p * t + q

@@ -8,6 +8,7 @@ fixed seed reproduces the report byte for byte.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -55,6 +56,7 @@ ORDER_PAIR_BUDGET = 20_000
 #: most ground-set points of a set or quotient backend in the representation
 #: suite, which draws each sampled function point by point
 REPRESENTATION_OMEGA_CAP = 64
+BASE_GRID = (Fraction(0), Fraction(1, 2), Fraction(1))
 
 
 def _check(name: str, passed: bool, count: int, **extra) -> dict:
@@ -88,6 +90,20 @@ def _sample_pairs(rng: random.Random, n: int, budget: int) -> list[tuple[int, in
     if n * n <= budget:
         return [(i, j) for i in range(n) for j in range(n)]
     return [(rng.randrange(n), rng.randrange(n)) for _ in range(budget)]
+
+
+def _grid_observables(
+    algebra: EffectAlgebra,
+    cap: int,
+    pair_cap: int | None = None,
+    grid: Sequence[Fraction] = BASE_GRID,
+) -> list[SimpleObservable]:
+    """Every observable on grid; CertificationTooLarge when the enumeration
+    exceeds cap or, given pair_cap, when their pairs exceed it."""
+    obs = list(enumerate_grid_observables(algebra, grid, cap=cap))
+    if pair_cap is not None and len(obs) ** 2 > pair_cap:
+        raise CertificationTooLarge("pair budget exceeded")
+    return obs
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +267,10 @@ def run_lattice_oracle(
     pair budget, otherwise falls back to the question observables of the
     carrier, which keeps non-lattice table backends tractable.
     """
-    if grid is None:
-        grid = (Fraction(0), Fraction(1, 2), Fraction(1))
-    grid = tuple(Fraction(t) for t in grid)
+    grid = BASE_GRID if grid is None else tuple(Fraction(t) for t in grid)
     mode = "grid"
     try:
-        obs = list(enumerate_grid_observables(algebra, grid, cap=cap))
-        if len(obs) ** 2 > pair_cap:
-            raise CertificationTooLarge("pair budget exceeded")
+        obs = _grid_observables(algebra, cap, pair_cap, grid)
     except CertificationTooLarge:
         mode = "questions"
         if algebra.size ** 2 > pair_cap:
@@ -269,21 +281,19 @@ def run_lattice_oracle(
         obs = [question(algebra, a) for a in algebra.elements()]
 
     matches = {"meet": True, "join": True}
-    pairs = 0
-    for x in obs:
-        for y in obs:
-            pairs += 1
-            for name, fast_op, slow_op in (
-                ("meet", olson_meet, brute_force_meet),
-                ("join", olson_join, brute_force_join),
+    for x, y in itertools.product(obs, repeat=2):
+        for name, fast_op, slow_op in (
+            ("meet", olson_meet, brute_force_meet),
+            ("join", olson_join, brute_force_join),
+        ):
+            fast = fast_op((x, y), cap=cap)
+            slow = slow_op((x, y), cap=cap)
+            if fast.exists != slow.exists or (
+                fast.exists and fast.observable != slow.observable
             ):
-                fast = fast_op((x, y), cap=cap)
-                slow = slow_op((x, y), cap=cap)
-                if fast.exists != slow.exists or (
-                    fast.exists and fast.observable != slow.observable
-                ):
-                    matches[name] = False
+                matches[name] = False
 
+    pairs = len(obs) ** 2
     checks = [_check(f"{name}_matches_oracle", ok, pairs) for name, ok in matches.items()]
     return _report(
         "lattice-oracle",
@@ -307,7 +317,6 @@ def run_involution(
 ) -> dict:
     """Involution-lattice identities, exhaustively when small plus seeded
     random triples with fresh grids."""
-    base_grid = (Fraction(0), Fraction(1, 2), Fraction(1))
     fails: dict[str, int] = {}
     pairs = 0
 
@@ -317,13 +326,10 @@ def run_involution(
 
     exhaustive = 0
     try:
-        obs = list(enumerate_grid_observables(algebra, base_grid, cap=cap))
-        if len(obs) ** 2 <= pair_cap:
-            for x in obs:
-                for y in obs:
-                    absorb(involution_suite(x, y))
-                    pairs += 1
-            exhaustive = pairs
+        for x, y in itertools.product(_grid_observables(algebra, cap, pair_cap), repeat=2):
+            absorb(involution_suite(x, y))
+            pairs += 1
+        exhaustive = pairs
     except CertificationTooLarge:
         pass
 
@@ -333,18 +339,14 @@ def run_involution(
     # grids explode there; shrink and share the random grids for those
     lattice = algebra.lattice_guaranteed
     triple_fail = 0
-    triples = 0
     for _ in range(samples):
         if lattice:
             grids = [random_unit_grid(rng, 5) for _ in range(3)]
         else:
             grids = [random_unit_grid(rng, 2)] * 3
-        x = random_grid_observable(algebra, grids[0], rng, elems)
-        y = random_grid_observable(algebra, grids[1], rng, elems)
-        z = random_grid_observable(algebra, grids[2], rng, elems)
+        x, y, z = (random_grid_observable(algebra, g, rng, elems) for g in grids)
         absorb(involution_suite(x, y))
         pairs += 1
-        triples += 1
         m = olson_meet((x, y, z), cap=cap)
         j = olson_join((x.negate(), y.negate(), z.negate()), cap=cap)
         ok = m.exists == j.exists and (
@@ -357,7 +359,7 @@ def run_involution(
         _check(f"involution:{key}", bad == 0, pairs, failures=bad)
         for key, bad in fails.items()
     ]
-    checks.append(_check("de_morgan_triple", triple_fail == 0, triples))
+    checks.append(_check("de_morgan_triple", triple_fail == 0, samples))
     return _report(
         "involution",
         algebra.describe(),
@@ -387,59 +389,61 @@ def _functions(
     ]
 
 
-def _set_algebra_representation(
-    algebra: FiniteSetAlgebra, seed: int, samples: int, pair_cap: int
+def _function_representation(
+    algebra: FiniteSetAlgebra | QuotientBooleanAlgebra, seed: int, samples: int, pair_cap: int
 ) -> list[dict]:
-    vals = (
-        Fraction(0),
-        Fraction(1, 4),
-        Fraction(1, 3),
-        Fraction(1, 2),
-        Fraction(2, 3),
-        Fraction(3, 4),
-        Fraction(1),
-    )
+    """The observables of functions into a few values: on a set backend their
+    round trip, then the function order against olson_leq on sampled pairs,
+    then the Olson bounds of sampled pairs, each against the observable of
+    its pointwise function bound."""
+    if isinstance(algebra, FiniteSetAlgebra):
+        vals = (
+            Fraction(0),
+            Fraction(1, 4),
+            Fraction(1, 3),
+            Fraction(1, 2),
+            Fraction(2, 3),
+            Fraction(3, 4),
+            Fraction(1),
+        )
+        limit, to_obs, back = 512, observable_from_function, function_from_observable
+        order_check, leq = "pointwise_order_agreement", function_order_oracle
+        bound_check = "min_max_lattice"
+        ops = ((olson_meet, function_min), (olson_join, function_max))
+    else:
+        vals = (Fraction(0), Fraction(1, 2), Fraction(1))
+        limit, to_obs, back = 729, pushforward_function, None
+        order_check = "almost_everywhere_order"
+        leq = functools.partial(quotient_order_criterion, algebra)
+        bound_check, ops = "pushforward_min_meet", ((olson_meet, function_min),)
     rng = random.Random(seed)
-    fs = _functions(vals, algebra.omega, rng, samples, limit=512)
-    obs = [observable_from_function(algebra, f) for f in fs]
-
-    round_trip = all(function_from_observable(algebra, x) == f for f, x in zip(fs, obs))
+    fs = _functions(vals, algebra.omega, rng, samples, limit)
+    obs = [to_obs(algebra, f) for f in fs]
+    checks = []
+    if back is not None:
+        round_trip = all(back(algebra, x) == f for f, x in zip(fs, obs))
+        checks.append(_check("function_round_trip", round_trip, len(fs)))
 
     order_pairs = _sample_pairs(rng, len(fs), ORDER_PAIR_BUDGET)
-    order_ok = all(
-        function_order_oracle(fs[i], fs[j]) == olson_leq(obs[i], obs[j])
-        for i, j in order_pairs
+    order_ok = all(leq(fs[i], fs[j]) == olson_leq(obs[i], obs[j]) for i, j in order_pairs)
+
+    bound_pairs = _sample_pairs(rng, len(fs), pair_cap)
+    bounds_ok = all(
+        (got := op((obs[i], obs[j]))).exists
+        and got.observable == to_obs(algebra, pointwise(fs[i], fs[j]))
+        for i, j in bound_pairs
+        for op, pointwise in ops
     )
-
-    minmax_pairs = _sample_pairs(rng, len(fs), pair_cap)
-    minmax_ok = True
-    for i, j in minmax_pairs:
-        meet = olson_meet((obs[i], obs[j]))
-        join = olson_join((obs[i], obs[j]))
-        if not (meet.exists and join.exists):
-            minmax_ok = False
-            continue
-        if meet.observable != observable_from_function(
-            algebra, function_min(fs[i], fs[j])
-        ):
-            minmax_ok = False
-        if join.observable != observable_from_function(
-            algebra, function_max(fs[i], fs[j])
-        ):
-            minmax_ok = False
-
-    return [
-        _check("function_round_trip", round_trip, len(fs)),
-        _check("pointwise_order_agreement", order_ok, len(order_pairs)),
-        _check("min_max_lattice", minmax_ok, len(minmax_pairs)),
+    return checks + [
+        _check(order_check, order_ok, len(order_pairs)),
+        _check(bound_check, bounds_ok, len(bound_pairs)),
     ]
 
 
 def _tribe_representation(
     algebra: FiniteTribe, seed: int, pair_cap: int, cap: int
 ) -> list[dict]:
-    grid = (Fraction(0), Fraction(1, 2), Fraction(1))
-    obs = list(enumerate_grid_observables(algebra, grid, cap=cap))
+    obs = _grid_observables(algebra, cap)
     kernels = [kernel_from_observable(algebra, x) for x in obs]
     rng = random.Random(seed)
 
@@ -463,34 +467,6 @@ def _tribe_representation(
     ]
 
 
-def _quotient_representation(
-    algebra: QuotientBooleanAlgebra, seed: int, samples: int, pair_cap: int
-) -> list[dict]:
-    vals = (Fraction(0), Fraction(1, 2), Fraction(1))
-    rng = random.Random(seed)
-    fs = _functions(vals, algebra.omega, rng, samples, limit=729)
-    push = [pushforward_function(algebra, f) for f in fs]
-
-    order_pairs = _sample_pairs(rng, len(fs), ORDER_PAIR_BUDGET)
-    order_ok = all(
-        quotient_order_criterion(algebra, fs[i], fs[j]) == olson_leq(push[i], push[j])
-        for i, j in order_pairs
-    )
-
-    meet_pairs = _sample_pairs(rng, len(fs), pair_cap)
-    meet_ok = True
-    for i, j in meet_pairs:
-        meet = olson_meet((push[i], push[j]))
-        want = pushforward_function(algebra, function_min(fs[i], fs[j]))
-        if not meet.exists or meet.observable != want:
-            meet_ok = False
-
-    return [
-        _check("almost_everywhere_order", order_ok, len(order_pairs)),
-        _check("pushforward_min_meet", meet_ok, len(meet_pairs)),
-    ]
-
-
 def run_representation(
     algebra: EffectAlgebra,
     seed: int = 0,
@@ -500,12 +476,10 @@ def run_representation(
 ) -> dict:
     """Round trips and order agreement between observables and their
     function, kernel, or quotient-class representations."""
-    if isinstance(algebra, FiniteSetAlgebra):
-        checks = _set_algebra_representation(algebra, seed, samples, pair_cap)
+    if isinstance(algebra, (FiniteSetAlgebra, QuotientBooleanAlgebra)):
+        checks = _function_representation(algebra, seed, samples, pair_cap)
     elif isinstance(algebra, FiniteTribe):
         checks = _tribe_representation(algebra, seed, pair_cap, cap)
-    elif isinstance(algebra, QuotientBooleanAlgebra):
-        checks = _quotient_representation(algebra, seed, samples, pair_cap)
     else:
         raise BackendMismatch(
             "representation suite needs a set_algebra, tribe, or quotient backend"

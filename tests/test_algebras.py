@@ -16,6 +16,7 @@ from olsonorder.algebras import (
     restricted_sum_tribe,
 )
 from olsonorder.errors import (
+    CarrierTooLarge,
     ElementForeignToAlgebra,
     InvalidAlgebra,
     ParseError,
@@ -180,6 +181,14 @@ def test_restricted_carrier_is_not_min_closed(restricted):
 def test_restricted_carrier_must_be_closed():
     with pytest.raises(InvalidAlgebra):
         FiniteTribe(2, 4, carrier=[(F(0), F(0)), (F(1), F(1)), (F(1, 2), F(0))])
+
+
+def test_restricted_carrier_is_capped_like_a_table():
+    # the validation pass compares every pair of carrier functions
+    assert restricted_sum_tribe(4, 4).size <= algebras.DEFAULT_TABLE_CAP
+    for omega, den in ((4, 6), (4, 10)):
+        with pytest.raises(CarrierTooLarge, match=r"tribe carrier size \d+ exceeds cap 256"):
+            restricted_sum_tribe(omega, den)
 
 
 def test_quotient_canonical_representatives(quotient3):

@@ -20,6 +20,7 @@ from olsonorder.errors import (
     SpectrumOutsideUnitInterval,
 )
 from olsonorder.lattice import (
+    BoundResult,
     brute_force_join,
     brute_force_meet,
     compare,
@@ -224,6 +225,16 @@ def test_trusted_packing_refuses_inconsistent_bounds():
     # row bounds 1/4, 3/4 never reach one
     with pytest.raises(InvalidAlgebra, match="reach 1"):
         olson_join((q1, q3))
+
+
+@pytest.mark.parametrize("algebra", [FiniteSetAlgebra(40), MVChain(10**9)], ids=["set40", "mv1e9"])
+def test_one_point_families_do_not_scan_the_carrier(algebra):
+    # the only chain on a one-point grid is one there; no carrier is listed
+    x = SimpleObservable(algebra, [F(1, 2)], [algebra.one])
+    start = time.perf_counter()
+    for op in (brute_force_meet, brute_force_join):
+        assert op((x, x)) == BoundResult(True, x, "exhaustive")
+    assert time.perf_counter() - start < 0.5
 
 
 def test_enumeration_counts_grid_chains(mv4, set2):

@@ -26,6 +26,7 @@ from olsonorder.observables import (
     PiecewiseMap,
     SimpleObservable,
     StepResolution,
+    _rational,
     from_closed_values,
     from_weights,
     question,
@@ -247,11 +248,37 @@ _X = SimpleObservable(_MV4, [0, 1], [_HALF, _HALF])
     lambda: _X.resolution_closed(_INF),
     lambda: _X.resolution_closed([1]),
     lambda: list(enumerate_grid_observables(_MV4, [0, _NAN])),
+    lambda: PiecewiseMap.identity().evaluate(_NAN),
+    lambda: Interval(F(0), F(1)).contains("a"),
+    lambda: Interval(F(0), F(1)).contains(_INF),
 ], ids=["nan_point", "none_point", "minus_inf_breakpoint", "zero_denominator",
-        "inf_grid", "text_lookup", "inf_lookup", "list_lookup", "nan_grid"])
+        "inf_grid", "text_lookup", "inf_lookup", "list_lookup", "nan_grid",
+        "nan_map_point", "text_interval_point", "inf_interval_point"])
 def test_points_that_are_no_rationals_raise_parse_errors(call):
     with pytest.raises(ParseError, match="expected a rational number"):
         call()
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: _rational("1e5000000"), None),
+    (lambda: _rational("1E-5000000"), None),
+    (lambda: SimpleObservable(_MV4, ["2e99999"], [_MV4.one]), None),
+    (lambda: PiecewiseMap.identity().evaluate("1e5000000"), None),
+    (lambda: Interval(F(0), F(1)).contains("1e5000000"), None),
+    (lambda: PiecewiseMap.identity().evaluate(0.5), F(1, 2)),
+    (lambda: Interval(F(0), F(1)).contains("1/2"), True),
+], ids=["exponent", "negative_exponent", "spectrum_exponent", "map_point_exponent",
+        "interval_point_exponent", "float_map_point", "text_interval_point"])
+def test_points_are_read_as_rationals(call, want):
+    # a string's exponent is refused before Fraction computes 10**exponent
+    start = time.perf_counter()
+    if want is None:
+        with pytest.raises(ParseError, match="exponent above 4300"):
+            call()
+    else:
+        got = call()
+        assert got == want and type(got) is type(want)
+    assert time.perf_counter() - start < 0.5
 
 
 # -- Borel sets and spectrum maps, checked point by point ---------------------
