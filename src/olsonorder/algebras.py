@@ -528,13 +528,17 @@ class TableEffectAlgebra(EffectAlgebra):
             raise InvalidAlgebra("table backend needs a nonempty carrier")
         if m > DEFAULT_TABLE_CAP:
             raise CarrierTooLarge(f"carrier size {m} exceeds cap {DEFAULT_TABLE_CAP}")
+
+        def is_index(v) -> bool:
+            return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < m
+
         for row in add_table:
             if not isinstance(row, (list, tuple)) or len(row) != m:
                 raise InvalidAlgebra("addition table must be square")
             for entry in row:
-                if entry is not None and not (isinstance(entry, int) and 0 <= entry < m):
+                if entry is not None and not is_index(entry):
                     raise InvalidAlgebra(f"bad table entry {_shown(entry)}")
-        if not (0 <= zero < m and 0 <= one < m):
+        if not (is_index(zero) and is_index(one)):
             raise InvalidAlgebra("zero/one indices out of range")
         if zero == one:
             raise InvalidAlgebra("degenerate table: zero and one coincide")

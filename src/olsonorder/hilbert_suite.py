@@ -53,6 +53,11 @@ def _monotone_under_id(rng: np.random.Generator, grid: np.ndarray) -> np.ndarray
     return np.minimum(grid, cand)
 
 
+def _order_gap(a: HermitianOperator, b: HermitianOperator, tol: Tolerances) -> bool:
+    """a lies below b in the Loewner order, and a and b are spectrally incomparable."""
+    return loewner_leq(a, b, tol) and not spectral_leq(a, b, tol) and not spectral_leq(b, a, tol)
+
+
 def find_order_gap_pair(
     seed: int = 0,
     dim: int = 2,
@@ -72,13 +77,8 @@ def find_order_gap_pair(
         q, _ = np.linalg.qr(g)
         c = (q * rng.uniform(0.0, 1.0, size=dim)) @ q.conj().T
         a = HermitianOperator(root @ c @ root, tol)
-        if _norm(a.matrix @ b.matrix - b.matrix @ a.matrix) <= 0.05:
-            continue
-        if not loewner_leq(a, b, tol):
-            continue
-        if spectral_leq(a, b, tol) or spectral_leq(b, a, tol):
-            continue
-        return trial, a, b
+        if _norm(a.matrix @ b.matrix - b.matrix @ a.matrix) > 0.05 and _order_gap(a, b, tol):
+            return trial, a, b
     raise CertificationTooLarge(f"no order gap found in {trials} trials")
 
 
@@ -97,16 +97,14 @@ def run_hilbert(
     spectral gap witness.
     """
     rng = np.random.default_rng(seed)
-    eye_cache = {d: HermitianOperator(np.eye(d), tol) for d in dims}
-    zero_cache = {d: HermitianOperator(np.zeros((d, d)), tol) for d in dims}
 
     # examples run and violations found by each check, and the probe kinds
     n: Counter = Counter()
     max_residual = 0.0
 
     for d in dims:
-        eye = eye_cache[d]
-        zero = zero_cache[d]
+        eye = HermitianOperator(np.eye(d), tol)
+        zero = HermitianOperator(np.zeros((d, d)), tol)
         for k in range(pairs):
             b = _random_effect(rng, d, tol)
             mb = spectral_measure(b, tol)
@@ -123,31 +121,28 @@ def run_hilbert(
                 _norm(mb.reconstruct() - b.matrix) / mb.scale,
             )
 
-            n["order_count"] += 1
-            if _measures_leq(ma, mb, tol):
-                n["order_pos"] += 1
-                if not loewner_leq(a, b, tol):
-                    n["order_viol"] += 1
-            if _measures_leq(mb, ma, tol):
-                n["order_pos"] += 1
-                if not loewner_leq(b, a, tol):
-                    n["order_viol"] += 1
+            n["effect_pairs"] += 1
+            for lo, hi, mlo, mhi in ((a, b, ma, mb), (b, a, mb, ma)):
+                if _measures_leq(mlo, mhi, tol):
+                    n["order_pos"] += 1
+                    if not loewner_leq(lo, hi, tol):
+                        n["order_viol"] += 1
 
             meet = spectral_meet((a, b), tol)
             join = spectral_join((a, b), tol)
             mm = spectral_measure(meet, tol)
-            lat = tol.lat
-            n["law_count"] += 1
-            laws_ok = (
-                _norm(spectral_meet((b, a), tol).matrix - meet.matrix) <= lat
-                and _norm(spectral_meet((a, a), tol).matrix - a.matrix) <= lat
-                and _norm(spectral_meet((a, join), tol).matrix - a.matrix) <= lat
-                and _norm(spectral_join((a, meet), tol).matrix - a.matrix) <= lat
-                and _norm(spectral_join((a, zero), tol).matrix - a.matrix) <= lat
-                and _norm(spectral_meet((a, eye), tol).matrix - a.matrix) <= lat
-                and _measures_leq(mm, ma, tol)
-                and _measures_leq(mm, mb, tol)
-            )
+            # commutativity, idempotence, absorption both ways and the two units
+            laws_ok = all(
+                _norm(bound(fam, tol).matrix - want.matrix) <= tol.lat
+                for bound, fam, want in (
+                    (spectral_meet, (b, a), meet),
+                    (spectral_meet, (a, a), a),
+                    (spectral_meet, (a, join), a),
+                    (spectral_join, (a, meet), a),
+                    (spectral_join, (a, zero), a),
+                    (spectral_meet, (a, eye), a),
+                )
+            ) and _measures_leq(mm, ma, tol) and _measures_leq(mm, mb, tol)
             if not laws_ok:
                 n["law_viol"] += 1
 
@@ -183,42 +178,29 @@ def run_hilbert(
             q = _random_projection(rng, d, tol)
             n["proj_count"] += 1
             for lo, hi in ((p, q), (q, p)):
-                s = spectral_leq(lo, hi, tol)
-                lw = loewner_leq(lo, hi, tol)
-                rg = range_leq(lo, hi, tol)
-                if not (s == lw == rg):
+                if len({leq(lo, hi, tol) for leq in (spectral_leq, loewner_leq, range_leq)}) > 1:
                     n["proj_viol"] += 1
 
         for _ in range(max(1, pairs // 10)):
-            u = rng.uniform(0.0, 1.0, size=d)
-            v = rng.uniform(0.0, 1.0, size=d)
-            w = rng.uniform(0.0, 1.0, size=d)
-            fam = [HermitianOperator(np.diag(x), tol) for x in (u, v, w)]
+            vecs = [rng.uniform(0.0, 1.0, size=d) for _ in range(3)]
+            fam = [HermitianOperator(np.diag(x), tol) for x in vecs]
             n["diag_count"] += 1
-            got_meet = spectral_meet(fam, tol).matrix
-            got_join = spectral_join(fam, tol).matrix
-            if _norm(got_meet - np.diag(np.minimum(np.minimum(u, v), w))) > tol.psd:
-                n["diag_viol"] += 1
-            if _norm(got_join - np.diag(np.maximum(np.maximum(u, v), w))) > tol.psd:
-                n["diag_viol"] += 1
+            for bound, pointwise in ((spectral_meet, np.minimum), (spectral_join, np.maximum)):
+                if _norm(bound(fam, tol).matrix - np.diag(pointwise.reduce(vecs))) > tol.psd:
+                    n["diag_viol"] += 1
 
     gap_trial, gap_a, gap_b = find_order_gap_pair(seed=seed, tol=tol)
-    gap_ok = (
-        loewner_leq(gap_a, gap_b, tol)
-        and not spectral_leq(gap_a, gap_b, tol)
-        and not spectral_leq(gap_b, gap_a, tol)
-    )
 
     checks = [
         _check(
-            "spectral_implies_loewner", n["order_viol"] == 0, n["order_count"],
+            "spectral_implies_loewner", n["order_viol"] == 0, n["effect_pairs"],
             positives=n["order_pos"],
         ),
         _check("projection_order_equivalence", n["proj_viol"] == 0, n["proj_count"]),
-        _check("lattice_laws", n["law_viol"] == 0, n["law_count"]),
+        _check("lattice_laws", n["law_viol"] == 0, n["effect_pairs"]),
         _check("commuting_diagonal_min_max", n["diag_viol"] == 0, n["diag_count"]),
         _check(
-            "reconstruction_residual", max_residual <= tol.rec, n["order_count"],
+            "reconstruction_residual", max_residual <= tol.rec, n["effect_pairs"],
             max_residual=max_residual,
         ),
         _check(
@@ -230,7 +212,7 @@ def run_hilbert(
         ),
         _check(
             "loewner_spectral_gap",
-            gap_ok,
+            _order_gap(gap_a, gap_b, tol),
             gap_trial + 1,
             trial=gap_trial,
             pair={"a": matrix_to_json(gap_a), "b": matrix_to_json(gap_b)},

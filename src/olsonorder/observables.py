@@ -33,6 +33,7 @@ flips each side) are each one comparison of cuts.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -54,12 +55,12 @@ SHARPNESS_SCAN_CAP = 20
 
 def _rational(t) -> Fraction:
     """t as a Fraction; a Fraction passes through without a new object.
-    What Fraction refuses (NaN, infinities, non-numbers) and a string whose
-    exponent exceeds RATIONAL_DIGIT_CAP raise ParseError."""
+    What Fraction refuses (NaN, infinities, non-numbers) and a string or
+    Decimal whose exponent exceeds RATIONAL_DIGIT_CAP raise ParseError."""
     if type(t) is Fraction:
         return t
-    if isinstance(t, str):
-        _check_exponent(t)
+    if isinstance(t, (str, Decimal)):
+        _check_exponent(str(t))
     try:
         return Fraction(t)
     except (ValueError, OverflowError, TypeError, ZeroDivisionError) as exc:

@@ -22,7 +22,7 @@ from .algebras import (
     QuotientBooleanAlgebra,
     _shown,
 )
-from .errors import BackendMismatch, CertificationTooLarge
+from .errors import BackendMismatch, CertificationTooLarge, InvalidAlgebra
 from .kernels import (
     MeasurableFunction,
     function_from_observable,
@@ -48,7 +48,7 @@ from .lattice import (
     olson_meet,
     order_verdict,
 )
-from .observables import SimpleObservable, _pack_closed, question
+from .observables import SimpleObservable, _pack_closed, _rational, question
 
 AXIOM_SCAN_CAP = 64
 PAIR_BUDGET = 2500
@@ -152,53 +152,41 @@ def random_grid_observable(
 
 
 def run_axioms(algebra: EffectAlgebra, cap: int = AXIOM_SCAN_CAP) -> dict:
-    """Exhaustive effect-algebra axiom scan over the whole carrier."""
+    """Exhaustive effect-algebra axiom scan over the whole carrier, read once
+    as the table S of partial sums by element index (None where undefined)."""
     elems = _elements(algebra, cap)
-    n = len(elems)
-    add = algebra.add
+    n, N = len(elems), range(len(elems))
+    where = {a: i for i, a in enumerate(elems)}
 
-    commutative = all(add(a, b) == add(b, a) for a in elems for b in elems)
+    def index(a: EffectElement | None) -> int | None:
+        try:
+            return None if a is None else where[a]
+        except KeyError:
+            raise InvalidAlgebra(
+                f"{_shown(a)} lies outside the listed carrier; backend is inconsistent"
+            ) from None
 
-    associative = True
-    for a in elems:
-        for b in elems:
-            ab = add(a, b)
-            for c in elems:
-                bc = add(b, c)
-                lhs = add(ab, c) if ab is not None else None
-                rhs = add(a, bc) if bc is not None else None
-                if lhs != rhs:
-                    associative = False
-
-    complements = True
-    for a in elems:
-        partners = [b for b in elems if add(a, b) == algebra.one]
-        comp = algebra.complement(a)
-        if partners != [comp]:
-            complements = False
-        if algebra.complement(comp) != a:
-            complements = False
-
-    zero_one = True
-    for a in elems:
-        if (add(a, algebra.one) is not None) != (a == algebra.zero):
-            zero_one = False
-        if add(algebra.zero, a) != a:
-            zero_one = False
-
-    induced = True
-    for a in elems:
-        for b in elems:
-            witness = any(add(a, c) == b for c in elems)
-            if algebra.leq(a, b) != witness:
-                induced = False
-
+    S = [[index(algebra.add(a, b)) for b in elems] for a in elems]
+    zero, one = index(algebra.zero), index(algebra.one)
+    comp = [index(algebra.complement(a)) for a in elems]
     checks = [
-        _check("commutative", commutative, n * n),
-        _check("associative", associative, n ** 3),
-        _check("unique_complement", complements, n),
-        _check("zero_one_laws", zero_one, n),
-        _check("induced_order", induced, n * n),
+        _check("commutative", all(S[i][j] == S[j][i] for i in N for j in N), n * n),
+        # row = S[i], ij = S[i][j], jk = S[j][k]: (i + j) + k against i + (j + k)
+        _check("associative", all(
+            (None if ij is None else S[ij][k]) == (None if jk is None else row[jk])
+            for row in S
+            for j, ij in enumerate(row)
+            for k, jk in enumerate(S[j])
+        ), n ** 3),
+        _check("unique_complement", all(
+            [j for j in N if S[i][j] == one] == [comp[i]] and comp[comp[i]] == i for i in N
+        ), n),
+        _check("zero_one_laws", all(
+            (S[i][one] is not None) == (i == zero) and S[zero][i] == i for i in N
+        ), n),
+        _check("induced_order", all(
+            algebra.leq(elems[i], elems[j]) == (j in S[i]) for i in N for j in N
+        ), n * n),
     ]
     return _report("axioms", algebra.describe(), checks)
 
@@ -208,45 +196,25 @@ def run_axioms(algebra: EffectAlgebra, cap: int = AXIOM_SCAN_CAP) -> dict:
 
 
 def run_order(algebra: EffectAlgebra, cap: int = AXIOM_SCAN_CAP) -> dict:
-    """Question embedding against the backend order, plus order axioms."""
+    """Question embedding against the backend order, plus order axioms, on
+    the carrier's questions and the table L of its order read once."""
     elems = _elements(algebra, cap)
-    n = len(elems)
+    n, N = len(elems), range(len(elems))
     qs = [question(algebra, a) for a in elems]
-
-    embedding = all(
-        olson_leq(qs[i], qs[j]) == algebra.leq(elems[i], elems[j])
-        for i in range(n)
-        for j in range(n)
-    )
-
-    verdicts = True
-    for i in range(n):
-        for j in range(n):
-            fwd = algebra.leq(elems[i], elems[j])
-            bwd = algebra.leq(elems[j], elems[i])
-            if compare(qs[i], qs[j]).verdict != order_verdict(fwd, bwd):
-                verdicts = False
-
-    reflexive = all(algebra.leq(a, a) for a in elems)
-    antisymmetric = all(
-        not (algebra.leq(a, b) and algebra.leq(b, a)) or a == b
-        for a in elems
-        for b in elems
-    )
-    transitive = True
-    for a in elems:
-        below = [b for b in elems if algebra.leq(a, b)]
-        for b in below:
-            for c in elems:
-                if algebra.leq(b, c) and not algebra.leq(a, c):
-                    transitive = False
-
+    L = [[algebra.leq(a, b) for b in elems] for a in elems]
+    pairs = [(i, j) for i in N for j in N]
     checks = [
-        _check("question_embedding", embedding, n * n),
-        _check("comparison_verdicts", verdicts, n * n),
-        _check("reflexive", reflexive, n),
-        _check("antisymmetric", antisymmetric, n * n),
-        _check("transitive", transitive, n ** 3),
+        _check("question_embedding", all(
+            olson_leq(qs[i], qs[j]) == L[i][j] for i, j in pairs
+        ), n * n),
+        _check("comparison_verdicts", all(
+            compare(qs[i], qs[j]).verdict == order_verdict(L[i][j], L[j][i]) for i, j in pairs
+        ), n * n),
+        _check("reflexive", all(L[i][i] for i in N), n),
+        _check("antisymmetric", all(not (L[i][j] and L[j][i]) or i == j for i, j in pairs), n * n),
+        _check("transitive", all(
+            L[i][k] for i, j in pairs if L[i][j] for k in N if L[j][k]
+        ), n ** 3),
     ]
     return _report("order", algebra.describe(), checks)
 
@@ -267,7 +235,7 @@ def run_lattice_oracle(
     pair budget, otherwise falls back to the question observables of the
     carrier, which keeps non-lattice table backends tractable.
     """
-    grid = BASE_GRID if grid is None else tuple(Fraction(t) for t in grid)
+    grid = BASE_GRID if grid is None else tuple(map(_rational, grid))
     mode = "grid"
     try:
         obs = _grid_observables(algebra, cap, pair_cap, grid)

@@ -124,6 +124,12 @@ def test_table_validation_catches_broken_tables():
     table = [[0, 1, 2], [1, None, None], [2, None, None]]
     with pytest.raises(InvalidAlgebra):
         TableEffectAlgebra(table, zero=0, one=2)
+    # a boolean or a float is no index, though it compares equal to one
+    with pytest.raises(InvalidAlgebra, match="bad table entry True"):
+        TableEffectAlgebra([[0, True], [True, None]], zero=0, one=1)
+    for zero, one in ((False, True), (0, 1.0)):
+        with pytest.raises(InvalidAlgebra, match="zero/one indices out of range"):
+            TableEffectAlgebra([[0, 1], [1, None]], zero=zero, one=one)
 
 
 def test_mo2_shape(mo2):

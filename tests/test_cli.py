@@ -401,6 +401,10 @@ def test_oversized_ground_sets_are_refused(capsys, tmp_path, backend, error):
 @pytest.mark.parametrize("backend, observable, code, error", [
     ({"kind": "table", "add": [0], "zero": 0, "one": 0}, None, 1, "ParseError"),
     ({"kind": "set_algebra", "omega": 2}, {"points": ["0"], "weights": [[[0]]]}, 1, "SetOutOfRange"),
+    # JSON true is no table index, though Python reads it as 1; the
+    # InvalidAlgebra of the table reaches the CLI as a ParseError
+    ({"kind": "table", "add": [[0, True], [True, None]], "zero": 0, "one": 1},
+     {"points": ["0"], "weights": [1]}, 1, "ParseError"),
 ])
 def test_nested_literals_raise_typed_errors(capsys, tmp_path, backend, observable, code, error):
     obs = write_json(tmp_path, "x.json", observable) if observable else Q14

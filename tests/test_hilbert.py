@@ -31,6 +31,7 @@ from olsonorder.hilbert import (
     spectral_measure,
     spectral_meet,
 )
+from olsonorder.hilbert_suite import run_hilbert
 
 from conftest import load_fixture
 
@@ -322,3 +323,48 @@ def test_tolerances_refuse_nan_infinite_and_negative_values():
             DEFAULT_TOLERANCES.replace(lat=bad)
     assert Tolerances(psd=0.0).psd == 0.0
     assert DEFAULT_TOLERANCES.replace(ord=0).ord == 0
+
+
+# run_hilbert(seed=3, pairs=5) with one tolerance set to zero: each report
+# fails the checks named below, so the suite's violation counters run.
+# Passed flags, counts and the integer extras are pinned exactly; the
+# residual and the gap pair are floats and are pinned within rounding.
+_PINNED_COUNTS = {
+    # name: (count, extras) shared by the three reports unless overridden
+    "spectral_implies_loewner": (20, {"positives": 11}),
+    "projection_order_equivalence": (20, {}),
+    "lattice_laws": (20, {}),
+    "commuting_diagonal_min_max": (4, {}),
+    "reconstruction_residual": (20, {}),
+    "greatest_lower_bound_probes": (2000, {"meet3_probes": 100, "independent_probes": 162}),
+    "loewner_spectral_gap": (1, {"trial": 0}),
+}
+
+
+@pytest.mark.parametrize("zeroed, failing, overrides", [
+    ("lat", {"lattice_laws"}, {}),
+    ("ord", {"projection_order_equivalence", "lattice_laws"}, {
+        "spectral_implies_loewner": (20, {"positives": 1}),
+        "greatest_lower_bound_probes": (1997, {"meet3_probes": 100, "independent_probes": 27}),
+    }),
+    ("psd", {"projection_order_equivalence"}, {}),
+])
+def test_hilbert_suite_reports_failing_checks(zeroed, failing, overrides):
+    tol = DEFAULT_TOLERANCES.replace(**{zeroed: 0})
+    report = run_hilbert(seed=3, pairs=5, tol=tol)
+    assert [report[k] for k in ("suite", "backend", "passed", "seed", "pairs", "probes")] == [
+        "hilbert", {"kind": "hilbert", "dims": [2, 3, 4, 8]}, False, 3, 5, 100,
+    ]
+    want = {**_PINNED_COUNTS, **overrides}
+    assert [c["name"] for c in report["checks"]] == list(want)
+    for check in report["checks"]:
+        count, extras = want[check["name"]]
+        got = {k: v for k, v in check.items() if k not in ("max_residual", "pair")}
+        assert got == {
+            "name": check["name"], "passed": check["name"] not in failing, "count": count, **extras,
+        }
+    named = {c["name"]: c for c in report["checks"]}
+    assert 0 <= named["reconstruction_residual"]["max_residual"] < 1e-13
+    pair = named["loewner_spectral_gap"]["pair"]
+    a, b = (matrix_from_json(pair[k]) for k in "ab")
+    assert loewner_leq(a, b) and not spectral_leq(a, b) and not spectral_leq(b, a)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from olsonorder.observables import (
     from_weights,
     question,
 )
+from olsonorder.suites import run_lattice_oracle
 
 F = Fraction
 
@@ -251,9 +253,10 @@ _X = SimpleObservable(_MV4, [0, 1], [_HALF, _HALF])
     lambda: PiecewiseMap.identity().evaluate(_NAN),
     lambda: Interval(F(0), F(1)).contains("a"),
     lambda: Interval(F(0), F(1)).contains(_INF),
+    lambda: run_lattice_oracle(_MV4, grid=["a"]),
 ], ids=["nan_point", "none_point", "minus_inf_breakpoint", "zero_denominator",
         "inf_grid", "text_lookup", "inf_lookup", "list_lookup", "nan_grid",
-        "nan_map_point", "text_interval_point", "inf_interval_point"])
+        "nan_map_point", "text_interval_point", "inf_interval_point", "text_oracle_grid"])
 def test_points_that_are_no_rationals_raise_parse_errors(call):
     with pytest.raises(ParseError, match="expected a rational number"):
         call()
@@ -267,10 +270,15 @@ def test_points_that_are_no_rationals_raise_parse_errors(call):
     (lambda: Interval(F(0), F(1)).contains("1e5000000"), None),
     (lambda: PiecewiseMap.identity().evaluate(0.5), F(1, 2)),
     (lambda: Interval(F(0), F(1)).contains("1/2"), True),
+    (lambda: _rational(Decimal("1e5000000")), None),
+    (lambda: _rational(Decimal("1e-5000000")), None),
+    (lambda: _rational(Decimal("0.25")), F(1, 4)),
 ], ids=["exponent", "negative_exponent", "spectrum_exponent", "map_point_exponent",
-        "interval_point_exponent", "float_map_point", "text_interval_point"])
+        "interval_point_exponent", "float_map_point", "text_interval_point",
+        "decimal_exponent", "decimal_negative_exponent", "decimal"])
 def test_points_are_read_as_rationals(call, want):
-    # a string's exponent is refused before Fraction computes 10**exponent
+    # a string's or Decimal's exponent is refused before Fraction computes
+    # 10**exponent
     start = time.perf_counter()
     if want is None:
         with pytest.raises(ParseError, match="exponent above 4300"):

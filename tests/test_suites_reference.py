@@ -1,0 +1,265 @@
+"""run_axioms and run_order against frozen copies of their first form.
+
+ref_run_axioms and ref_run_order below are copies of the two suites as
+they stood when each law was its own loop over the carrier, calling the
+public add and leq afresh for every test; they are kept frozen here.  On
+the nine backends of the fixture files and on small broken backends,
+both must return the same report (the same keys in the same order, the
+same values) or raise the same exception type with the same message.
+The broken backends make checks fail, so the failure side of every law
+runs too.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from olsonorder.algebras import MVChain
+from olsonorder.errors import InvalidAlgebra, NonMonotoneInput, OlsonOrderError
+from olsonorder.lattice import compare, olson_leq, order_verdict
+from olsonorder.observables import question
+from olsonorder.serialize import algebra_from_json
+from olsonorder.suites import AXIOM_SCAN_CAP, _check, _elements, _report, run_axioms, run_order
+
+from conftest import load_fixture
+
+
+# -- frozen copies -------------------------------------------------------------
+
+
+def ref_run_axioms(algebra, cap=AXIOM_SCAN_CAP):
+    elems = _elements(algebra, cap)
+    n = len(elems)
+    add = algebra.add
+
+    commutative = all(add(a, b) == add(b, a) for a in elems for b in elems)
+
+    associative = True
+    for a in elems:
+        for b in elems:
+            ab = add(a, b)
+            for c in elems:
+                bc = add(b, c)
+                lhs = add(ab, c) if ab is not None else None
+                rhs = add(a, bc) if bc is not None else None
+                if lhs != rhs:
+                    associative = False
+
+    complements = True
+    for a in elems:
+        partners = [b for b in elems if add(a, b) == algebra.one]
+        comp = algebra.complement(a)
+        if partners != [comp]:
+            complements = False
+        if algebra.complement(comp) != a:
+            complements = False
+
+    zero_one = True
+    for a in elems:
+        if (add(a, algebra.one) is not None) != (a == algebra.zero):
+            zero_one = False
+        if add(algebra.zero, a) != a:
+            zero_one = False
+
+    induced = True
+    for a in elems:
+        for b in elems:
+            witness = any(add(a, c) == b for c in elems)
+            if algebra.leq(a, b) != witness:
+                induced = False
+
+    checks = [
+        _check("commutative", commutative, n * n),
+        _check("associative", associative, n ** 3),
+        _check("unique_complement", complements, n),
+        _check("zero_one_laws", zero_one, n),
+        _check("induced_order", induced, n * n),
+    ]
+    return _report("axioms", algebra.describe(), checks)
+
+
+def ref_run_order(algebra, cap=AXIOM_SCAN_CAP):
+    elems = _elements(algebra, cap)
+    n = len(elems)
+    qs = [question(algebra, a) for a in elems]
+
+    embedding = all(
+        olson_leq(qs[i], qs[j]) == algebra.leq(elems[i], elems[j])
+        for i in range(n)
+        for j in range(n)
+    )
+
+    verdicts = True
+    for i in range(n):
+        for j in range(n):
+            fwd = algebra.leq(elems[i], elems[j])
+            bwd = algebra.leq(elems[j], elems[i])
+            if compare(qs[i], qs[j]).verdict != order_verdict(fwd, bwd):
+                verdicts = False
+
+    reflexive = all(algebra.leq(a, a) for a in elems)
+    antisymmetric = all(
+        not (algebra.leq(a, b) and algebra.leq(b, a)) or a == b
+        for a in elems
+        for b in elems
+    )
+    transitive = True
+    for a in elems:
+        below = [b for b in elems if algebra.leq(a, b)]
+        for b in below:
+            for c in elems:
+                if algebra.leq(b, c) and not algebra.leq(a, c):
+                    transitive = False
+
+    checks = [
+        _check("question_embedding", embedding, n * n),
+        _check("comparison_verdicts", verdicts, n * n),
+        _check("reflexive", reflexive, n),
+        _check("antisymmetric", antisymmetric, n * n),
+        _check("transitive", transitive, n ** 3),
+    ]
+    return _report("order", algebra.describe(), checks)
+
+
+# -- backends ------------------------------------------------------------------
+
+FIXTURE_BACKENDS = [
+    "mv_chain_4", "mv_chain_8", "quotient_3", "set_algebra_2", "set_algebra_3",
+    "table_block_cycle", "table_mo2", "tribe_2_4", "tribe_restricted",
+]
+
+
+class NonCommutative(MVChain):
+    """1/4 + 1/2 is undefined, 1/2 + 1/4 is 3/4."""
+
+    def _add(self, pa, pb):
+        return None if (pa, pb) == (1, 2) else super()._add(pa, pb)
+
+
+class ZeroNotNeutral(MVChain):
+    """0 + 1/4 = 1/2."""
+
+    def _add(self, pa, pb):
+        return 2 if {pa, pb} == {0, 1} else super()._add(pa, pb)
+
+
+class MisnamedZero(MVChain):
+    """Names 1/4 its zero."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.zero = self._wrap(1)
+
+
+class ComplementNotInvolution(MVChain):
+    """On the chain of thirds: 2/3 + 1/3 is undefined and 2/3 + 2/3 = 1, so
+    the complement of 1/3 is 2/3, whose complement is itself."""
+
+    def _add(self, pa, pb):
+        if (pa, pb) == (2, 1):
+            return None
+        return self.n if (pa, pb) == (2, 2) else super()._add(pa, pb)
+
+    def _complement(self, pa):
+        return 2 if pa == 2 else self.n - pa
+
+
+class OneAbsorbs(MVChain):
+    """1/4 + 1 = 1."""
+
+    def _add(self, pa, pb):
+        return self.n if {pa, pb} == {1, self.n} else super()._add(pa, pb)
+
+
+class OrderAgainstSums(MVChain):
+    """Puts 3/4 below 1/4 too, though no sum leads from 3/4 to 1/4."""
+
+    def _le(self, pa, pb):
+        return pa <= pb or (pa, pb) == (3, 1)
+
+
+class OrderNotTransitive(MVChain):
+    """1/4 <= 1/2 <= 3/4, but 1/4 is not below 3/4."""
+
+    def _le(self, pa, pb):
+        return pa <= pb and (pa, pb) != (1, 3)
+
+
+# each broken backend, the checks its axioms report fails, and the checks
+# its order report fails or the error that building its questions raises
+BROKEN = [
+    (NonCommutative(4), {"commutative", "associative", "induced_order"}, set()),
+    (ZeroNotNeutral(4), {"associative", "zero_one_laws", "induced_order"}, set()),
+    (MisnamedZero(4), {"zero_one_laws"}, NonMonotoneInput),
+    (ComplementNotInvolution(3), {"commutative", "associative", "unique_complement"},
+     {"question_embedding", "comparison_verdicts"}),
+    (OneAbsorbs(4), {"associative", "unique_complement", "zero_one_laws"}, set()),
+    (OrderAgainstSums(4), {"induced_order"}, {"antisymmetric", "transitive"}),
+    (OrderNotTransitive(4), {"induced_order"}, {"transitive"}),
+]
+
+
+def _outcome(suite, algebra):
+    try:
+        return suite(algebra)
+    except OlsonOrderError as exc:
+        return (type(exc), str(exc))
+
+
+def _failing(report):
+    return {c["name"] for c in report["checks"] if not c["passed"]}
+
+
+@pytest.mark.parametrize("name", FIXTURE_BACKENDS)
+@pytest.mark.parametrize("suite, ref", [
+    (run_axioms, ref_run_axioms), (run_order, ref_run_order),
+], ids=["axioms", "order"])
+def test_fixture_backends_match_the_frozen_suites(name, suite, ref):
+    algebra = algebra_from_json(load_fixture(f"{name}.json"))
+    got = suite(algebra)
+    assert json.dumps(got) == json.dumps(ref(algebra))
+    assert got["passed"]
+    # a cap below the carrier refuses both the same way
+    assert _outcome(lambda a: suite(a, cap=3), algebra) == _outcome(
+        lambda a: ref(a, cap=3), algebra
+    )
+
+
+@pytest.mark.parametrize("algebra, axioms_failing, order_failing", BROKEN,
+                         ids=[type(b).__name__ for b, _, _ in BROKEN])
+def test_broken_backends_fail_like_the_frozen_suites(algebra, axioms_failing, order_failing):
+    axioms = run_axioms(algebra)
+    assert json.dumps(axioms) == json.dumps(ref_run_axioms(algebra))
+    assert _failing(axioms) == axioms_failing
+    order = _outcome(run_order, algebra)
+    assert order == _outcome(ref_run_order, algebra)
+    if isinstance(order, dict):
+        assert json.dumps(order) == json.dumps(ref_run_order(algebra))
+        assert _failing(order) == order_failing
+    else:
+        assert order[0] is order_failing
+
+
+class SumEscapes(MVChain):
+    """Forgets the truncation: 3/4 + 1/2 is the payload 5 of a chain of 4."""
+
+    def _add(self, pa, pb):
+        return pa + pb
+
+
+class ComplementEscapes(MVChain):
+    """Complements k/4 to (5 - k)/4, so 0 goes to the payload 5."""
+
+    def _complement(self, pa):
+        return self.n + 1 - pa
+
+
+@pytest.mark.parametrize("algebra", [SumEscapes(4), ComplementEscapes(4)],
+                         ids=["sum", "complement"])
+def test_elements_outside_the_carrier_are_refused(algebra):
+    # the sum table holds carrier indices only; a backend that answers
+    # outside its own listed carrier contradicts itself
+    with pytest.raises(InvalidAlgebra, match="outside the listed carrier; backend is inconsistent"):
+        run_axioms(algebra)
