@@ -73,10 +73,6 @@ class EffectElement:
             return NotImplemented
         return self.algebra is other.algebra and self.payload == other.payload
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self) -> int:
         return hash((id(self.algebra), self.payload))
 
@@ -89,13 +85,13 @@ class EffectAlgebra(ABC):
 
     `add` returns None when the partial sum is undefined; `meet`/`join`
     return None when the bound does not exist in the carrier.  Everything
-    else raises on misuse.  A backend is five hooks on payloads: the
-    partial sum `_add` (None when undefined), `_complement`, the difference
-    `_diff(pb, pa)` (called only when pa <= pb), the order `_le` and the
-    n-ary bound `_bound`.  The public primitives here are written once: each
-    checks ownership of its arguments, calls a hook and wraps the answer,
-    and the exact core calls the hooks directly.  The `_le` and `_bound`
-    here serve the explicit carriers; lattice backends override them.
+    else raises on misuse.  A backend is four hooks on payloads: the
+    partial sum `_add` (None when undefined), `_complement`, the order `_le`
+    and the n-ary bound `_bound`.  The difference `_diff` is derived from
+    the first two, once, here.  The public primitives here are written
+    once: each checks ownership of its arguments, calls a hook and wraps the
+    answer, and the exact core calls the hooks directly.  The `_le` and
+    `_bound` here serve the explicit carriers; lattice backends override them.
     """
 
     kind: str = "abstract"
@@ -116,9 +112,17 @@ class EffectAlgebra(ABC):
             )
         return a.payload
 
-    def _index_carrier(self, payloads, up, down) -> None:
+    def _index_carrier(self, payloads, sums) -> None:
         """Compile an explicit carrier: bit i stands for payloads[i] (elements()
-        order), and up[i]/down[i] are the sets of the elements above/below it."""
+        order), and sums[i][j] is the index of payloads[i] + payloads[j], or
+        None.  The set of the elements above (below) each element is read off
+        a <= a + b."""
+        up, down = [0] * len(payloads), [0] * len(payloads)
+        for i, row in enumerate(sums):
+            for s in row:
+                if s is not None:
+                    up[i] |= 1 << s
+                    down[s] |= 1 << i
         self._elems = tuple(map(self._wrap, payloads))
         self._payloads, self._ups, self._downs = tuple(payloads), tuple(up), tuple(down)
         self._bit = {p: i for i, p in enumerate(payloads)}
@@ -144,9 +148,10 @@ class EffectAlgebra(ABC):
     def _complement(self, pa):
         """Payload of the complement."""
 
-    @abstractmethod
     def _diff(self, pb, pa):
-        """Payload of the c with a + c = b; called only when pa <= pb."""
+        """Payload of the c with a + c = b, called only when pa <= pb: by
+        cancellation c = (a + b')', and a + b' is then defined."""
+        return self._complement(self._add(pa, self._complement(pb)))
 
     def _le(self, pa, pb) -> bool:
         """The order on payloads; a bit test on explicit carriers."""
@@ -349,6 +354,13 @@ def _shown(value, text=repr) -> str:
     return shown
 
 
+def _numerator(q, den: int) -> int | None:
+    """The k with q = k/den in [0, 1], or None when q is no such Fraction."""
+    if not isinstance(q, Fraction) or q < 0 or q > 1 or den % q.denominator:
+        return None
+    return q.numerator * (den // q.denominator)
+
+
 def _ground_set(kind: str, omega) -> int:
     if not isinstance(omega, int) or omega < 1:
         raise InvalidAlgebra(f"{kind} needs an integer ground-set size >= 1")
@@ -377,9 +389,10 @@ class MVChain(EffectAlgebra):
 
     def element(self, value: Fraction | int | str) -> EffectElement:
         q = value if isinstance(value, Fraction) else _parse_rational(value)
-        if q < 0 or q > 1 or (self.n % q.denominator) != 0:
+        k = _numerator(q, self.n)
+        if k is None:
             raise ParseError(f"{_shown(q, str)} is not a multiple of 1/{self.n} in [0,1]")
-        return self._wrap(q.numerator * (self.n // q.denominator))
+        return self._wrap(k)
 
     def _add(self, pa, pb):
         s = pa + pb
@@ -387,9 +400,6 @@ class MVChain(EffectAlgebra):
 
     def _complement(self, pa):
         return self.n - pa
-
-    def _diff(self, pb, pa):
-        return pb - pa
 
     def _le(self, pa, pb):
         return pa <= pb
@@ -437,9 +447,6 @@ class _BitmaskAlgebra(EffectAlgebra):
 
     def _complement(self, pa):
         return self._top ^ pa
-
-    def _diff(self, pb, pa):
-        return pb ^ pa
 
     def _le(self, pa, pb):
         return pa & pb == pa
@@ -506,8 +513,8 @@ class TableEffectAlgebra(EffectAlgebra):
     """An effect algebra given by an explicit partial-addition table.
 
     The table is validated eagerly against axioms (i)-(iv); the same
-    pass precomputes complements and compiles the carrier: a <= b iff b
-    appears in a's row of sums, and that row is the difference map.
+    pass precomputes complements and compiles the carrier from the table:
+    a <= b iff b appears in a's row of sums.
     Meets and joins are the inherited bitset bounds and may not exist, so
     `lattice_guaranteed` stays False and lattice clients must certify
     nonexistence themselves.  Payloads are the indices, so bit i is
@@ -553,16 +560,10 @@ class TableEffectAlgebra(EffectAlgebra):
 
     def _validate_axioms(self) -> None:
         m, t = self.m, self.table
-        up, down, self._diffs = [0] * m, [0] * m, {}
         for a in range(m):
             for b in range(m):
-                s = t[a][b]
-                if s != t[b][a]:
+                if t[a][b] != t[b][a]:
                     raise InvalidAlgebra(f"commutativity fails at ({a},{b})")
-                if s is not None:
-                    up[a] |= 1 << s
-                    down[s] |= 1 << a
-                    self._diffs[s, a] = b
         for a in range(m):
             ta = t[a]
             for b in range(m):
@@ -592,7 +593,7 @@ class TableEffectAlgebra(EffectAlgebra):
         for a in range(m):
             if t[self.zero_index][a] != a:
                 raise InvalidAlgebra(f"0 + {a} != {a}; zero is not neutral")
-        self._index_carrier(range(m), up, down)
+        self._index_carrier(range(m), t)
 
     def element(self, index: int) -> EffectElement:
         if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < self.m:
@@ -604,9 +605,6 @@ class TableEffectAlgebra(EffectAlgebra):
 
     def _complement(self, pa):
         return self._complements[pa]
-
-    def _diff(self, pb, pa):
-        return self._diffs[pb, pa]
 
     def elements(self):
         return iter(self._elems)
@@ -694,10 +692,11 @@ class FiniteTribe(EffectAlgebra):
     contain f + g whenever both lie in the carrier and f <= 1 - g
     pointwise; such a carrier need not be closed under pointwise min, so
     it is explicit: the validation pass checks both closures and compiles
-    the pointwise order into bitsets for the bounds, and
-    `lattice_guaranteed` is False.  Sums, complements and differences stay
-    pointwise arithmetic: a carrier closed under both contains
-    b - a = (a + b')' whenever a <= b.
+    the order into bitsets for the bounds from the table of sums it reads,
+    and `lattice_guaranteed` is False.  Sums and complements stay pointwise
+    arithmetic, and so does the order: a carrier closed under both contains
+    b - a = (a + b')' whenever a <= b pointwise, so the compiled order is
+    the pointwise one.
     """
 
     kind = "tribe"
@@ -722,37 +721,33 @@ class FiniteTribe(EffectAlgebra):
                 raise CarrierTooLarge(
                     f"tribe carrier size {len(values)} exceeds cap {DEFAULT_TABLE_CAP}"
                 )
+            funcs = []
             for f in values:
                 if len(f) != omega:
                     raise InvalidAlgebra("carrier function has wrong domain size")
-                for v in f:
-                    self._check_scalar(v)
-            funcs = sorted(map(self._numerators, values))
+                funcs.append(self._numerators(f, InvalidAlgebra))
+            funcs.sort()
             index = {f: i for i, f in enumerate(funcs)}
             if top not in index:
                 raise InvalidAlgebra("carrier must contain the constant-1 function")
             if any(self._complement(f) not in index for f in funcs):
                 raise InvalidAlgebra("carrier not closed under complement")
-            up, down = [0] * len(funcs), [0] * len(funcs)
-            for i, f in enumerate(funcs):
-                for j, g in enumerate(funcs):
-                    if self._le(f, g):
-                        up[i] |= 1 << j
-                        down[j] |= 1 << i
-                    s = self._add(f, g)
-                    if s is not None and s not in index:
-                        raise InvalidAlgebra("carrier not closed under defined addition")
-            self._index_carrier(funcs, up, down)
+            sums = [[self._add(f, g) for g in funcs] for f in funcs]
+            if any(s is not None and s not in index for row in sums for s in row):
+                raise InvalidAlgebra("carrier not closed under defined addition")
+            self._index_carrier(funcs, [[index.get(s) for s in row] for row in sums])
             self.carrier = values
         self.zero = self._wrap((0,) * omega)
         self.one = self._wrap(top)
 
-    def _check_scalar(self, v: Fraction) -> None:
-        if not isinstance(v, Fraction) or v < 0 or v > 1 or self.den % v.denominator:
-            raise InvalidAlgebra(f"value {_shown(v)} is not a multiple of 1/{self.den} in [0,1]")
-
-    def _numerators(self, f: tuple[Fraction, ...]) -> tuple[int, ...]:
-        return tuple(v.numerator * (self.den // v.denominator) for v in f)
+    def _numerators(self, f: tuple[Fraction, ...], error) -> tuple[int, ...]:
+        """The payload of the values f; raises error at the first value that
+        is no k/den in [0, 1]."""
+        ks = tuple(_numerator(v, self.den) for v in f)
+        for v, k in zip(f, ks):
+            if k is None:
+                raise error(f"value {_shown(v)} is not a multiple of 1/{self.den} in [0,1]")
+        return ks
 
     def element(self, values: Iterable[Fraction | int | str]) -> EffectElement:
         f = tuple(v if isinstance(v, Fraction) else _parse_rational(v) for v in values)
@@ -760,12 +755,7 @@ class FiniteTribe(EffectAlgebra):
             raise ParseError(
                 f"tribe element needs {self.omega} values, got {len(f)}"
             )
-        for v in f:
-            try:
-                self._check_scalar(v)
-            except InvalidAlgebra as exc:
-                raise ParseError(str(exc)) from exc
-        p = self._numerators(f)
+        p = self._numerators(f, ParseError)
         if self.carrier is not None and p not in self._bit:
             raise ParseError(f"function {_shown(f)} is outside the restricted carrier")
         return self._wrap(p)
@@ -780,9 +770,6 @@ class FiniteTribe(EffectAlgebra):
 
     def _complement(self, pa):
         return tuple(self.den - v for v in pa)
-
-    def _diff(self, pb, pa):
-        return tuple(map(operator.sub, pb, pa))
 
     def _le(self, pa, pb):
         return all(map(operator.le, pa, pb))

@@ -43,24 +43,24 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _seed(text: str) -> int:
-    try:
-        val = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {_shown(text)}")
-    if not 0 <= val < 2 ** 64:
-        raise argparse.ArgumentTypeError("seed must fit an unsigned 64-bit integer")
-    return val
+def _integer(name: str, fits, rule: str):
+    """argparse type of the option `name`: an integer val with fits(val),
+    refused with "`name` must `rule`" otherwise."""
+
+    def read(text: str) -> int:
+        try:
+            val = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer, got {_shown(text)}")
+        if not fits(val):
+            raise argparse.ArgumentTypeError(f"{name} must {rule}")
+        return val
+
+    return read
 
 
-def _positive(text: str) -> int:
-    try:
-        val = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cap must be an integer, got {_shown(text)}")
-    if val < 1:
-        raise argparse.ArgumentTypeError("cap must be positive")
-    return val
+_seed = _integer("seed", lambda val: 0 <= val < 2 ** 64, "fit an unsigned 64-bit integer")
+_positive = _integer("cap", lambda val: val >= 1, "be positive")
 
 
 def _load_json(path: str):
@@ -96,13 +96,6 @@ def _tolerances(args) -> Tolerances:
         raise ParseError(f"unknown tolerance name; known names: {known}")
 
 
-def _reject_tol(args) -> None:
-    if args.tol:
-        raise ParseError(
-            "--tol applies only to the spectral subcommand and the hilbert suite"
-        )
-
-
 def _emit(obj, args) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.out:
@@ -115,29 +108,27 @@ def _emit(obj, args) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_cmp(args) -> int:
-    _reject_tol(args)
+def _observables(args, paths) -> list:
+    """The observables in the files paths, over the backend of args.backend."""
     algebra = algebra_from_json(_load_json(args.backend))
-    x = observable_from_json(algebra, _load_json(args.x))
-    y = observable_from_json(algebra, _load_json(args.y))
-    verdict = compare(x, y)
+    return [observable_from_json(algebra, _load_json(p)) for p in paths]
+
+
+def _cmd_cmp(args) -> int:
+    verdict = compare(*_observables(args, (args.x, args.y)))
     _emit(comparison_to_json(verdict), args)
     return 3 if verdict.verdict == "incomparable" else 0
 
 
 def _cmd_bound(args, op) -> int:
-    _reject_tol(args)
-    algebra = algebra_from_json(_load_json(args.backend))
-    xs = [observable_from_json(algebra, _load_json(p)) for p in args.observables]
+    xs = _observables(args, args.observables)
     result = op(xs) if args.cap is None else op(xs, cap=args.cap)
     _emit(bound_to_json(result), args)
     return 0
 
 
 def _cmd_neg(args) -> int:
-    _reject_tol(args)
-    algebra = algebra_from_json(_load_json(args.backend))
-    x = observable_from_json(algebra, _load_json(args.observable))
+    (x,) = _observables(args, (args.observable,))
     _emit(observable_to_json(x.negate()), args)
     return 0
 
@@ -174,33 +165,22 @@ def _cmd_check(args) -> int:
 
         if args.backend is not None:
             raise ParseError("the hilbert suite runs without a backend file")
-        report = run_hilbert(
-            seed=args.seed,
-            pairs=args.cap if args.cap is not None else 500,
-            tol=_tolerances(args),
-        )
+        report = run_hilbert(seed=args.seed, pairs=args.cap or 500, tol=_tolerances(args))
     else:
         from . import suites
 
-        _reject_tol(args)
+        seeded = functools.partial(functools.partial, seed=args.seed)  # run with --seed bound
+        # each exact suite, the parameter --cap sets and its default
+        run, capped, default = {
+            "axioms": (suites.run_axioms, "cap", suites.AXIOM_SCAN_CAP),
+            "order": (suites.run_order, "cap", suites.AXIOM_SCAN_CAP),
+            "lattice-oracle": (suites.run_lattice_oracle, "pair_cap", suites.PAIR_BUDGET),
+            "involution": (seeded(suites.run_involution), "samples", 200),
+            "representation": (seeded(suites.run_representation), "samples", 300),
+        }[args.suite]
         if args.backend is None:
             raise ParseError(f"the {args.suite} suite needs a backend file")
-        algebra = algebra_from_json(_load_json(args.backend))
-        cap = args.cap
-        if args.suite == "axioms":
-            report = suites.run_axioms(algebra, cap=cap or suites.AXIOM_SCAN_CAP)
-        elif args.suite == "order":
-            report = suites.run_order(algebra, cap=cap or suites.AXIOM_SCAN_CAP)
-        elif args.suite == "lattice-oracle":
-            report = suites.run_lattice_oracle(
-                algebra, pair_cap=cap or suites.PAIR_BUDGET
-            )
-        elif args.suite == "involution":
-            report = suites.run_involution(algebra, seed=args.seed, samples=cap or 200)
-        else:
-            report = suites.run_representation(
-                algebra, seed=args.seed, samples=cap or 300
-            )
+        report = run(algebra_from_json(_load_json(args.backend)), **{capped: args.cap or default})
     _emit(report, args)
     return 0 if report["passed"] else 5
 
@@ -253,6 +233,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # read before any file, where the subcommand takes no tolerances
+        if args.tol and args.command != "spectral" and getattr(args, "suite", None) != "hilbert":
+            raise ParseError("--tol applies only to the spectral subcommand and the hilbert suite")
         return args.func(args)
     except OlsonOrderError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")

@@ -80,9 +80,10 @@ def test_set_algebra_masks(set3):
 
 
 def test_backends_implement_only_payload_hooks():
-    # the public primitives, with their ownership checks, live in EffectAlgebra alone
+    # the public primitives, with their ownership checks, and the difference
+    # derived from the sum and the complement live in EffectAlgebra alone
     public = {"add", "complement", "leq", "meet", "join", "diff",
-              "meet_many", "join_many", "bounds", "is_sharp"}
+              "meet_many", "join_many", "bounds", "is_sharp", "_diff"}
     backends = [c for c in vars(algebras).values()
                 if isinstance(c, type) and issubclass(c, algebras.EffectAlgebra)
                 and c is not algebras.EffectAlgebra]
@@ -185,8 +186,11 @@ def test_restricted_carrier_is_not_min_closed(restricted):
 
 
 def test_restricted_carrier_must_be_closed():
-    with pytest.raises(InvalidAlgebra):
+    with pytest.raises(InvalidAlgebra, match="not closed under complement"):
         FiniteTribe(2, 4, carrier=[(F(0), F(0)), (F(1), F(1)), (F(1, 2), F(0))])
+    # closed under complement, but (1/4, 0) + (1/4, 0) is missing
+    with pytest.raises(InvalidAlgebra, match="not closed under defined addition"):
+        FiniteTribe(2, 4, carrier=[(F(0), F(0)), (F(1), F(1)), (F(1, 4), F(0)), (F(3, 4), F(1))])
 
 
 def test_restricted_carrier_is_capped_like_a_table():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -210,28 +211,40 @@ def test_double_negation_and_spectrum_flip(x):
 
 
 # rationals with more digits than Python prints: the typed error's message
-# must not fail while it is built
+# must not fail while it is built; the scalars off the grid after them keep
+# the whole message that names them
 HUGE, TINY = F(10**5000), F(1, 10**5000)
+OVER = "rational of over 4300 digits"
 _MV4 = MVChain(4)
 _HALF = _MV4.element(F(1, 2))
 
 
-@pytest.mark.parametrize("call, error", [
-    (lambda: _MV4.element(HUGE), ParseError),
-    (lambda: _MV4.element(TINY), ParseError),
-    (lambda: SimpleObservable(_MV4, [HUGE, 0], [_MV4.one, _MV4.one]), NonIncreasingPoints),
-    (lambda: StepResolution(_MV4, [HUGE, 0], [_MV4.zero, _HALF, _MV4.one]), NonIncreasingPoints),
-    (lambda: from_closed_values(_MV4, ((HUGE, _HALF), (0, _MV4.one))), NonIncreasingPoints),
-    (lambda: left_regularize(_MV4, ((HUGE, _MV4.zero), (0, _HALF))), NonIncreasingPoints),
-    (lambda: SimpleObservable(_MV4, [HUGE], [_MV4.one]).negate(), SpectrumOutsideUnitInterval),
-    (lambda: FiniteTribe(2, 4).element((TINY, 0)), ParseError),
-    (lambda: FiniteTribe(2, 4).element((HUGE, 0)), ParseError),
-    (lambda: FiniteTribe(1, 4, carrier=[(TINY,)]), InvalidAlgebra),
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: _MV4.element(HUGE), ParseError, OVER),
+    (lambda: _MV4.element(TINY), ParseError, OVER),
+    (lambda: SimpleObservable(_MV4, [HUGE, 0], [_MV4.one, _MV4.one]), NonIncreasingPoints, OVER),
+    (lambda: StepResolution(_MV4, [HUGE, 0], [_MV4.zero, _HALF, _MV4.one]), NonIncreasingPoints,
+     OVER),
+    (lambda: from_closed_values(_MV4, ((HUGE, _HALF), (0, _MV4.one))), NonIncreasingPoints, OVER),
+    (lambda: left_regularize(_MV4, ((HUGE, _MV4.zero), (0, _HALF))), NonIncreasingPoints, OVER),
+    (lambda: SimpleObservable(_MV4, [HUGE], [_MV4.one]).negate(), SpectrumOutsideUnitInterval,
+     OVER),
+    (lambda: FiniteTribe(2, 4).element((TINY, 0)), ParseError, OVER),
+    (lambda: FiniteTribe(2, 4).element((HUGE, 0)), ParseError, OVER),
+    (lambda: FiniteTribe(1, 4, carrier=[(TINY,)]), InvalidAlgebra, OVER),
+    (lambda: _MV4.element(F(-1, 4)), ParseError, "-1/4 is not a multiple of 1/4 in [0,1]"),
+    (lambda: _MV4.element("5/4"), ParseError, "5/4 is not a multiple of 1/4 in [0,1]"),
+    (lambda: _MV4.element_from_json("1/3"), ParseError, "1/3 is not a multiple of 1/4 in [0,1]"),
+    (lambda: FiniteTribe(2, 4).element(("1/3", 0)), ParseError,
+     "value Fraction(1, 3) is not a multiple of 1/4 in [0,1]"),
+    (lambda: FiniteTribe(1, 4, carrier=[(F(0),), (1,)]), InvalidAlgebra,
+     "value 1 is not a multiple of 1/4 in [0,1]"),
 ], ids=["mv_huge", "mv_tiny", "spectrum", "breakpoints", "closed_values", "regularize",
-        "negate", "tribe_tiny", "tribe_huge", "tribe_carrier"])
-def test_oversized_rationals_raise_typed_errors(call, error):
+        "negate", "tribe_tiny", "tribe_huge", "tribe_carrier", "mv_negative", "mv_above_one",
+        "mv_third", "tribe_third", "tribe_carrier_int"])
+def test_oversized_rationals_raise_typed_errors(call, error, message):
     start = time.perf_counter()
-    with pytest.raises(error, match="rational of over 4300 digits"):
+    with pytest.raises(error, match=re.escape(message)):
         call()
     assert time.perf_counter() - start < 1.0
 
