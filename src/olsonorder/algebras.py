@@ -37,21 +37,22 @@ from abc import ABC, abstractmethod
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+# OVERSIZED and SHOWN_CAP are re-exported for callers that import them from here
 from .errors import (
+    OVERSIZED,
+    RATIONAL_DIGIT_CAP,
+    SHOWN_CAP,
     CarrierTooLarge,
     ElementForeignToAlgebra,
     InvalidAlgebra,
     NotEnumerable,
     ParseError,
     SetOutOfRange,
+    _shown,
 )
 
 DEFAULT_TABLE_CAP = 256
-#: digits of the longest numerator or denominator a rational literal may
-#: have: Python's default limit for converting an int to a string
-RATIONAL_DIGIT_CAP = 4300
 GROUND_SET_CAP = 10**6  #: most points of a ground set, and bits of a full tribe's size
-SHOWN_CAP = 200  #: most characters of an input an error message echoes
 
 
 class EffectElement:
@@ -336,22 +337,6 @@ def _check_exponent(text: str) -> None:
 
 def rational_to_json(q: Fraction) -> str:
     return str(q)
-
-
-OVERSIZED = f"<integer or rational of over {RATIONAL_DIGIT_CAP} digits>"
-
-
-def _shown(value, text=repr) -> str:
-    """text(value) for an error message, or the OVERSIZED placeholder when
-    value holds a number that Python refuses to print (over RATIONAL_DIGIT_CAP digits).
-    A text over SHOWN_CAP characters is cut there, its full length noted."""
-    try:
-        shown = text(value)
-    except ValueError:
-        return OVERSIZED
-    if len(shown) > SHOWN_CAP:
-        return f"{shown[:SHOWN_CAP]}... ({len(shown)} characters)"
-    return shown
 
 
 def _numerator(q, den: int) -> int | None:

@@ -17,19 +17,10 @@ import json
 import sys
 from typing import TYPE_CHECKING
 
-from .algebras import _shown
-from .errors import OlsonOrderError, ParseError
-from .lattice import compare, olson_join, olson_meet, order_verdict
-from .serialize import (
-    algebra_from_json,
-    bound_to_json,
-    comparison_to_json,
-    observable_from_json,
-    observable_to_json,
-)
+from .errors import OlsonOrderError, ParseError, _shown, order_verdict
 
-# hilbert and hilbert_suite need numpy; the commands that use them import
-# them, so the exact commands start without numpy
+# each command imports the modules it runs: the exact commands load no
+# numpy, and the spectral commands load no exact backend
 if TYPE_CHECKING:
     from .hilbert import Tolerances
 
@@ -108,26 +99,44 @@ def _emit(obj, args) -> None:
         sys.stdout.write(text)
 
 
+def _backend(args):
+    """The backend in the file args.backend."""
+    from .serialize import algebra_from_json
+
+    return algebra_from_json(_load_json(args.backend))
+
+
 def _observables(args, paths) -> list:
     """The observables in the files paths, over the backend of args.backend."""
-    algebra = algebra_from_json(_load_json(args.backend))
+    from .serialize import observable_from_json
+
+    algebra = _backend(args)
     return [observable_from_json(algebra, _load_json(p)) for p in paths]
 
 
 def _cmd_cmp(args) -> int:
+    from .lattice import compare
+    from .serialize import comparison_to_json
+
     verdict = compare(*_observables(args, (args.x, args.y)))
     _emit(comparison_to_json(verdict), args)
     return 3 if verdict.verdict == "incomparable" else 0
 
 
-def _cmd_bound(args, op) -> int:
+def _cmd_bound(args, op: str) -> int:
+    from . import lattice
+    from .serialize import bound_to_json
+
     xs = _observables(args, args.observables)
-    result = op(xs) if args.cap is None else op(xs, cap=args.cap)
+    bound = getattr(lattice, f"olson_{op}")
+    result = bound(xs) if args.cap is None else bound(xs, cap=args.cap)
     _emit(bound_to_json(result), args)
     return 0
 
 
 def _cmd_neg(args) -> int:
+    from .serialize import observable_to_json
+
     (x,) = _observables(args, (args.observable,))
     _emit(observable_to_json(x.negate()), args)
     return 0
@@ -180,7 +189,7 @@ def _cmd_check(args) -> int:
         }[args.suite]
         if args.backend is None:
             raise ParseError(f"the {args.suite} suite needs a backend file")
-        report = run(algebra_from_json(_load_json(args.backend)), **{capped: args.cap or default})
+        report = run(_backend(args), **{capped: args.cap or default})
     _emit(report, args)
     return 0 if report["passed"] else 5
 
@@ -206,8 +215,8 @@ def _build_parser() -> _Parser:
     c.add_argument("y")
     c.set_defaults(func=_cmd_cmp)
 
-    for name, op in (("meet", olson_meet), ("join", olson_join)):
-        m = sub.add_parser(name, parents=[shared], help=f"{name} of a family of observables")
+    for op in ("meet", "join"):
+        m = sub.add_parser(op, parents=[shared], help=f"{op} of a family of observables")
         m.add_argument("backend")
         m.add_argument("observables", nargs="+")
         m.set_defaults(func=functools.partial(_cmd_bound, op=op))

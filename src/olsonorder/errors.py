@@ -1,12 +1,41 @@
-"""Exception types shared across the package.
+"""Exception types, and the helpers both the exact and the Hilbert stack use.
 
 Every error raised on a contract violation derives from OlsonOrderError so
 callers can catch the whole family at one place.  Each class carries the
 CLI's exit code for it: 1 by default, 2 for mismatched backends, dimensions
-and domains, 4 for a matrix that fails a numerical gate.
+and domains, 4 for a matrix that fails a numerical gate.  This module
+imports nothing, so each stack loads it without loading the other.
 """
 
 from __future__ import annotations
+
+#: digits of the longest numerator or denominator a rational literal may
+#: have: Python's default limit for converting an int to a string
+RATIONAL_DIGIT_CAP = 4300
+SHOWN_CAP = 200  #: most characters of an input an error message echoes
+OVERSIZED = f"<integer or rational of over {RATIONAL_DIGIT_CAP} digits>"
+
+
+def _shown(value, text=repr) -> str:
+    """text(value) for an error message, or the OVERSIZED placeholder when
+    value holds a number that Python refuses to print (over RATIONAL_DIGIT_CAP digits).
+    A text over SHOWN_CAP characters is cut there, its full length noted."""
+    try:
+        shown = text(value)
+    except ValueError:
+        return OVERSIZED
+    if len(shown) > SHOWN_CAP:
+        return f"{shown[:SHOWN_CAP]}... ({len(shown)} characters)"
+    return shown
+
+
+def order_verdict(fwd: bool, bwd: bool) -> str:
+    """Two-sided verdict from the one-sided tests x <= y (fwd) and y <= x (bwd)."""
+    if fwd and bwd:
+        return "equal"
+    if fwd:
+        return "less_or_equal"
+    return "greater_or_equal" if bwd else "incomparable"
 
 
 class OlsonOrderError(Exception):

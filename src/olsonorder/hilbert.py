@@ -22,7 +22,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebras import _shown
 from .errors import (
     CarrierTooLarge,
     DimensionMismatch,
@@ -32,6 +31,7 @@ from .errors import (
     NotAProjection,
     NotHermitian,
     ParseError,
+    _shown,
 )
 
 DIMENSION_CAP = 16

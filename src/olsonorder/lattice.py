@@ -36,20 +36,23 @@ the closed route against, and no default path runs it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import getitem
 from typing import Iterable, Sequence
 
-from .algebras import OVERSIZED, RATIONAL_DIGIT_CAP, EffectAlgebra, EffectElement, _shown
+from .algebras import EffectAlgebra, EffectElement
 from .errors import (
+    OVERSIZED,
+    RATIONAL_DIGIT_CAP,
     BackendMismatch,
     CertificationTooLarge,
     EmptyFamily,
     InvalidAlgebra,
     NonMonotoneInput,
     SpectrumOutsideUnitInterval,
+    _shown,
+    order_verdict,
 )
 from .observables import (
     Interval,
@@ -65,8 +68,38 @@ from .observables import (
 DEFAULT_ENUMERATION_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class OlsonComparison:
+class _Record:
+    """An immutable result record: equality, hash and repr run over the
+    fields named in __slots__, in order, as those of a frozen dataclass."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class OlsonComparison(_Record):
     """Two-sided comparison verdict with a refuting grid point.
 
     verdict is one of "equal", "less_or_equal", "greater_or_equal",
@@ -76,12 +109,14 @@ class OlsonComparison:
     when both fail.  Equal comparisons carry no witness.
     """
 
-    verdict: str
-    witness_t: Fraction | None
+    __slots__ = __match_args__ = ("verdict", "witness_t")
+
+    def __init__(self, verdict: str, witness_t: Fraction | None):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "witness_t", witness_t)
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(_Record):
     """Outcome of olson_meet/olson_join or their brute-force oracles.
 
     certified is "elementwise" when the result came from pointwise
@@ -91,10 +126,14 @@ class BoundResult:
     minimal upper bounds) found by the enumeration.
     """
 
-    exists: bool
-    observable: SimpleObservable | None
-    certified: str
-    frontier: tuple[SimpleObservable, ...] = ()
+    __slots__ = __match_args__ = ("exists", "observable", "certified", "frontier")
+
+    def __init__(self, exists: bool, observable: SimpleObservable | None, certified: str,
+                 frontier: tuple[SimpleObservable, ...] = ()):
+        object.__setattr__(self, "exists", exists)
+        object.__setattr__(self, "observable", observable)
+        object.__setattr__(self, "certified", certified)
+        object.__setattr__(self, "frontier", frontier)
 
 
 def _family(xs: Iterable[SimpleObservable]) -> tuple[SimpleObservable, ...]:
@@ -183,15 +222,6 @@ def olson_leq(x: SimpleObservable, y: SimpleObservable) -> bool:
     xs = _family((x, y))
     _, (xc, yc) = _columns(xs)
     return all(map(xs[0].algebra._le, yc, xc))
-
-
-def order_verdict(fwd: bool, bwd: bool) -> str:
-    """Two-sided verdict from the one-sided tests x <= y (fwd) and y <= x (bwd)."""
-    if fwd and bwd:
-        return "equal"
-    if fwd:
-        return "less_or_equal"
-    return "greater_or_equal" if bwd else "incomparable"
 
 
 def compare(x: SimpleObservable, y: SimpleObservable) -> OlsonComparison:

@@ -334,27 +334,90 @@ def test_join_cap_exhaustion_exits_1(capsys, cycle, tmp_path):
     assert code == 1 and err.startswith("CertificationTooLarge")
 
 
-def test_exact_commands_do_not_import_numpy():
+# each entry point, run in a fresh interpreter, and the olsonorder modules
+# (named without the package prefix; "" is the package) plus numpy it loads
+_EXACT = {"", "cli", "errors", "algebras", "observables", "lattice", "serialize"}
+_SPECTRAL = {"", "cli", "errors", "hilbert", "numpy"}
+_ENTRY_POINTS = {
+    "import": ("import olsonorder", {""}),
+    "table-backend": ("import olsonorder; olsonorder.block_cycle_algebra()",
+                      {"", "errors", "algebras"}),
+    "submodule": ("import olsonorder; olsonorder.lattice",
+                  {"", "errors", "algebras", "observables", "lattice"}),
+    "import-star": ("from olsonorder import *",
+                    {"", "errors", "algebras", "observables", "lattice", "kernels", "serialize"}),
+    "hilbert": ("import olsonorder.hilbert", {"", "errors", "hilbert", "numpy"}),
+    "hilbert-name": ("from olsonorder import HermitianOperator",
+                     {"", "errors", "hilbert", "numpy"}),
+    "cmp": (["cmp", MV4, Q14, Q34], _EXACT),
+    "meet": (["meet", MV4, Q14, fixture_path("mv4_three_point.json")], _EXACT),
+    "neg": (["neg", MV4, fixture_path("mv4_three_point.json")], _EXACT),
+    "check-axioms": (["check", "axioms", MV4], _EXACT | {"kernels", "suites"}),
+    "check-lattice-oracle": (["check", "lattice-oracle", MV4], _EXACT | {"kernels", "suites"}),
+    "spectral-cmp": (["spectral", "cmp", DIAG, DIAG], _SPECTRAL),
+    "spectral-meet": (["spectral", "meet", fixture_path("effect_a_3x3.json"),
+                       fixture_path("effect_b_3x3.json")], _SPECTRAL),
+    "spectral-measure": (["spectral", "measure", DIAG], _SPECTRAL),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_entry_point_loads_only_its_modules(entry):
+    code, expected = _ENTRY_POINTS[entry]
+    if isinstance(code, list):  # a command line, run through cli.main
+        code = (f"import os; from olsonorder import cli\n"
+                f"assert cli.main({code!r} + ['--out', os.devnull]) in (0, 3)")
     script = (
-        "import sys\n"
-        "import olsonorder\n"
-        "assert 'numpy' not in sys.modules, 'import olsonorder'\n"
-        "from olsonorder import cli\n"
-        "assert cli.main(['neg', sys.argv[1], sys.argv[2]]) == 0\n"
-        "assert 'numpy' not in sys.modules, 'neg'\n"
-        "for suite in ('axioms', 'lattice-oracle'):\n"
-        "    assert cli.main(['check', suite, sys.argv[1]]) == 0\n"
-        "    assert 'numpy' not in sys.modules, suite\n"
-        "from olsonorder import HermitianOperator\n"
-        "assert 'numpy' in sys.modules and HermitianOperator.__module__ == 'olsonorder.hilbert'\n"
+        "import json, sys\n"
+        f"{code}\n"
+        "print(json.dumps(sorted(name.partition('.')[2] for name in sys.modules\n"
+        "                        if name.partition('.')[0] == 'olsonorder') +\n"
+        "                 ['numpy'] * ('numpy' in sys.modules)))\n"
     )
     src = os.path.dirname(os.path.dirname(olsonorder.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, os.environ.get("PYTHONPATH", "")))}
-    done = subprocess.run(
-        [sys.executable, "-c", script, MV4, fixture_path("mv4_three_point.json")],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
+    assert set(json.loads(done.stdout.splitlines()[-1])) == expected
+
+
+def test_every_public_name_resolves_to_its_home_module():
+    import importlib
+
+    for name, home in olsonorder._HOME.items():
+        module = importlib.import_module(f"olsonorder.{home}")
+        assert getattr(olsonorder, name) is getattr(module, name), name
+    assert sorted(olsonorder._HOME) == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(olsonorder))
+    assert olsonorder.lattice is importlib.import_module("olsonorder.lattice")
+    with pytest.raises(AttributeError, match="^module 'olsonorder' has no attribute 'bogus'$"):
+        olsonorder.bogus
+
+
+# the names `olsonorder` exported when it imported every exact module
+# eagerly and the Hilbert names through a module __getattr__
+PUBLIC_NAMES = sorted("""
+    BackendMismatch BorelSetExpr BoundResult CarrierTooLarge CertificationTooLarge
+    DEFAULT_TOLERANCES DIMENSION_CAP DimensionMismatch DomainMismatch EffectAlgebra
+    EffectElement EigendecompositionFailure ElementForeignToAlgebra EmptyFamily
+    FiniteSetAlgebra FiniteTribe HermitianOperator Interval InvalidAlgebra
+    KernelValueOutsideTribe MVChain MapUndefinedOnSpectrum MarkovKernel MeasurableFunction
+    NonIncreasingPoints NonMonotoneInput NotAProjection NotAnEffect NotEnumerable
+    NotHermitian OlsonComparison OlsonOrderError ParseError PiecewiseMap
+    QuotientBooleanAlgebra SetOutOfRange SimpleObservable SpectralMeasure
+    SpectrumOutsideUnitInterval StepResolution TableEffectAlgebra Tolerances
+    WeightsNotSummable algebra_from_json algebra_to_json block_cycle_algebra
+    bound_to_json brute_force_join brute_force_meet compare comparison_to_json
+    enumerate_grid_observables from_closed_values from_weights function_from_observable
+    function_max function_min function_order_oracle involution_suite kernel_from_observable
+    kernel_leq left_regularize loewner_leq logical_leq matrix_from_json matrix_to_json
+    merged_grid mo2_algebra negate observable_from_function observable_from_json
+    observable_from_kernel observable_to_json olson_join olson_leq olson_meet proj_join
+    proj_meet pushforward_function quotient_order_criterion question range_leq
+    resolution_to_json restricted_sum_tribe right_regularize spectral_join spectral_leq
+    spectral_measure spectral_meet
+""".split())
 
 
 # carriers whose sizes have more digits than Python prints
