@@ -494,12 +494,39 @@ class FiniteSetAlgebra(_BitmaskAlgebra):
         return self.subset(obj)
 
 
+def _effect_laws(S, zero: int, one: int) -> Iterator[tuple[str, str | None]]:
+    """Each law on the index sum table S (S[a][b] the index of a + b, None
+    where undefined), lazily and in order: axioms (i)-(iv), then 0 + a = a,
+    as (law, message of its first violation or None).  Once (i)-(iv) hold,
+    0 = 1' gives (0 + a) + a' = 1, so 0 + a = a by (iii): on a table the
+    last law never fails first, but `check axioms` reports each law alone."""
+    N = range(len(S))
+    yield "commutative", next((
+        f"commutativity fails at ({a},{b})" for a in N for b in N if S[a][b] != S[b][a]
+    ), None)
+    # row = S[a], ab = S[a][b], bc = S[b][c]: (a + b) + c against a + (b + c)
+    yield "associative", next((
+        f"associativity fails at ({a},{b},{c}): (a+b)+c={lhs!r}, a+(b+c)={rhs!r}"
+        for a, row in enumerate(S) for b, ab in enumerate(row) for c, bc in enumerate(S[b])
+        if (lhs := None if ab is None else S[ab][c]) != (rhs := None if bc is None else row[bc])
+    ), None)
+    yield "unique_complement", next((
+        f"element {a} has {k} complements, expected exactly 1"
+        for a, row in enumerate(S) if (k := row.count(one)) != 1
+    ), None)
+    yield "one_summable_only_with_zero", next((
+        f"a + 1 defined for a={a} != 0" for a in N if S[a][one] is not None and a != zero
+    ), None)
+    yield "zero_neutral", next((
+        f"0 + {a} != {a}; zero is not neutral" for a in N if S[zero][a] != a
+    ), None)
+
+
 class TableEffectAlgebra(EffectAlgebra):
     """An effect algebra given by an explicit partial-addition table.
 
-    The table is validated eagerly against axioms (i)-(iv); the same
-    pass precomputes complements and compiles the carrier from the table:
-    a <= b iff b appears in a's row of sums.
+    The table is validated eagerly against `_effect_laws`, and its carrier
+    is compiled from it: a <= b iff b appears in a's row of sums.
     Meets and joins are the inherited bitset bounds and may not exist, so
     `lattice_guaranteed` stays False and lattice clients must certify
     nonexistence themselves.  Payloads are the indices, so bit i is
@@ -539,46 +566,13 @@ class TableEffectAlgebra(EffectAlgebra):
         self.table = tuple(tuple(row) for row in add_table)
         self.zero_index = zero
         self.one_index = one
-        self._validate_axioms()
+        for _, failure in _effect_laws(self.table, zero, one):
+            if failure is not None:
+                raise InvalidAlgebra(failure)
+        self._complements = [row.index(one) for row in self.table]
+        self._index_carrier(range(m), self.table)
         self.zero = self._elems[zero]
         self.one = self._elems[one]
-
-    def _validate_axioms(self) -> None:
-        m, t = self.m, self.table
-        for a in range(m):
-            for b in range(m):
-                if t[a][b] != t[b][a]:
-                    raise InvalidAlgebra(f"commutativity fails at ({a},{b})")
-        for a in range(m):
-            ta = t[a]
-            for b in range(m):
-                ab = ta[b]
-                tb = t[b]
-                for c in range(m):
-                    bc = tb[c]
-                    lhs = t[ab][c] if ab is not None else None
-                    rhs = ta[bc] if bc is not None else None
-                    if lhs != rhs:
-                        raise InvalidAlgebra(
-                            f"associativity fails at ({a},{b},{c}): "
-                            f"(a+b)+c={lhs!r}, a+(b+c)={rhs!r}"
-                        )
-        one = self.one_index
-        self._complements = []
-        for a in range(m):
-            partners = [b for b in range(m) if t[a][b] == one]
-            if len(partners) != 1:
-                raise InvalidAlgebra(
-                    f"element {a} has {len(partners)} complements, expected exactly 1"
-                )
-            self._complements.append(partners[0])
-        for a in range(m):
-            if t[a][one] is not None and a != self.zero_index:
-                raise InvalidAlgebra(f"a + 1 defined for a={a} != 0")
-        for a in range(m):
-            if t[self.zero_index][a] != a:
-                raise InvalidAlgebra(f"0 + {a} != {a}; zero is not neutral")
-        self._index_carrier(range(m), t)
 
     def element(self, index: int) -> EffectElement:
         if not isinstance(index, int) or isinstance(index, bool) or not 0 <= index < self.m:

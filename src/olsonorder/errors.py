@@ -38,6 +38,25 @@ def order_verdict(fwd: bool, bwd: bool) -> str:
     return "greater_or_equal" if bwd else "incomparable"
 
 
+def _check(name: str, passed: bool, count: int, **extra) -> dict:
+    out = {"name": name, "passed": bool(passed), "count": int(count)}
+    out.update(extra)
+    return out
+
+
+def _report(suite: str, backend, checks: list[dict], seed: int | None = None, **extra) -> dict:
+    out = {
+        "suite": suite,
+        "backend": backend,
+        "passed": all(c["passed"] for c in checks),
+        "checks": checks,
+    }
+    if seed is not None:
+        out["seed"] = int(seed)
+    out.update(extra)
+    return out
+
+
 class OlsonOrderError(Exception):
     """Base class for all contract violations raised by this package."""
 

@@ -2,7 +2,7 @@
 effects and projections.
 
 It is the one suite that needs numpy, so it lives apart from the exact
-suites in `suites`, which run without numpy.
+suites in `suites`, which run without numpy; it loads no exact module.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CertificationTooLarge
+from .errors import CertificationTooLarge, _check, _report
 from .hilbert import (
     DEFAULT_TOLERANCES,
     HermitianOperator,
@@ -27,7 +27,6 @@ from .hilbert import (
     spectral_measure,
     spectral_meet,
 )
-from .suites import _check, _report
 
 
 def _random_effect(rng: np.random.Generator, dim: int, tol: Tolerances) -> HermitianOperator:

@@ -358,6 +358,7 @@ _ENTRY_POINTS = {
     "spectral-meet": (["spectral", "meet", fixture_path("effect_a_3x3.json"),
                        fixture_path("effect_b_3x3.json")], _SPECTRAL),
     "spectral-measure": (["spectral", "measure", DIAG], _SPECTRAL),
+    "check-hilbert": (["check", "hilbert", "--cap", "1"], _SPECTRAL | {"hilbert_suite"}),
 }
 
 

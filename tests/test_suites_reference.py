@@ -3,22 +3,25 @@
 ref_run_axioms and ref_run_order below are copies of the two suites as
 they stood when each law was its own loop over the carrier, calling the
 public add and leq afresh for every test; they are kept frozen here.  On
-the nine backends of the fixture files and on small broken backends,
-both must return the same report (the same keys in the same order, the
-same values) or raise the same exception type with the same message.
-The broken backends make checks fail, so the failure side of every law
-runs too.  The one exception is a backend whose zero is not the bottom
-of its order: the frozen run_order raises NonMonotoneInput there, and
-run_order reports its two question checks as failed.
+the nine backends of the fixture files, on small broken backends and,
+for run_axioms, on seeded mutations of three sum tables taken without
+validation, both must return the same report (the same keys in the same
+order, the same values) or raise the same exception type with the same
+message.  The broken backends and the mutations make checks fail, so the
+failure side of every law runs too.  The one exception is a backend
+whose zero is not the bottom of its order: the frozen run_order raises
+NonMonotoneInput there, and run_order reports its two question checks
+as failed.
 """
 
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
-from olsonorder.algebras import MVChain
+from olsonorder.algebras import EffectAlgebra, MVChain
 from olsonorder.errors import InvalidAlgebra, NonMonotoneInput, OlsonOrderError
 from olsonorder.lattice import compare, olson_leq, order_verdict
 from olsonorder.observables import question
@@ -26,6 +29,7 @@ from olsonorder.serialize import algebra_from_json
 from olsonorder.suites import AXIOM_SCAN_CAP, _check, _elements, _report, run_axioms, run_order
 
 from conftest import load_fixture
+from test_carrier_reference import TABLES, _mutant
 
 
 # -- frozen copies -------------------------------------------------------------
@@ -168,6 +172,14 @@ class ComplementNotInvolution(MVChain):
         return 2 if pa == 2 else self.n - pa
 
 
+class ComplementIsIdentity(MVChain):
+    """Every k/4 its own complement: an involution, but not the one b with
+    k/4 + b = 1 except at 1/2."""
+
+    def _complement(self, pa):
+        return pa
+
+
 class OneAbsorbs(MVChain):
     """1/4 + 1 = 1."""
 
@@ -197,6 +209,7 @@ BROKEN = [
     (MisnamedZero(4), {"zero_one_laws"}, {"question_embedding", "comparison_verdicts"}),
     (ComplementNotInvolution(3), {"commutative", "associative", "unique_complement"},
      {"question_embedding", "comparison_verdicts"}),
+    (ComplementIsIdentity(4), {"unique_complement"}, {"question_embedding", "comparison_verdicts"}),
     (OneAbsorbs(4), {"associative", "unique_complement", "zero_one_laws"}, set()),
     (OrderAgainstSums(4), {"induced_order"}, {"antisymmetric", "transitive"}),
     (OrderNotTransitive(4), {"induced_order"}, {"transitive"}),
@@ -271,3 +284,54 @@ def test_elements_outside_the_carrier_are_refused(algebra):
     # outside its own listed carrier contradicts itself
     with pytest.raises(InvalidAlgebra, match="outside the listed carrier; backend is inconsistent"):
         run_axioms(algebra)
+
+
+class RawTable(EffectAlgebra):
+    """An index sum table taken as given, with no validation: the order is
+    read off its sums, and the complement of a is the first b with
+    a + b = 1, or a itself when there is none."""
+
+    kind = "raw_table"
+
+    def __init__(self, table, zero, one):
+        self.table, self.one_index = table, one
+        self._index_carrier(range(len(table)), table)
+        self.zero, self.one = self._elems[zero], self._elems[one]
+
+    def _add(self, pa, pb):
+        return self.table[pa][pb]
+
+    def _complement(self, pa):
+        row = self.table[pa]
+        return row.index(self.one_index) if self.one_index in row else pa
+
+    def elements(self):
+        return iter(self._elems)
+
+    @property
+    def size(self):
+        return len(self.table)
+
+    def describe(self):
+        return {"kind": self.kind, "add": self.table,
+                "zero": self.zero.payload, "one": self.one.payload}
+
+    def element_to_json(self, a):
+        return self._payload(a)
+
+    def element_from_json(self, obj):
+        return self._elems[obj]
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_table_mutations_fail_like_the_frozen_axioms(name):
+    # the laws on tables the constructor would refuse, each law on its own;
+    # the zero-neutral law, which never fails first there, fails here too
+    rng = random.Random(f"axioms-{name}")
+    failing = set()
+    for _ in range(300):
+        algebra = RawTable(*_mutant(TABLES[name], rng))
+        report = run_axioms(algebra)
+        assert json.dumps(report) == json.dumps(ref_run_axioms(algebra)), algebra.describe()
+        failing |= _failing(report)
+    assert failing >= {"commutative", "associative", "unique_complement", "zero_one_laws"}
