@@ -3,42 +3,33 @@
 The order compares interval resolutions pointwise, inverted: x is below y
 when y((-inf,t)) <= x((-inf,t)) for every real t.  All resolutions here
 are step functions, constant between consecutive points of the merged
-grid t_0 < ... < t_{n-1} (the sorted union of the spectra).  One sort of
-the family's points, which compares floats and integers and compares
-Fractions only when two distinct points share a float, reads every
-member's closed values off: when c_j of its spectral points lie at or
-below t_j, x((-inf,t_j]) is the c_j-th partial weight sum, and that
-value also holds throughout the gap (t_j, t_{j+1}) and, for the last
-point, everywhere above the grid.  The open value at
-t_j is the closed value at t_{j-1}, and every resolution is zero below
-the grid, so the closed values at the grid points are everything the
-order and the bounds depend on; each is read and tested once, as a payload.
+grid t_0 < ... < t_{n-1} (the sorted union of the spectra).  The open
+value at t_j is the closed value at t_{j-1}, and every resolution is
+zero below the grid and keeps its closed value at t_j up to t_{j+1} (at
+the last point, everywhere above), so the closed values at the grid
+points are all that the order and the bounds read.
 
-A join is a meet with the order reversed, so one code path serves both,
-with the direction as its parameter.  Every bound is one walk over the
-grid rows: a maximal lower bound's closed value at each point is a
-minimal common upper bound of the family's values there and its own
-value at the point before, so the walk branches over the backend's
-extremal bounds (EffectAlgebra._extremes) and lists only the frontier.
-Enumerating the grid observables this way is sound and complete: any
-lower or upper bound can be moved onto the grid without leaving the
-bounding set.  olson_meet first forces the walk through the backend's
-pointwise joins of the rows (meets, for a join), each checked against
-its row, and packs them with the trusted _pack_closed.  A meet exists
-iff every row has its join, since at the first row without one the walk
-branches; so from olson_meet and olson_join "exhaustive" certification
-always comes with exists false.  The open-interval route through
-left_regularize (the sup-from-the-left closure of Olson's construction)
-computes the same observable; it stays as the reference the tests hold
-the closed route against, and no default path runs it.
+One sort of the family's points, which compares Fractions only when two
+distinct points share a float, gives them as events: at each t_j, the
+members with a spectral point there and the closed values they jump
+between.  Closed values only rise, so olson_leq and compare keep running
+values, and olson_meet and olson_join bound at each point only the
+values that change together with the bound before (see _brute_force),
+each bound checked against them and packed by the trusted _pack_closed.
+At the first point without a bound the walk branches over the backend's
+extremal bounds (EffectAlgebra._extremes) and lists only the frontier, so
+"exhaustive" certification from olson_meet and olson_join always comes
+with exists false.  The brute-force oracles walk the full rows.  The
+open-interval route through left_regularize (the sup-from-the-left
+closure of Olson's construction) stays as the reference the tests hold
+the closed route against; no default path runs it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import repeat
-from operator import getitem
 from typing import Iterable, Sequence
 
 from .algebras import EffectAlgebra, EffectElement
@@ -153,64 +144,51 @@ def merged_grid(xs: Iterable[SimpleObservable]) -> tuple[Fraction, ...]:
     return tuple(sorted({t for x in xs for t in x.points}))
 
 
-_END = (math.nan, 0, 0, 0, None)  # past the last mark: no denominator is 0
+def _events(xs: Sequence[SimpleObservable]) -> tuple[list[Fraction], list[list[tuple]]]:
+    """The merged grid of a family and, per grid point, the marks
+    (float(t), n, d, m, t, old, new) of the members m that jump at t = n/d
+    from closed value old to new (payloads), from one sort of all points.
 
-
-def _columns(xs: Sequence[SimpleObservable]) -> tuple[list[Fraction], list[tuple]]:
-    """The merged grid of a family and, per member, the payloads of its
-    closed values x((-inf, t_j]) there, from one sort of all its points.
-
-    A point t = n/d sorts by (float(t), n, d, member): rounding to a float
-    is monotone, a float overflow maps to plus or minus infinity, and as
-    Fractions are normalized, equal floats with equal (n, d) are one point,
-    so the sort compares only floats and ints.  When two distinct points
-    share a float, the marks are sorted again by (float(t), t, member),
-    which compares their Fractions exactly.  No common denominator is
-    formed, as its size grows with every distinct denominator of the family.
+    The sort compares floats and ints only: rounding to a float is
+    monotone (an overflow maps to plus or minus infinity), and equal floats
+    with equal (n, d) are one point.  When two distinct points share a
+    float, the marks are sorted again by (float(t), t, m), exactly.  No
+    common denominator is formed: its size grows with every denominator.
     """
     marks = []
     for m, x in enumerate(xs):
-        for t in x.points:
+        cums = x._cums
+        for t, old, new in zip(x.points, cums, cums[1:]):
             n, d = t._numerator, t._denominator
             try:
-                marks.append((n / d, n, d, m, t))
+                marks.append((n / d, n, d, m, t, old, new))
             except OverflowError:
-                marks.append((math.inf if n > 0 else -math.inf, n, d, m, t))
+                marks.append((math.inf if n > 0 else -math.inf, n, d, m, t, old, new))
     marks.sort()
-    sums = [x._cums for x in xs]
-    return (_merge(marks, sums, exact=False)
-            or _merge(sorted(marks, key=lambda k: (k[0], k[4], k[3])), sums, exact=True))
+    return (_group(marks, exact=False)
+            or _group(sorted(marks, key=lambda k: (k[0], k[4], k[3])), exact=True))
 
 
-def _merge(marks: list, sums: list, exact: bool):
-    """Grid and payload columns of sorted marks; None when marks are not
-    exactly sorted, i.e. two distinct points share a float."""
-    grid, rows, counts = [], [], [0] * len(sums)
-    for (f, n, d, m, t), (g, n2, d2, _, _) in zip(marks, [*marks[1:], _END]):
-        counts[m] += 1
-        if n != n2 or d != d2:
-            if f == g and not exact:
-                return None
-            grid.append(t)
-            rows.append(tuple(map(getitem, sums, counts)))
-    return grid, list(zip(*rows))
+def _group(marks: list, exact: bool):
+    """Grid and per-point groups of sorted marks; None when two distinct points share a float."""
+    grid, groups = [], []
+    f0 = n0 = d0 = None
+    for mark in marks:
+        f, n, d, _, t, _, _ = mark
+        if n == n0 and d == d0:
+            group.append(mark)
+            continue
+        if f == f0 and not exact:
+            return None
+        grid.append(t)
+        groups.append(group := [mark])
+        f0, n0, d0 = f, n, d
+    return grid, groups
 
 
 def _closed_on_grid(x: SimpleObservable, grid: Sequence[Fraction]) -> list:
-    """Payloads of x((-inf, t_j]) on a grid holding x's points; the reference for _columns.
-
-    One walk: c counts x's points <= t_j, and the value is x._cums[c].
-    The same value holds throughout the gap (t_j, t_{j+1}) and, for the
-    last point, everywhere above the grid.
-    """
-    points, cums = x.points, x._cums
-    c, last = 0, len(points)
-    out = []
-    for t in grid:
-        if c < last and points[c] == t:
-            c += 1
-        out.append(cums[c])
-    return out
+    """Payloads of x((-inf, t]) at the points of grid, by bisection; the reference for _events."""
+    return [x._cums[bisect_right(x.points, t)] for t in grid]
 
 
 def olson_leq(x: SimpleObservable, y: SimpleObservable) -> bool:
@@ -219,9 +197,14 @@ def olson_leq(x: SimpleObservable, y: SimpleObservable) -> bool:
     Tested on the closed values at the merged grid points, which take
     every value pair the open test sees (see the module docstring).
     """
-    xs = _family((x, y))
-    _, (xc, yc) = _columns(xs)
-    return all(map(xs[0].algebra._le, yc, xc))
+    alg = _family((x, y))[0].algebra
+    le, vals = alg._le, [alg.zero.payload] * 2  # the running values of x and y
+    for group in _events((x, y))[1]:
+        for mark in group:
+            vals[mark[3]] = mark[6]
+        if not le(vals[1], vals[0]):
+            return False
+    return True
 
 
 def compare(x: SimpleObservable, y: SimpleObservable) -> OlsonComparison:
@@ -230,16 +213,18 @@ def compare(x: SimpleObservable, y: SimpleObservable) -> OlsonComparison:
     The witness is the first merged-grid point refuting y-below-x for
     less_or_equal, x-below-y otherwise.
     """
-    xs = _family((x, y))
-    le = xs[0].algebra._le
-    grid, (xcol, ycol) = _columns(xs)
-    # per grid point: x-below-y, then y-below-x
-    tests = [(le(yc, xc), le(xc, yc)) for xc, yc in zip(xcol, ycol)]
-    verdict = order_verdict(*map(all, zip(*tests)))
-    if verdict == "equal":
-        return OlsonComparison(verdict, None)
-    side = 1 if verdict == "less_or_equal" else 0
-    return OlsonComparison(verdict, next(t for t, row in zip(grid, tests) if not row[side]))
+    alg = _family((x, y))[0].algebra
+    le, vals = alg._le, [alg.zero.payload] * 2
+    below = above = None  # the first grid points refuting x-below-y and y-below-x
+    for t, group in zip(*_events((x, y))):
+        for mark in group:
+            vals[mark[3]] = mark[6]
+        if below is None and not le(vals[1], vals[0]):
+            below = t
+        if above is None and not le(*vals):
+            above = t
+    verdict = order_verdict(below is None, above is None)
+    return OlsonComparison(verdict, above if verdict == "less_or_equal" else below)
 
 
 # -- regularization of monotone grid families --------------------------------
@@ -289,24 +274,26 @@ def right_regularize(
 # -- meets and joins ----------------------------------------------------------
 
 
-def _pointwise(algebra: EffectAlgebra, rows: Iterable[Sequence], lower: bool) -> list:
-    """The backend's bound of each grid row in turn, the join for a meet
-    (lower) and the meet for a join, up to the first row without one.
-
-    Each bound must sit above (below) every value of its row, or the
-    backend's n-ary bound is broken and InvalidAlgebra is raised.
-    """
+def _pointwise(algebra: EffectAlgebra, steps: Sequence[Sequence], lower: bool) -> list:
+    """The backend's bound of each step's values and of the bound before:
+    joins left to right from zero for a meet (lower), meets right to left
+    from one for a join, up to the first step without one.  steps holds a
+    row of values per grid point, and the bounds come back, in grid order.
+    A bound missing a value of its row raises InvalidAlgebra; that the
+    bounds rise is _pack_closed's check."""
     bound, le = algebra._bound, algebra._le
+    v = algebra.zero.payload if lower else algebra.one.payload
     vals = []
-    for row in rows:
-        v = bound(row, not lower)
+    for row in steps if lower else reversed(steps):
+        v = bound((*row, v), not lower)
         if v is None:
             break
-        if not all(map(le, row, repeat(v)) if lower else map(le, repeat(v), row)):
-            name = "join_many" if lower else "meet_many"
-            raise InvalidAlgebra(f"{name} does not bound its inputs; backend is inconsistent")
+        for p in row:
+            if not (le(p, v) if lower else le(v, p)):
+                name = "join_many" if lower else "meet_many"
+                raise InvalidAlgebra(f"{name} does not bound its inputs; backend is inconsistent")
         vals.append(v)
-    return vals
+    return vals if lower else vals[::-1]
 
 
 def _open_route(
@@ -322,7 +309,7 @@ def _open_route(
     """
     alg = xs[0].algebra
     opens = ([alg.zero.payload, *_closed_on_grid(x, grid)[:-1]] for x in xs)
-    vals = _pointwise(alg, zip(*opens), lower)
+    vals = _pointwise(alg, list(zip(*opens)), lower)
     if len(vals) < len(grid):
         return None
     return left_regularize(alg, tuple(zip(grid, map(alg._wrap, vals)))).to_observable()
@@ -333,10 +320,11 @@ def _closed_route(
     grid: Sequence[Fraction],
     lower: bool,
 ) -> SimpleObservable | None:
-    """Bounds of the closed values inside the gaps (just above each grid
-    point), packaged by _pack_closed; grid must hold every spectral point
-    of xs.  The reference for olson_meet's columns; no default path runs it."""
-    vals = _pointwise(xs[0].algebra, zip(*(_closed_on_grid(x, grid) for x in xs)), lower)
+    """Bounds of the full rows of closed values inside the gaps (just above
+    each grid point), packaged by _pack_closed; grid must hold every
+    spectral point of xs.  The reference for the event walk; no default
+    path runs it."""
+    vals = _pointwise(xs[0].algebra, list(zip(*(_closed_on_grid(x, grid) for x in xs))), lower)
     if len(vals) < len(grid):
         return None
     return _pack_closed(xs[0].algebra, grid, vals)
@@ -346,14 +334,11 @@ def olson_meet(
     xs: Iterable[SimpleObservable],
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> BoundResult:
-    """Greatest lower bound of a finite family in the spectral order.
-
-    Pointwise joins of the closed resolution values on the merged grid
-    give the meet whenever every needed join exists in the backend; each
-    join is checked to lie above the values it joins.  The meet exists
-    iff every grid row has its join: at the first row without one the
-    walk of brute_force_meet branches, so "exhaustive" comes only with
-    exists false, and with the oracle's frontier.
+    """Greatest lower bound of a finite family in the spectral order: the
+    event walk of _brute_force, through the backend's joins of the values
+    that change.  The meet exists iff every step has its join, since at the
+    first step without one the walk branches in place; so "exhaustive"
+    comes only with exists false, and with the oracle's frontier.
     """
     return _brute_force(xs, cap, lower=True, oracle=False)
 
@@ -362,7 +347,8 @@ def olson_join(
     xs: Iterable[SimpleObservable],
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> BoundResult:
-    """Least upper bound; dual of olson_meet in every respect."""
+    """Least upper bound; dual of olson_meet in every respect, walked
+    right to left over the values the members leave at the point after."""
     return _brute_force(xs, cap, lower=False, oracle=False)
 
 
@@ -442,27 +428,38 @@ def _brute_force(xs: Iterable[SimpleObservable], cap: int, lower: bool,
     finite set the only minimal chain, if there is just one, is the
     least, so the bound exists iff the walk never branches.
 
-    Without the oracle the walk first takes the rows' pointwise bounds
-    while they exist: each is above (below) the one before, so it is the
-    row's only extremal bound.  The oracle never calls _bound.
+    The oracle's steps are the full rows.  Otherwise a step holds only
+    the values that change, the new ones at t_j for a meet and for a join
+    the ones left at t_{j+1}: every other member's value lies below (above)
+    the chain's value before, so the bounds are the same.  That walk first
+    takes the steps' pointwise bounds while they exist, each the step's
+    only extremal bound; the oracle never calls _bound.
     """
     family = _family(xs)
     alg = family[0].algebra
-    grid, columns = _columns(family)
-    rows = list(zip(*columns))[::1 if lower else -1]
-    prefix = [] if oracle else _pointwise(alg, rows, lower)
-    if len(prefix) == len(rows):
-        return BoundResult(True, _pack_closed(alg, grid, prefix if lower else prefix[::-1]),
-                           "elementwise")
+    grid, groups = _events(family)
+    zero, one = alg.zero.payload, alg.one.payload
+    if oracle:
+        vals, steps = [zero] * len(family), []  # the members' running values
+        for group in groups:
+            for mark in group:
+                vals[mark[3]] = mark[6]
+            steps.append(tuple(vals))
+    elif lower:
+        steps = [[mark[6] for mark in group] for group in groups]
+    else:
+        steps = [*([mark[5] for mark in group] for group in groups[1:]), ()]
+    prefix = [] if oracle else _pointwise(alg, steps, lower)
+    if len(prefix) == len(grid):
+        return BoundResult(True, _pack_closed(alg, grid, prefix), "elementwise")
     _check_cap(alg, len(grid), cap)
     # every closed value at the last grid point is one, so the bound's is too:
-    # a meet's walk stops before that row, and a join's starts past it
-    one = alg.one.payload
+    # a meet's walk stops before that point, and a join's starts past it
     if lower:
-        chains, todo = [(alg.zero.payload, *prefix)], rows[len(prefix):-1]
+        chains, todo = [(zero, *prefix)], steps[len(prefix):-1]
     else:
-        head = prefix or [one]
-        chains, todo = [(one, *head)], rows[len(head):]
+        head = prefix[::-1] or [one]
+        chains, todo = [(one, *head)], steps[::-1][len(head):]
     for row in todo:
         chains = [(*c, e) for c in chains for e in alg._extremes((*row, c[-1]), lower)]
     # payloads ascend in elements() order, so sorted payload chains are in enumeration order

@@ -441,15 +441,16 @@ class SimpleObservable:
 
     def negate(self) -> "SimpleObservable":
         """Reflect the spectrum through t -> 1 - t; needs spectrum inside [0,1]."""
-        if self.points[0] < 0 or self.points[-1] > 1:
+        pts, alg = self.points, self.algebra
+        # n/d lies in [0,1] iff 0 <= n <= d, and 1 - n/d = (d - n)/d in lowest terms
+        if pts[0]._numerator < 0 or pts[-1]._numerator > pts[-1]._denominator:
             raise SpectrumOutsideUnitInterval(
-                f"negation needs spectrum in [0,1], got {_shown(self.points)}"
+                f"negation needs spectrum in [0,1], got {_shown(pts)}"
             )
         # the mass at or below 1 - u_j is the complement of the mass below u_j
-        alg = self.algebra
         return SimpleObservable._from_cums(
             alg,
-            [1 - t for t in reversed(self.points)],
+            [Fraction(t._denominator - t._numerator, t._denominator) for t in reversed(pts)],
             [alg.zero.payload, *map(alg._complement, reversed(self._cums[:-1]))],
         )
 

@@ -210,6 +210,33 @@ def test_double_negation_and_spectrum_flip(x):
     assert neg.spectrum == tuple(sorted(1 - t for t in x.spectrum))
 
 
+def test_negate_matches_one_minus_t_on_random_families():
+    # the reference reflects each point by Fraction arithmetic, 1 - t, and
+    # the weights through the map t -> 1 - t
+    alg = MVChain(6)
+    rng = random.Random(6060)
+    for _ in range(120):
+        pool = {F(0), F(1), *(F(rng.randint(0, 12), 12) for _ in range(3))}
+        for _ in range(rng.randint(0, 3)):
+            den = 10**3999 + rng.randrange(10**3999)
+            pool.add(F(rng.randrange(den + 1), den))
+        points = sorted(rng.sample(sorted(pool), rng.randint(1, min(6, len(pool)))))
+        levels = sorted(rng.randint(1, 6) for _ in points)
+        levels[-1] = 6
+        x = from_closed_values(alg, [(t, alg.element(F(k, 6))) for t, k in zip(points, levels)])
+        neg = x.negate()
+        want = [1 - t for t in reversed(x.points)]
+        assert [(t.numerator, t.denominator) for t in neg.points] == [
+            (t.numerator, t.denominator) for t in want]
+        assert all(type(t) is Fraction for t in neg.points)
+        assert neg == x.apply_map(PiecewiseMap.one_minus_t())
+        assert neg.negate() == x
+    tiny = F(1, 10**50)
+    for points in ([-tiny, F(1, 2)], [F(1, 2), 1 + tiny], [-tiny, 1 + tiny]):
+        with pytest.raises(SpectrumOutsideUnitInterval):
+            SimpleObservable(alg, points, [alg.element(F(3, 6))] * 2).negate()
+
+
 # rationals with more digits than Python prints: the typed error's message
 # must not fail while it is built; the scalars off the grid after them keep
 # the whole message that names them

@@ -41,7 +41,7 @@ from olsonorder.serialize import algebra_from_json, bound_to_json
 from conftest import load_fixture
 from test_algebras import ALL_BACKENDS
 from test_golden import CAP, _draw
-from test_reference import _assert_brute_force_agrees
+from test_reference import _assert_brute_force_agrees, _chain_observable
 
 
 def _relabel(table, zero, one, rng):
@@ -274,6 +274,36 @@ def test_brute_force_matches_reference_on_generated_backends(name):
     assert (missing > 0) == (name in ("loop3", "loop4")), missing
 
 
+def _pooled_draw(alg, ups, rng, pool):
+    """A question, or a random walk up the carrier on points of pool."""
+    if rng.random() < 0.4:
+        return question(alg, rng.choice(list(ups)))
+    return _chain_observable(alg, ups, rng, rng.sample(pool, rng.randint(1, len(pool))))
+
+
+def test_event_walk_matches_the_oracle_on_wider_families():
+    # families of 1-8 members on four shared points, the questions' 0 and 1
+    # among them: where a step has no bound, the walk branches over the
+    # values that change and must list the oracle's frontier, in order;
+    # the oracle walks full rows
+    backends = {name: algebra_from_json(load_fixture(name + ".json"))
+                for name in ("table_mo2", "table_block_cycle", "tribe_restricted")}
+    branched = 0
+    for name, alg in sorted({**backends, **GENERATED}.items()):
+        elems = list(alg.elements())
+        ups = {a: [b for b in elems if alg.leq(a, b)] for a in elems}
+        rng = random.Random(8500 + alg.size)
+        for _ in range(24):
+            pool = [F(0), *sorted(rng.sample((F(1, 4), F(1, 3), F(1, 2), F(2, 3)), 2)), F(1)]
+            xs = tuple(_pooled_draw(alg, ups, rng, pool) for _ in range(rng.randint(1, 8)))
+            for fast, oracle in ((olson_meet, brute_force_meet), (olson_join, brute_force_join)):
+                got, want = fast(xs, cap=10**6), oracle(xs, cap=10**6)
+                assert (got.exists, got.observable, got.frontier) == (
+                    want.exists, want.observable, want.frontier), (name, xs)
+                branched += not got.exists
+    assert branched > 0
+
+
 class _NoBound(MVChain):
     def _bound(self, payloads, lower):
         raise AssertionError("the oracle called _bound")
@@ -305,8 +335,8 @@ def test_olson_bounds_walk_once_and_agree_with_the_oracle(monkeypatch):
     alg = block_cycle_algebra()
     a, b = next((a, b) for a in alg.elements() for b in alg.elements() if alg.join(a, b) is None)
     merges = []
-    columns = lattice._columns
-    monkeypatch.setattr(lattice, "_columns", lambda xs: merges.append(xs) or columns(xs))
+    events = lattice._events
+    monkeypatch.setattr(lattice, "_events", lambda xs: merges.append(xs) or events(xs))
     assert not olson_join((question(alg, a), question(alg, b))).exists
     assert len(merges) == 1
 

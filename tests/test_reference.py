@@ -1,10 +1,11 @@
 """The fast paths of the exact core against their reference definitions.
 
-The one-sort merge of a family's spectra is checked against merged_grid
-and the per-observable walk _closed_on_grid on families drawn from a
-pool of shared, negative, integer, float-tied, out-of-float-range and
-tiny points.  The grid walk is checked against the sampling reference: every
-resolution is looked up by bisection at one point below the merged grid,
+The one-sort event pass over a family's spectra is checked, grid point
+and jump by jump, against merged_grid and the bisection reference
+_closed_on_grid on families drawn from a pool of shared, negative,
+integer, float-tied, out-of-float-range and tiny points.  The grid walk
+is checked against the sampling reference: every resolution is looked
+up by bisection at one point below the merged grid,
 at each grid point, at the midpoint of each gap and at one point above
 the grid.  olson_leq, compare (verdict and witness), both meet/join
 routes and olson_meet/olson_join wherever the pointwise bounds exist
@@ -31,14 +32,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olsonorder import lattice
-from olsonorder.algebras import MVChain
+from olsonorder.algebras import FiniteSetAlgebra, FiniteTribe, MVChain, QuotientBooleanAlgebra
 from olsonorder.errors import InvalidAlgebra, OlsonOrderError
 from olsonorder.lattice import (
     DEFAULT_ENUMERATION_CAP,
     BoundResult,
     _closed_on_grid,
     _closed_route,
-    _columns,
+    _events,
     _open_route,
     brute_force_join,
     brute_force_meet,
@@ -197,10 +198,7 @@ def pooled_families(draw, n=4):
 @settings(max_examples=200, deadline=None)
 @given(pooled_families())
 def test_merge_matches_merged_grid_and_walk(xs):
-    grid, columns = _columns(xs)
-    assert tuple(grid) == merged_grid(xs)
-    assert all(type(t) is Fraction for t in grid)
-    assert columns == [tuple(_closed_on_grid(x, grid)) for x in xs]
+    _assert_merge_matches_reference(xs)
 
 
 def _pooled_observable(algebra, rng, points):
@@ -211,11 +209,24 @@ def _pooled_observable(algebra, rng, points):
     return from_closed_values(algebra, tuple(zip(sorted(points), values)))
 
 
-def _assert_merge_matches_reference(xs):
-    grid, columns = _columns(xs)
+def _assert_events_match_reference(xs, grid, groups):
+    """The event pass against merged_grid and _closed_on_grid: each grid
+    point's group holds, in member order, the members with a spectral point
+    there, each with its closed values one point down (zero below the grid)
+    and at the point."""
     assert tuple(grid) == merged_grid(xs)
     assert all(type(t) is Fraction for t in grid)
-    assert columns == [tuple(_closed_on_grid(x, grid)) for x in xs]
+    zero = xs[0].algebra.zero.payload
+    columns = [tuple(_closed_on_grid(x, grid)) for x in xs]
+    assert len(groups) == len(grid)
+    for j, (t, group) in enumerate(zip(grid, groups)):
+        assert [mark[3] for mark in group] == [m for m, x in enumerate(xs) if t in x.points]
+        for _, _, _, m, point, old, new in group:
+            assert point == t and (old, new) == ((zero, *columns[m])[j], columns[m][j])
+
+
+def _assert_merge_matches_reference(xs):
+    _assert_events_match_reference(xs, *_events(xs))
 
 
 def test_merge_matches_reference_on_large_families():
@@ -233,16 +244,48 @@ def test_merge_matches_reference_on_large_families():
             _assert_merge_matches_reference(xs)
 
 
+def _chain_observable(algebra, ups, rng, points):
+    """A random observable with spectrum inside points: a random walk up
+    the carrier, one at the last point."""
+    cur, values = algebra.zero, []
+    for _ in points[1:]:
+        cur = rng.choice(ups[cur])
+        values.append(cur)
+    return from_closed_values(algebra, tuple(zip(sorted(points), (*values, algebra.one))))
+
+
+def test_event_walk_matches_the_closed_route_on_lattice_backends():
+    # families of 1-512 members on shared points, with and without the
+    # float collisions of MERGE_POOL: the walk bounds only the values that
+    # change, the closed route every full row
+    shared = tuple(F(k, 7) for k in range(-3, 10))
+    for seed, algebra in enumerate((MVChain(8), FiniteSetAlgebra(3), FiniteTribe(2, 4),
+                                    QuotientBooleanAlgebra(4, (1, 3)))):
+        elems = list(algebra.elements())
+        ups = {a: [b for b in elems if algebra.leq(a, b)] for a in elems}
+        rng = random.Random(3030 + seed)
+        for members in (1, 2, 3, 16, 128, 512):
+            for pool in (shared, sorted({*shared, *MERGE_POOL})):
+                xs = tuple(
+                    _chain_observable(algebra, ups, rng, rng.sample(pool, rng.randint(1, 6)))
+                    for _ in range(members)
+                )
+                grid = merged_grid(xs)
+                for lower, bound in ((True, olson_meet), (False, olson_join)):
+                    want = BoundResult(True, _closed_route(xs, grid, lower), "elementwise")
+                    assert bound(xs) == want, (algebra, members, lower)
+
+
 def _merge_passes(monkeypatch, xs) -> list[bool]:
-    """The exact flag of each merge pass _columns makes on xs."""
+    """The exact flag of each grouping pass _events makes on xs."""
     passes = []
-    merge = lattice._merge
+    group = lattice._group
 
-    def spy(marks, sums, exact):
+    def spy(marks, exact):
         passes.append(exact)
-        return merge(marks, sums, exact)
+        return group(marks, exact)
 
-    monkeypatch.setattr(lattice, "_merge", spy)
+    monkeypatch.setattr(lattice, "_group", spy)
     _assert_merge_matches_reference(xs)
     monkeypatch.undo()
     return passes
@@ -280,10 +323,10 @@ def test_merge_of_long_denominators_is_fast():
         for shift in (1, 2)
     )
     start = time.perf_counter()
-    grid, columns = _columns(xs)
+    grid, groups = _events(xs)
     assert time.perf_counter() - start < 1.0
-    assert len(grid) == 800 and len(columns) == 2
-    assert columns == [tuple(_closed_on_grid(x, grid)) for x in xs]
+    assert len(grid) == 800 and len(groups) == 800
+    _assert_events_match_reference(xs, grid, groups)
 
 
 # -- brute force ----------------------------------------------------------------
