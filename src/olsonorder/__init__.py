@@ -15,8 +15,9 @@ __version__ = "0.1.0"
 
 # Every public name is served from its home module, which is imported on
 # first use of one of its names and not before: a table backend loads
-# errors and algebras only, and the Hilbert names (which need numpy) load
-# no exact module.  A resolved name is kept in the package's globals.
+# errors and algebras only, a JSON backend serialize too, and the Hilbert
+# names (which need numpy) load no exact module.  A resolved name is kept
+# in the package's globals.
 _HOMES = {
     "algebras": (
         "EffectAlgebra", "EffectElement", "FiniteSetAlgebra", "FiniteTribe", "MVChain",
@@ -39,8 +40,8 @@ _HOMES = {
     ),
     "lattice": (
         "BoundResult", "OlsonComparison", "brute_force_join", "brute_force_meet", "compare",
-        "enumerate_grid_observables", "involution_suite", "left_regularize", "merged_grid",
-        "olson_join", "olson_leq", "olson_meet", "right_regularize",
+        "enumerate_grid_observables", "left_regularize", "merged_grid", "olson_join", "olson_leq",
+        "olson_meet", "right_regularize",
     ),
     "observables": (
         "BorelSetExpr", "Interval", "PiecewiseMap", "SimpleObservable", "StepResolution",
@@ -50,6 +51,7 @@ _HOMES = {
         "algebra_from_json", "algebra_to_json", "bound_to_json", "comparison_to_json",
         "observable_from_json", "observable_to_json", "resolution_to_json",
     ),
+    "suites": ("involution_suite",),
     "hilbert": (
         "DEFAULT_TOLERANCES", "DIMENSION_CAP", "HermitianOperator", "SpectralMeasure",
         "Tolerances", "loewner_leq", "logical_leq", "matrix_from_json", "matrix_to_json",

@@ -151,8 +151,12 @@ class EffectAlgebra(ABC):
 
     def _diff(self, pb, pa):
         """Payload of the c with a + c = b, called only when pa <= pb: by
-        cancellation c = (a + b')', and a + b' is then defined."""
-        return self._complement(self._add(pa, self._complement(pb)))
+        cancellation c = (a + b')', and a + b' is then defined unless the
+        backend's order disagrees with its sums."""
+        s = self._add(pa, self._complement(pb))
+        if s is None:
+            raise InvalidAlgebra("a + b' undefined though a <= b; backend is inconsistent")
+        return self._complement(s)
 
     def _le(self, pa, pb) -> bool:
         """The order on payloads; a bit test on explicit carriers."""

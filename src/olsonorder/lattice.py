@@ -21,14 +21,13 @@ extremal bounds (EffectAlgebra._extremes) and lists only the frontier, so
 "exhaustive" certification from olson_meet and olson_join always comes
 with exists false.  The brute-force oracles walk the full rows.  The
 open-interval route through left_regularize (the sup-from-the-left
-closure of Olson's construction) stays as the reference the tests hold
-the closed route against; no default path runs it.
+closure of Olson's construction) and the full-row closed route are
+test references, which the tests hold the event walk against.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -41,20 +40,10 @@ from .errors import (
     EmptyFamily,
     InvalidAlgebra,
     NonMonotoneInput,
-    SpectrumOutsideUnitInterval,
     _shown,
     order_verdict,
 )
-from .observables import (
-    Interval,
-    PiecewiseMap,
-    SimpleObservable,
-    StepResolution,
-    _checked_chain,
-    _pack_closed,
-    _rational,
-    question,
-)
+from .observables import SimpleObservable, StepResolution, _checked_chain, _pack_closed, _rational
 
 DEFAULT_ENUMERATION_CAP = 100_000
 
@@ -186,11 +175,6 @@ def _group(marks: list, exact: bool):
     return grid, groups
 
 
-def _closed_on_grid(x: SimpleObservable, grid: Sequence[Fraction]) -> list:
-    """Payloads of x((-inf, t]) at the points of grid, by bisection; the reference for _events."""
-    return [x._cums[bisect_right(x.points, t)] for t in grid]
-
-
 def olson_leq(x: SimpleObservable, y: SimpleObservable) -> bool:
     """x is spectrally below y: y((-inf,t)) <= x((-inf,t)) for all t.
 
@@ -294,40 +278,6 @@ def _pointwise(algebra: EffectAlgebra, steps: Sequence[Sequence], lower: bool) -
                 raise InvalidAlgebra(f"{name} does not bound its inputs; backend is inconsistent")
         vals.append(v)
     return vals if lower else vals[::-1]
-
-
-def _open_route(
-    xs: Sequence[SimpleObservable],
-    grid: Sequence[Fraction],
-    lower: bool,
-) -> SimpleObservable | None:
-    """Bounds of the open values at the grid points (zero, then the closed
-    values one point down), packaged through left_regularize; grid must
-    hold every spectral point of xs.
-
-    The open-interval reference for _closed_route; no default path runs it.
-    """
-    alg = xs[0].algebra
-    opens = ([alg.zero.payload, *_closed_on_grid(x, grid)[:-1]] for x in xs)
-    vals = _pointwise(alg, list(zip(*opens)), lower)
-    if len(vals) < len(grid):
-        return None
-    return left_regularize(alg, tuple(zip(grid, map(alg._wrap, vals)))).to_observable()
-
-
-def _closed_route(
-    xs: Sequence[SimpleObservable],
-    grid: Sequence[Fraction],
-    lower: bool,
-) -> SimpleObservable | None:
-    """Bounds of the full rows of closed values inside the gaps (just above
-    each grid point), packaged by _pack_closed; grid must hold every
-    spectral point of xs.  The reference for the event walk; no default
-    path runs it."""
-    vals = _pointwise(xs[0].algebra, list(zip(*(_closed_on_grid(x, grid) for x in xs))), lower)
-    if len(vals) < len(grid):
-        return None
-    return _pack_closed(xs[0].algebra, grid, vals)
 
 
 def olson_meet(
@@ -491,80 +441,3 @@ def brute_force_join(
 ) -> BoundResult:
     """Certified join by enumeration; dual of brute_force_meet."""
     return _brute_force(xs, cap, lower=False)
-
-
-# -- involution lattice on unit-interval observables --------------------------
-
-
-def involution_suite(x: SimpleObservable, y: SimpleObservable) -> dict[str, bool]:
-    """Check the involution-lattice identities on a pair of unit-interval
-    observables.
-
-    Most checks are unconditional; the question items apply when an
-    input is a two-valued question and hold vacuously otherwise.  The
-    spread bounds use g(t)=min{t,1-t} and h(t)=max{t,1-t}: mapping a
-    spectrum through a pointwise-smaller function can only move the
-    observable down, so g(x) sits below both x and its reflection and
-    h(x) above both.  The flipped readings fail already at two-point
-    questions.  The degenerate variant max{1,1-t} collapses to the
-    constant map 1 on the unit interval, so its upper-bound claim holds
-    for every input; it is reported under its own key and nothing
-    stronger is asserted for it.
-    """
-    family = _family((x, y))
-    alg = family[0].algebra
-    for z in family:
-        if z.points[0] < 0 or z.points[-1] > 1:
-            raise SpectrumOutsideUnitInterval(
-                f"involution needs spectra inside [0,1], got {_shown(z.points)}"
-            )
-    g_map = PiecewiseMap.min_t_one_minus_t()
-    h_maps = {
-        "spread_join": PiecewiseMap.max_t_one_minus_t(),
-        "spread_join_literal": PiecewiseMap((
-            (Interval(None, Fraction(0)), Fraction(-1), Fraction(1)),
-            (Interval(Fraction(0), None, True), Fraction(0), Fraction(1)),
-        )),
-    }
-    nx, ny = x.negate(), y.negate()
-    a, b = x.question_element(), y.question_element()
-    fwd, bwd = olson_leq(x, y), olson_leq(y, x)
-    bottom, top = question(alg, alg.zero), question(alg, alg.one)
-    meet_xy, join_xy = olson_meet((x, y)), olson_join((x, y))
-    meet_neg, join_neg = olson_meet((nx, ny)), olson_join((nx, ny))
-
-    def negates_to(bound: BoundResult, dual: BoundResult) -> bool:
-        """A bound that exists negates to the dual bound of the negations."""
-        return not bound.exists or (dual.exists and bound.observable.negate() == dual.observable)
-
-    def question_of(bound: BoundResult, e: EffectElement | None) -> bool:
-        """A backend bound e that exists has the bound of the questions as its question."""
-        return e is None or (bound.exists and bound.observable == question(alg, e))
-
-    report = {
-        "double_negation": nx.negate() == x and ny.negate() == y,
-        "antitone": (not fwd or olson_leq(ny, nx)) and (not bwd or olson_leq(nx, ny)),
-        "bounds_reflection": bottom.negate() == top and top.negate() == bottom,
-        "de_morgan_meet": negates_to(meet_xy, join_neg),
-        "de_morgan_join": negates_to(join_xy, meet_neg),
-        "question_negation": all(q is None or nz == question(alg, alg.complement(q))
-                                 for q, nz in ((a, nx), (b, ny))),
-        "question_lattice": a is None or b is None or (
-            question_of(meet_xy, alg.meet(a, b)) and question_of(join_xy, alg.join(a, b))
-            and fwd == alg.leq(a, b) and bwd == alg.leq(b, a)),
-        "spread_meet": True,
-        **dict.fromkeys(h_maps, True),
-        "sharp_question_kernel": True,
-    }
-    for z, nz, q in ((x, nx, a), (y, ny, b)):
-        self_meet, self_join = olson_meet((z, nz)), olson_join((z, nz))
-        if self_meet.exists:
-            report["spread_meet"] = report["spread_meet"] and olson_leq(
-                z.apply_map(g_map), self_meet.observable)
-        if self_join.exists:
-            for key, h_map in h_maps.items():
-                report[key] = report[key] and olson_leq(self_join.observable, z.apply_map(h_map))
-        if q is not None and self_meet.exists:
-            report["sharp_question_kernel"] = report["sharp_question_kernel"] and (
-                (self_meet.observable == bottom) == alg.is_sharp(q))
-    return report

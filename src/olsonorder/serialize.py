@@ -5,9 +5,16 @@ matrices travel as nested float arrays emitted with shortest round-trip
 precision.  A literal that fails to type-check against the backend it
 is paired with raises BackendMismatch; structurally malformed input
 raises ParseError.
+
+The backend codecs need only errors and algebras: the observable and
+record types appear here in annotations, and observable_from_json loads
+the observables module on its first call, so building a backend from
+JSON compiles neither observables nor lattice.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 from .algebras import (
     EffectAlgebra,
@@ -22,8 +29,10 @@ from .algebras import (
     rational_to_json,
 )
 from .errors import BackendMismatch, OlsonOrderError, ParseError
-from .lattice import BoundResult, OlsonComparison
-from .observables import SimpleObservable
+
+if TYPE_CHECKING:
+    from .lattice import BoundResult, OlsonComparison
+    from .observables import SimpleObservable
 
 
 def algebra_from_json(obj) -> EffectAlgebra:
@@ -81,6 +90,8 @@ def observable_to_json(x: SimpleObservable) -> dict:
 
 
 def observable_from_json(algebra: EffectAlgebra, obj) -> SimpleObservable:
+    from .observables import SimpleObservable
+
     if (
         not isinstance(obj, dict)
         or not isinstance(obj.get("points"), list)

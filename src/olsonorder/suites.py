@@ -24,7 +24,7 @@ from .algebras import (
     _shown,
 )
 from .errors import (BackendMismatch, CertificationTooLarge, InvalidAlgebra, NonMonotoneInput,
-                     _check, _report)
+                     SpectrumOutsideUnitInterval, _check, _report)
 from .kernels import (
     MeasurableFunction,
     function_from_observable,
@@ -40,17 +40,19 @@ from .kernels import (
 )
 from .lattice import (
     DEFAULT_ENUMERATION_CAP,
+    BoundResult,
+    _family,
     brute_force_join,
     brute_force_meet,
     compare,
     enumerate_grid_observables,
-    involution_suite,
     olson_join,
     olson_leq,
     olson_meet,
     order_verdict,
 )
-from .observables import SimpleObservable, _pack_closed, _rational, question
+from .observables import (Interval, PiecewiseMap, SimpleObservable, _pack_closed, _rational,
+                          question)
 
 AXIOM_SCAN_CAP = 64
 PAIR_BUDGET = 2500
@@ -257,6 +259,80 @@ def run_lattice_oracle(
 
 # ---------------------------------------------------------------------------
 # involution
+
+
+def involution_suite(x: SimpleObservable, y: SimpleObservable) -> dict[str, bool]:
+    """Check the involution-lattice identities on a pair of unit-interval
+    observables.
+
+    Most checks are unconditional; the question items apply when an
+    input is a two-valued question and hold vacuously otherwise.  The
+    spread bounds use g(t)=min{t,1-t} and h(t)=max{t,1-t}: mapping a
+    spectrum through a pointwise-smaller function can only move the
+    observable down, so g(x) sits below both x and its reflection and
+    h(x) above both.  The flipped readings fail already at two-point
+    questions.  The degenerate variant max{1,1-t} collapses to the
+    constant map 1 on the unit interval, so its upper-bound claim holds
+    for every input; it is reported under its own key and nothing
+    stronger is asserted for it.
+    """
+    family = _family((x, y))
+    alg = family[0].algebra
+    for z in family:
+        if z.points[0] < 0 or z.points[-1] > 1:
+            raise SpectrumOutsideUnitInterval(
+                f"involution needs spectra inside [0,1], got {_shown(z.points)}"
+            )
+    g_map = PiecewiseMap.min_t_one_minus_t()
+    h_maps = {
+        "spread_join": PiecewiseMap.max_t_one_minus_t(),
+        "spread_join_literal": PiecewiseMap((
+            (Interval(None, Fraction(0)), Fraction(-1), Fraction(1)),
+            (Interval(Fraction(0), None, True), Fraction(0), Fraction(1)),
+        )),
+    }
+    nx, ny = x.negate(), y.negate()
+    a, b = x.question_element(), y.question_element()
+    fwd, bwd = olson_leq(x, y), olson_leq(y, x)
+    bottom, top = question(alg, alg.zero), question(alg, alg.one)
+    meet_xy, join_xy = olson_meet((x, y)), olson_join((x, y))
+    meet_neg, join_neg = olson_meet((nx, ny)), olson_join((nx, ny))
+
+    def negates_to(bound: BoundResult, dual: BoundResult) -> bool:
+        """A bound that exists negates to the dual bound of the negations."""
+        return not bound.exists or (dual.exists and bound.observable.negate() == dual.observable)
+
+    def question_of(bound: BoundResult, e: EffectElement | None) -> bool:
+        """A backend bound e that exists has the bound of the questions as its question."""
+        return e is None or (bound.exists and bound.observable == question(alg, e))
+
+    report = {
+        "double_negation": nx.negate() == x and ny.negate() == y,
+        "antitone": (not fwd or olson_leq(ny, nx)) and (not bwd or olson_leq(nx, ny)),
+        "bounds_reflection": bottom.negate() == top and top.negate() == bottom,
+        "de_morgan_meet": negates_to(meet_xy, join_neg),
+        "de_morgan_join": negates_to(join_xy, meet_neg),
+        "question_negation": all(q is None or nz == question(alg, alg.complement(q))
+                                 for q, nz in ((a, nx), (b, ny))),
+        "question_lattice": a is None or b is None or (
+            question_of(meet_xy, alg.meet(a, b)) and question_of(join_xy, alg.join(a, b))
+            and fwd == alg.leq(a, b) and bwd == alg.leq(b, a)),
+        "spread_meet": True,
+        **dict.fromkeys(h_maps, True),
+        "sharp_question_kernel": True,
+    }
+    for z, nz, q in ((x, nx, a), (y, ny, b)):
+        self_meet, self_join = olson_meet((z, nz)), olson_join((z, nz))
+        if self_meet.exists:
+            report["spread_meet"] = report["spread_meet"] and olson_leq(
+                z.apply_map(g_map), self_meet.observable)
+        if self_join.exists:
+            for key, h_map in h_maps.items():
+                report[key] = report[key] and olson_leq(self_join.observable, z.apply_map(h_map))
+        if q is not None and self_meet.exists:
+            report["sharp_question_kernel"] = report["sharp_question_kernel"] and (
+                (self_meet.observable == bottom) == alg.is_sharp(q))
+    return report
 
 
 def run_involution(

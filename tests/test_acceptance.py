@@ -22,8 +22,6 @@ from olsonorder.hilbert import (
 from olsonorder.hilbert_suite import run_hilbert
 from olsonorder.kernels import MeasurableFunction, observable_from_function
 from olsonorder.lattice import (
-    _closed_route,
-    _open_route,
     brute_force_join,
     enumerate_grid_observables,
     left_regularize,
@@ -44,6 +42,7 @@ from olsonorder.suites import (
 from olsonorder import cli
 
 from conftest import fixture_path, load_fixture
+from routes import closed_route, open_route
 
 F = Fraction
 GRID3 = (F(0), F(1, 2), F(1))
@@ -81,9 +80,7 @@ def test_criterion_03_open_and_closed_routes_agree():
                 grid = merged_grid((x, y))
                 # meets (lower) take pointwise joins, joins take pointwise meets
                 for lower in (True, False):
-                    assert _open_route((x, y), grid, lower) == _closed_route(
-                        (x, y), grid, lower
-                    )
+                    assert open_route((x, y), grid, lower) == closed_route((x, y), grid, lower)
                 compared += 1
         assert compared == len(family) ** 2
 

@@ -31,7 +31,7 @@ from olsonorder.hilbert import (
     spectral_measure,
     spectral_meet,
 )
-from olsonorder.hilbert_suite import run_hilbert
+from olsonorder.hilbert_suite import _power_gap, find_order_gap_pair, run_hilbert
 
 from conftest import load_fixture
 
@@ -177,6 +177,24 @@ def test_recorded_gap_pair_fails_the_power_criterion_at_squares():
     a, b = matrix_from_json(pair["a"]), matrix_from_json(pair["b"])
     assert _loewner_leq_power(a, b, 1)
     assert not _loewner_leq_power(a, b, 2)
+
+
+def test_gap_check_refutes_the_spectral_order_by_powers_up_to_eight():
+    # the check behind loewner_spectral_gap reads no eigenprojection, so it
+    # can disagree with the search that chose the pair
+    pair = load_fixture("hilbert_noncommuting_pair.json")
+    a, b = matrix_from_json(pair["a"]), matrix_from_json(pair["b"])
+    assert _power_gap(a, b, DEFAULT_TOLERANCES)
+    # commuting effects in the Loewner order are spectrally ordered: every power stays below
+    lo, hi = HermitianOperator(np.diag([0.2, 0.5])), HermitianOperator(np.diag([0.3, 0.6]))
+    assert not _power_gap(lo, hi, DEFAULT_TOLERANCES)
+    assert not _power_gap(a, a, DEFAULT_TOLERANCES)
+    # seed 8's searched pair is spectrally incomparable, but its first failing power is 24
+    _, a, b = find_order_gap_pair(seed=8)
+    assert not spectral_leq(a, b) and not spectral_leq(b, a)
+    assert all(_loewner_leq_power(a, b, n) for n in range(1, 24))
+    assert not _loewner_leq_power(a, b, 24)
+    assert not _power_gap(a, b, DEFAULT_TOLERANCES)
 
 
 def test_effect_validation_for_lattice_ops():

@@ -1,6 +1,6 @@
 """involution_suite against a frozen copy of its first form.
 
-ref_involution_suite below is a copy of lattice.involution_suite as it
+ref_involution_suite below is a copy of involution_suite as it
 stood when every meet/join law was written out as two mirrored blocks
 and the order tests and the bottom and top questions were recomputed
 where each law used them; it is kept frozen here.  On every pair of
@@ -31,9 +31,9 @@ from olsonorder.errors import (
     OlsonOrderError,
     SpectrumOutsideUnitInterval,
 )
-from olsonorder.lattice import involution_suite, olson_join, olson_leq, olson_meet
+from olsonorder.lattice import olson_join, olson_leq, olson_meet
 from olsonorder.observables import Interval, PiecewiseMap, from_weights, question
-from olsonorder.suites import random_grid_observable, random_unit_grid
+from olsonorder.suites import involution_suite, random_grid_observable, random_unit_grid
 
 F = Fraction
 

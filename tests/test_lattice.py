@@ -25,7 +25,6 @@ from olsonorder.lattice import (
     brute_force_meet,
     compare,
     enumerate_grid_observables,
-    involution_suite,
     merged_grid,
     olson_join,
     olson_leq,
@@ -35,6 +34,7 @@ from olsonorder.lattice import (
 from olsonorder.observables import SimpleObservable, from_closed_values, from_weights, question
 from olsonorder.serialize import algebra_from_json
 from olsonorder.suites import (
+    involution_suite,
     random_grid_observable,
     random_monotone_family,
     random_unit_grid,

@@ -2,13 +2,14 @@
 
 The one-sort event pass over a family's spectra is checked, grid point
 and jump by jump, against merged_grid and the bisection reference
-_closed_on_grid on families drawn from a pool of shared, negative,
-integer, float-tied, out-of-float-range and tiny points.  The grid walk
-is checked against the sampling reference: every resolution is looked
-up by bisection at one point below the merged grid,
-at each grid point, at the midpoint of each gap and at one point above
-the grid.  olson_leq, compare (verdict and witness), both meet/join
-routes and olson_meet/olson_join wherever the pointwise bounds exist
+closed_on_grid (in routes.py, with the full-row meet/join routes) on
+families drawn from a pool of shared, negative, integer, float-tied,
+out-of-float-range and tiny points.  The grid walk is checked against
+the sampling reference: every resolution is looked up by bisection at
+one point below the merged grid, at each grid point, at the midpoint of
+each gap and at one point above the grid.  olson_leq, compare (verdict
+and witness), both full-row routes and olson_meet/olson_join wherever
+the pointwise bounds exist
 must give the same answers as the reference on seeded families over
 every shipped exact backend fixture and on hypothesis-drawn chain
 families.
@@ -37,10 +38,7 @@ from olsonorder.errors import InvalidAlgebra, OlsonOrderError
 from olsonorder.lattice import (
     DEFAULT_ENUMERATION_CAP,
     BoundResult,
-    _closed_on_grid,
-    _closed_route,
     _events,
-    _open_route,
     brute_force_join,
     brute_force_meet,
     compare,
@@ -56,6 +54,7 @@ from olsonorder.observables import SimpleObservable, from_closed_values, questio
 from olsonorder.serialize import algebra_from_json
 
 from conftest import load_fixture
+from routes import closed_on_grid, closed_route, open_route
 from test_golden import BACKENDS, CAP, POINTS, _draw
 
 F = Fraction
@@ -124,8 +123,8 @@ def _assert_agree(xs):
     ):
         ref_open = _ref_open_route(bound_many, xs, grid)
         ref_closed = _ref_closed_route(bound_many, xs, grid)
-        assert _open_route(xs, grid, lower) == ref_open, xs
-        assert _closed_route(xs, grid, lower) == ref_closed, xs
+        assert open_route(xs, grid, lower) == ref_open, xs
+        assert closed_route(xs, grid, lower) == ref_closed, xs
         refs = [ref for ref in (ref_open, ref_closed) if ref is not None]
         if refs:
             got = bound(xs)
@@ -210,14 +209,14 @@ def _pooled_observable(algebra, rng, points):
 
 
 def _assert_events_match_reference(xs, grid, groups):
-    """The event pass against merged_grid and _closed_on_grid: each grid
+    """The event pass against merged_grid and closed_on_grid: each grid
     point's group holds, in member order, the members with a spectral point
     there, each with its closed values one point down (zero below the grid)
     and at the point."""
     assert tuple(grid) == merged_grid(xs)
     assert all(type(t) is Fraction for t in grid)
     zero = xs[0].algebra.zero.payload
-    columns = [tuple(_closed_on_grid(x, grid)) for x in xs]
+    columns = [tuple(closed_on_grid(x, grid)) for x in xs]
     assert len(groups) == len(grid)
     for j, (t, group) in enumerate(zip(grid, groups)):
         assert [mark[3] for mark in group] == [m for m, x in enumerate(xs) if t in x.points]
@@ -272,7 +271,7 @@ def test_event_walk_matches_the_closed_route_on_lattice_backends():
                 )
                 grid = merged_grid(xs)
                 for lower, bound in ((True, olson_meet), (False, olson_join)):
-                    want = BoundResult(True, _closed_route(xs, grid, lower), "elementwise")
+                    want = BoundResult(True, closed_route(xs, grid, lower), "elementwise")
                     assert bound(xs) == want, (algebra, members, lower)
 
 

@@ -26,7 +26,8 @@ from olsonorder.errors import InvalidAlgebra, NonMonotoneInput, OlsonOrderError
 from olsonorder.lattice import compare, olson_leq, order_verdict
 from olsonorder.observables import question
 from olsonorder.serialize import algebra_from_json
-from olsonorder.suites import AXIOM_SCAN_CAP, _check, _elements, _report, run_axioms, run_order
+from olsonorder.suites import (AXIOM_SCAN_CAP, _check, _elements, _report, run_axioms,
+                               run_involution, run_order)
 
 from conftest import load_fixture
 from test_carrier_reference import TABLES, _mutant
@@ -261,6 +262,16 @@ def test_broken_backends_fail_like_the_frozen_suites(algebra, axioms_failing, or
     for check in expected["checks"][:2]:
         check["passed"] = False
     assert json.dumps(order) == json.dumps(expected)
+
+
+@pytest.mark.parametrize("algebra", [NonCommutative(4), OrderAgainstSums(4)],
+                         ids=["NonCommutative", "OrderAgainstSums"])
+def test_involution_fails_typed_where_a_difference_is_undefined(algebra):
+    # some a <= b there has no sum a + b', so a mapped observable's weights,
+    # the differences (a + b')', do not exist
+    message = r"^a \+ b' undefined though a <= b; backend is inconsistent$"
+    with pytest.raises(InvalidAlgebra, match=message):
+        run_involution(algebra)
 
 
 class SumEscapes(MVChain):

@@ -16,18 +16,13 @@ import random
 from fractions import Fraction
 
 from olsonorder.errors import CertificationTooLarge
-from olsonorder.lattice import (
-    _brute_force,
-    _closed_route,
-    _open_route,
-    enumerate_grid_observables,
-    merged_grid,
-)
+from olsonorder.lattice import _brute_force, enumerate_grid_observables, merged_grid
 from olsonorder.observables import PiecewiseMap, SimpleObservable, from_closed_values
 from olsonorder.serialize import algebra_from_json
 from olsonorder.suites import random_grid_observable, random_unit_grid
 
 from conftest import load_fixture
+from routes import closed_route, open_route
 from test_golden import BACKENDS, CAP, _draw
 
 F = Fraction
@@ -66,7 +61,7 @@ def _check_family(xs) -> int:
     grid = merged_grid(xs)
     for lower in (True, False):
         # the open route packs through left_regularize's view
-        for route in (_closed_route, _open_route):
+        for route in (closed_route, open_route):
             bound = route(xs, grid, lower)
             if bound is not None:
                 built.append(bound)
