@@ -15,13 +15,16 @@ __version__ = "0.1.0"
 
 # Every public name is served from its home module, which is imported on
 # first use of one of its names and not before: a table backend loads
-# errors and algebras only, a JSON backend serialize too, and the Hilbert
-# names (which need numpy) load no exact module.  A resolved name is kept
-# in the package's globals.
+# errors and effect only, a JSON backend algebras and serialize too, and
+# the Hilbert names (which need numpy) load no exact module.  A resolved
+# name is kept in the package's globals.
 _HOMES = {
+    "effect": (
+        "EffectAlgebra", "EffectElement", "TableEffectAlgebra", "block_cycle_algebra",
+        "mo2_algebra",
+    ),
     "algebras": (
-        "EffectAlgebra", "EffectElement", "FiniteSetAlgebra", "FiniteTribe", "MVChain",
-        "QuotientBooleanAlgebra", "TableEffectAlgebra", "block_cycle_algebra", "mo2_algebra",
+        "FiniteSetAlgebra", "FiniteTribe", "MVChain", "QuotientBooleanAlgebra",
         "restricted_sum_tribe",
     ),
     "errors": (

@@ -6,10 +6,10 @@ precision.  A literal that fails to type-check against the backend it
 is paired with raises BackendMismatch; structurally malformed input
 raises ParseError.
 
-The backend codecs need only errors and algebras: the observable and
-record types appear here in annotations, and observable_from_json loads
-the observables module on its first call, so building a backend from
-JSON compiles neither observables nor lattice.
+The backend codecs need only errors, effect and algebras: the observable
+and record types appear here in annotations, and observable_from_json
+loads the observables module on its first call, so building a backend
+from JSON compiles neither observables nor lattice.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Each suite returns a JSON-ready report: suite name, backend
 description, per-check pass flags with counts, and an overall verdict.
 Randomized suites draw only from generators seeded by the caller, so a
-fixed seed reproduces the report byte for byte.
+fixed seed reproduces the report byte for byte.  Only the representation
+suite reads the kernels module, and it imports it on first use.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .algebras import (
     EffectAlgebra,
@@ -25,19 +26,6 @@ from .algebras import (
 )
 from .errors import (BackendMismatch, CertificationTooLarge, InvalidAlgebra, NonMonotoneInput,
                      SpectrumOutsideUnitInterval, _check, _report)
-from .kernels import (
-    MeasurableFunction,
-    function_from_observable,
-    function_max,
-    function_min,
-    function_order_oracle,
-    kernel_from_observable,
-    kernel_leq,
-    observable_from_function,
-    observable_from_kernel,
-    pushforward_function,
-    quotient_order_criterion,
-)
 from .lattice import (
     DEFAULT_ENUMERATION_CAP,
     BoundResult,
@@ -53,6 +41,9 @@ from .lattice import (
 )
 from .observables import (Interval, PiecewiseMap, SimpleObservable, _pack_closed, _rational,
                           question)
+
+if TYPE_CHECKING:
+    from .kernels import MeasurableFunction
 
 AXIOM_SCAN_CAP = 64
 PAIR_BUDGET = 2500
@@ -404,6 +395,8 @@ def _functions(
     vals: Sequence[Fraction], omega: int, rng: random.Random, samples: int, limit: int
 ) -> list[MeasurableFunction]:
     """Every function into vals when there are at most limit, else a sample."""
+    from .kernels import MeasurableFunction
+
     if omega > REPRESENTATION_OMEGA_CAP:
         raise CertificationTooLarge(
             f"representation suite draws functions on {omega} points, over cap {REPRESENTATION_OMEGA_CAP}"
@@ -423,6 +416,10 @@ def _function_representation(
     round trip, then the function order against olson_leq on sampled pairs,
     then the Olson bounds of sampled pairs, each against the observable of
     its pointwise function bound."""
+    from .kernels import (function_from_observable, function_max, function_min,
+                          function_order_oracle, observable_from_function, pushforward_function,
+                          quotient_order_criterion)
+
     if isinstance(algebra, FiniteSetAlgebra):
         vals = (
             Fraction(0),
@@ -470,6 +467,8 @@ def _function_representation(
 def _tribe_representation(
     algebra: FiniteTribe, seed: int, pair_cap: int, cap: int
 ) -> list[dict]:
+    from .kernels import kernel_from_observable, kernel_leq, observable_from_kernel
+
     obs = _grid_observables(algebra, cap)
     kernels = [kernel_from_observable(algebra, x) for x in obs]
     rng = random.Random(seed)

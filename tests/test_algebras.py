@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from olsonorder import algebras
+from olsonorder import algebras, effect
 from olsonorder.algebras import (
     FiniteSetAlgebra,
     FiniteTribe,
@@ -90,6 +91,19 @@ def test_backends_implement_only_payload_hooks():
     assert MVChain in backends and TableEffectAlgebra in backends
     for cls in backends:
         assert not public & set(vars(cls)), cls
+
+
+def test_every_backend_class_is_named_under_algebras():
+    # the contract and the table are defined in effect.py, which loads no
+    # rational arithmetic, but are named by the module that serves every
+    # backend: pickles, and listings of a module's own classes (as in
+    # perfbench's tracer), find all of them in olsonorder.algebras
+    classes = [c for c in vars(algebras).values() if isinstance(c, type)
+               and issubclass(c, (algebras.EffectAlgebra, algebras.EffectElement))]
+    assert {c.__module__ for c in classes} == {"olsonorder.algebras"}
+    assert {effect.EffectAlgebra, effect.EffectElement, effect.TableEffectAlgebra} <= set(classes)
+    table = mo2_algebra()
+    assert pickle.loads(pickle.dumps(table)).describe() == table.describe()
 
 
 def test_foreign_elements_rejected(mv4, set2):

@@ -336,31 +336,33 @@ def test_join_cap_exhaustion_exits_1(capsys, cycle, tmp_path):
 
 # each entry point, run in a fresh interpreter, and the olsonorder modules
 # (named without the package prefix; "" is the package) plus numpy it loads
-_EXACT = {"", "cli", "errors", "algebras", "observables", "lattice", "serialize"}
+_EXACT = {"", "cli", "errors", "effect", "algebras", "observables", "lattice", "serialize"}
 _SPECTRAL = {"", "cli", "errors", "hilbert", "numpy"}
 _ENTRY_POINTS = {
     "import": ("import olsonorder", {""}),
     "table-backend": ("import olsonorder; olsonorder.block_cycle_algebra()",
-                      {"", "errors", "algebras"}),
+                      {"", "errors", "effect"}),
     "json-backend": ("import olsonorder as oo; oo.algebra_from_json({'kind': 'mv_chain', 'n': 8})",
-                     {"", "errors", "algebras", "serialize"}),
+                     {"", "errors", "effect", "algebras", "serialize"}),
     "observable-json": ("import olsonorder as oo; oo.observable_from_json("
                         "oo.algebra_from_json({'kind': 'mv_chain', 'n': 8}),"
                         " {'points': ['0', '1'], 'weights': ['1/8', '7/8']})",
-                        {"", "errors", "algebras", "serialize", "observables"}),
+                        {"", "errors", "effect", "algebras", "serialize", "observables"}),
     "submodule": ("import olsonorder; olsonorder.lattice",
-                  {"", "errors", "algebras", "observables", "lattice"}),
+                  {"", "errors", "effect", "algebras", "observables", "lattice"}),
     "import-star": ("from olsonorder import *",
-                    {"", "errors", "algebras", "observables", "lattice", "kernels", "serialize",
-                     "suites"}),
+                    {"", "errors", "effect", "algebras", "observables", "lattice", "kernels",
+                     "serialize", "suites"}),
     "hilbert": ("import olsonorder.hilbert", {"", "errors", "hilbert", "numpy"}),
     "hilbert-name": ("from olsonorder import HermitianOperator",
                      {"", "errors", "hilbert", "numpy"}),
     "cmp": (["cmp", MV4, Q14, Q34], _EXACT),
     "meet": (["meet", MV4, Q14, fixture_path("mv4_three_point.json")], _EXACT),
     "neg": (["neg", MV4, fixture_path("mv4_three_point.json")], _EXACT - {"lattice"}),
-    "check-axioms": (["check", "axioms", MV4], _EXACT | {"kernels", "suites"}),
-    "check-lattice-oracle": (["check", "lattice-oracle", MV4], _EXACT | {"kernels", "suites"}),
+    "check-axioms": (["check", "axioms", MV4], _EXACT | {"suites"}),
+    "check-lattice-oracle": (["check", "lattice-oracle", MV4], _EXACT | {"suites"}),
+    "check-representation": (["check", "representation", fixture_path("quotient_3.json")],
+                             _EXACT | {"kernels", "suites"}),
     "spectral-cmp": (["spectral", "cmp", DIAG, DIAG], _SPECTRAL),
     "spectral-meet": (["spectral", "meet", fixture_path("effect_a_3x3.json"),
                        fixture_path("effect_b_3x3.json")], _SPECTRAL),
@@ -382,12 +384,25 @@ def test_entry_point_loads_only_its_modules(entry):
         "                        if name.partition('.')[0] == 'olsonorder') +\n"
         "                 ['numpy'] * ('numpy' in sys.modules)))\n"
     )
+    assert set(json.loads(_fresh(script))) == expected
+
+
+def test_table_backend_loads_no_rational_arithmetic():
+    # a table's payloads are indices: building one imports neither
+    # fractions nor decimal (which fractions imports)
+    script = ("import json, sys, olsonorder; olsonorder.block_cycle_algebra(); "
+              "print(json.dumps(sorted({'fractions', 'decimal'} & set(sys.modules))))")
+    assert json.loads(_fresh(script)) == []
+
+
+def _fresh(script: str) -> str:
+    """The last line that script prints in a fresh interpreter on this source tree."""
     src = os.path.dirname(os.path.dirname(olsonorder.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, os.environ.get("PYTHONPATH", "")))}
     done = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert set(json.loads(done.stdout.splitlines()[-1])) == expected
+    return done.stdout.splitlines()[-1]
 
 
 def test_every_public_name_resolves_to_its_home_module():

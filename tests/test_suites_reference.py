@@ -11,7 +11,8 @@ message.  The broken backends and the mutations make checks fail, so the
 failure side of every law runs too.  The one exception is a backend
 whose zero is not the bottom of its order: the frozen run_order raises
 NonMonotoneInput there, and run_order reports its two question checks
-as failed.
+as failed.  What run_lattice_oracle and run_involution give on the
+broken backends is pinned as observed.
 """
 
 from __future__ import annotations
@@ -22,12 +23,12 @@ import random
 import pytest
 
 from olsonorder.algebras import EffectAlgebra, MVChain
-from olsonorder.errors import InvalidAlgebra, NonMonotoneInput, OlsonOrderError
+from olsonorder.errors import InvalidAlgebra, NonMonotoneInput, OlsonOrderError, WeightsNotSummable
 from olsonorder.lattice import compare, olson_leq, order_verdict
 from olsonorder.observables import question
 from olsonorder.serialize import algebra_from_json
 from olsonorder.suites import (AXIOM_SCAN_CAP, _check, _elements, _report, run_axioms,
-                               run_involution, run_order)
+                               run_involution, run_lattice_oracle, run_order)
 
 from conftest import load_fixture
 from test_carrier_reference import TABLES, _mutant
@@ -272,6 +273,38 @@ def test_involution_fails_typed_where_a_difference_is_undefined(algebra):
     message = r"^a \+ b' undefined though a <= b; backend is inconsistent$"
     with pytest.raises(InvalidAlgebra, match=message):
         run_involution(algebra)
+
+
+# what run_lattice_oracle and run_involution give on each broken backend:
+# the set of checks a report fails, or the type and message of the error
+# raised; InvalidAlgebra, WeightsNotSummable and NonMonotoneInput where an
+# inconsistent sum table stops observables from being built
+UNDEFINED_DIFF = (InvalidAlgebra, "a + b' undefined though a <= b; backend is inconsistent")
+UNBOUNDED = (InvalidAlgebra, "join_many does not bound its inputs; backend is inconsistent")
+ORACLE_AND_INVOLUTION = {
+    "NonCommutative": (set(), UNDEFINED_DIFF),
+    "ZeroNotNeutral": (set(), (WeightsNotSummable, "weights must sum to 1")),
+    "MisnamedZero": (set(), (NonMonotoneInput, "closed-resolution values must be nondecreasing")),
+    "ComplementNotInvolution": (
+        set(), (WeightsNotSummable, "canonical observables carry no zero weights")),
+    "ComplementIsIdentity": (
+        set(), (InvalidAlgebra, "closed-resolution values do not reach 1; backend is inconsistent")),
+    # passes both: a + 1 = 1 for a = 1/4 breaks no check of either suite
+    "OneAbsorbs": (set(), set()),
+    "OrderAgainstSums": ({"meet_matches_oracle"}, UNDEFINED_DIFF),
+    "OrderNotTransitive": (UNBOUNDED, UNBOUNDED),
+}
+
+
+@pytest.mark.parametrize("algebra", [b for b, _, _ in BROKEN],
+                         ids=[type(b).__name__ for b, _, _ in BROKEN])
+def test_broken_backends_in_the_oracle_and_involution_suites(algebra):
+    def outcome(suite):
+        got = _outcome(suite, algebra)
+        return got if isinstance(got, tuple) else _failing(got)
+
+    expected = ORACLE_AND_INVOLUTION[type(algebra).__name__]
+    assert (outcome(run_lattice_oracle), outcome(run_involution)) == expected
 
 
 class SumEscapes(MVChain):
