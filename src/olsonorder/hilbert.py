@@ -8,6 +8,13 @@ step-resolution formulas with the projection lattice supplying the
 pointwise operations, so E(H) computations here are the operator
 analogue of the exact routines in `lattice`.
 
+The measures `spectral_measure` returns keep each operator's
+eigenframe: its clustered grid and its eigenvectors, of which the
+leading n(t) span E_A((-inf, t]).  The order test reads the residual
+from eigenvector overlaps, the bounds hand the projection lattice masked
+eigenvector rows, and the cumulative projection stack is built only
+when it is read.
+
 Everything is tolerance-based: checks scale with the operator norms and
 the defaults leave two orders of magnitude over double-precision
 eigensolver backward error at the supported sizes.
@@ -219,42 +226,131 @@ class SpectralMeasure:
     cumulative[i] is E_A((-inf, grid[i]]); the last entry is the
     identity.  Lookups accept a half-gap slack so that thresholds merged
     from several operators pick up eigenvalues equal up to clustering
-    noise.
+    noise.  The constructor checks shapes (DimensionMismatch) and that
+    the grid is finite and strictly increasing, the projections finite
+    and the scale finite and nonnegative (ParseError); `_wrap` takes a
+    measure this module computed as given.
+
+    A measure from `spectral_measure` also keeps its eigenframe
+    (ends, lam, vecs, vh): the index of each cluster's last eigenvalue,
+    each eigenvalue replaced by its cluster's mean, and the eigenvectors
+    as the columns of vecs and the rows of vh.  The n(t) entries of lam
+    at or below t count the leading eigenvectors that span
+    E((-inf, t]) = V_<n V_<n^*.  The order test and the bounds read the
+    frame; the cumulative stack is built from it when first read.
     """
 
-    __slots__ = ("grid", "cumulative", "scale", "_slack", "_padded")
+    __slots__ = ("grid", "scale", "dim", "_slack", "_stack", "_frame")
 
     def __init__(
         self, grid: np.ndarray, cumulative: np.ndarray, scale: float,
         tol: Tolerances = DEFAULT_TOLERANCES,
     ) -> None:
-        cumulative = np.asarray(cumulative)
+        try:
+            grid = np.asarray(grid)
+            # a cast to float would drop an imaginary part with only a warning
+            if grid.dtype.kind not in "biuf":
+                raise TypeError(f"grid has dtype {grid.dtype}")
+            grid = grid.astype(np.float64)
+            cumulative = np.asarray(cumulative)
+            cumulative = cumulative.astype(
+                np.complex128 if cumulative.dtype.kind == "c" else np.float64, copy=False
+            )
+            scale = float(scale)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(
+                f"spectral measure needs a real grid and scale and numeric projections: {exc}"
+            ) from exc
+        if grid.ndim != 1 or not grid.size:
+            raise DimensionMismatch(f"grid must be a nonempty 1-d array, got shape {grid.shape}")
+        shape = cumulative.shape
+        if len(shape) != 3 or shape[0] != grid.size or shape[1] != shape[2] or shape[1] < 1:
+            raise DimensionMismatch(
+                f"need {grid.size} square cumulative projections, got shape {shape}"
+            )
+        # a NaN fails every comparison
+        if not (np.isfinite(grid).all() and (grid[1:] > grid[:-1]).all()):
+            raise ParseError("spectral measure grid must be finite and strictly increasing")
+        if not np.isfinite(cumulative).all():
+            raise ParseError("cumulative projections must be finite")
+        if not (math.isfinite(scale) and scale >= 0):
+            raise ParseError(
+                f"spectral measure scale must be finite and nonnegative, got {scale!r}"
+            )
         # row 0 is the zero projection, the resolution below the grid
         padded = np.concatenate([np.zeros_like(cumulative[:1]), cumulative])
-        self._set(np.asarray(grid, dtype=np.float64), padded, float(scale), tol)
+        self._set(grid, padded, scale, tol, None)
 
     @classmethod
     def _wrap(
-        cls, grid: np.ndarray, padded: np.ndarray, scale: float, tol: Tolerances
+        cls, grid: np.ndarray, padded: np.ndarray | None, scale: float, tol: Tolerances,
+        frame: tuple | None = None,
     ) -> "SpectralMeasure":
         measure = cls.__new__(cls)
-        measure._set(grid, padded, scale, tol)
+        measure._set(grid, padded, scale, tol, frame)
         return measure
 
-    def _set(self, grid: np.ndarray, padded: np.ndarray, scale: float, tol: Tolerances) -> None:
-        self.grid, self._padded, self.cumulative = grid, padded, padded[1:]
+    def _set(self, grid, padded, scale, tol, frame) -> None:
+        # padded is None until a framed measure's stack is first read
+        self.grid, self._stack, self._frame = grid, padded, frame
+        self.dim = len(frame[3]) if padded is None else int(padded.shape[1])
         self.scale, self._slack = scale, tol.eig * scale / 2.0
 
     @property
-    def dim(self) -> int:
-        return int(self.cumulative.shape[1])
+    def _padded(self) -> np.ndarray:
+        """The zero projection, then `cumulative`."""
+        if self._stack is None:
+            self._stack = self._frame_stack()
+        return self._stack
+
+    @property
+    def cumulative(self) -> np.ndarray:
+        return self._padded[1:]
+
+    def _frame_stack(self) -> np.ndarray:
+        ends, _, evecs, vh = self._frame
+        k, d = len(self.grid), self.dim
+        # the zero projection, then the running sums of the v_j v_j^* read at
+        # the end of each cluster, the last of them I
+        padded = np.empty((k + 1, d, d), dtype=evecs.dtype)
+        padded[0] = 0.0
+        padded[k] = _eye(d)
+        if k > 1:
+            n = ends[-2] + 1
+            run = (evecs.T[:n, :, None] @ vh[:n, None, :]).cumsum(axis=0)
+            if k < d:
+                run = run[ends[:-1]]
+            inner = padded[1:k]
+            np.add(run, run.conj().swapaxes(1, 2), out=inner)
+            inner /= 2.0
+        return padded
 
     def cumulative_stack_at(self, ts: np.ndarray) -> np.ndarray:
         """E((-inf, t]) for each t in the 1-d array `ts`, shape (len(ts), d, d)."""
         return self._padded[self.grid.searchsorted(np.asarray(ts) + self._slack, side="right")]
 
+    def _counts_at(self, ts: np.ndarray) -> np.ndarray:
+        """A framed measure's n(t) for each t of `ts`, with the lookup slack."""
+        return self._frame[1].searchsorted(ts + self._slack, side="right")
+
+    def _bound_rows(self, ts: np.ndarray, meet: bool) -> np.ndarray:
+        """Matrices whose row space is E(t) for a meet and its complement
+        for a join, one per t of `ts`; see _lattice_bound.
+
+        A framed measure gives vh with the rows j >= n(t) zeroed for a
+        meet and the rows j < n(t) zeroed for a join; any other gives
+        E(t) or I - E(t).
+        """
+        if self._frame is None:
+            stack = self.cumulative_stack_at(ts)
+            return stack if meet else _eye(self.dim) - stack
+        below = np.arange(self.dim) < self._counts_at(ts)[:, None]
+        return self._frame[3] * (below if meet else ~below)[:, :, None]
+
     def eigenprojections(self) -> np.ndarray:
-        return np.diff(self._padded, axis=0)
+        # np.diff's own formula, without its wrapper
+        padded = self._padded
+        return padded[1:] - padded[:-1]
 
     def reconstruct(self) -> np.ndarray:
         mat = np.einsum("t,tij->ij", self.grid, self.eigenprojections())
@@ -301,52 +397,45 @@ def _decompose(ops: Sequence[HermitianOperator]) -> None:
 
 
 def spectral_measure(a, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralMeasure:
-    """Eigendecompose into a clustered grid of cumulative projections."""
+    """Eigendecompose into a clustered grid of cumulative projections.
+
+    Eigenvalues cluster at tol.eig, and the decomposition must rebuild
+    the operator at tol.rec or EigendecompositionFailure is raised.  The
+    measure keeps the eigenframe; see SpectralMeasure.
+    """
     op = _as_operator(a, tol)
     _decompose((op,))
     evals, evecs = op._spectrum
     d = op.dim
     scale = max(1.0, _norm(op.matrix))
     grid, ends = _cluster_means(evals, tol.eig * scale)
-    k = len(grid)
-    # the zero projection, then the running sums of the v_j v_j^* read at
-    # the end of each cluster, the last of them I
-    padded = np.empty((k + 1, d, d), dtype=evecs.dtype)
-    padded[0] = 0.0
-    padded[k] = _eye(d)
     vh = evecs.conj().T
-    if k > 1:
-        n = ends[-2] + 1
-        run = (evecs.T[:n, :, None] @ vh[:n, None, :]).cumsum(axis=0)
-        if k < d:
-            run = run[ends[:-1]]
-        inner = padded[1:k]
-        np.add(run, run.conj().swapaxes(1, 2), out=inner)
-        inner /= 2.0
     # each eigenvalue replaced by the mean of its cluster
-    lam = grid if k == d else grid[np.searchsorted(ends, np.arange(d))]
+    lam = grid if len(grid) == d else grid[np.searchsorted(ends, np.arange(d))]
     residual = _norm((evecs * lam) @ vh - op.matrix)
     if residual > tol.rec * scale:
         raise EigendecompositionFailure(
             f"spectral reconstruction residual {residual:.3e} exceeds tolerance"
         )
-    return SpectralMeasure._wrap(grid, padded, scale, tol)
+    return SpectralMeasure._wrap(grid, None, scale, tol, (ends, lam, evecs, vh))
 
 
-def _proj_meet_many(stack: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _proj_meet_many(stack: np.ndarray, tol: Tolerances, complements: bool = False) -> np.ndarray:
     """Projections onto the intersections of ranges, one batched SVD.
 
     `stack` has shape (..., m, d, d) with m >= 1: each entry over the
     leading axes holds m projections, and the result, of shape
     (..., d, d), projects onto the intersection of their ranges.  That
-    intersection is the null space of the m stacked orthogonal
+    intersection is the null space N of the m stacked orthogonal
     complements, an (m d) x d matrix; singular values at or below the
-    rank cutoff tol.ord flag null directions.
+    rank cutoff tol.ord flag null directions.  With `complements`, the
+    stack holds those complements, or any matrices with the same null
+    spaces (a framed measure's masked eigenvector rows), as given.
     """
     *lead, m, d, _ = stack.shape
-    complements = (_eye(d) - stack).reshape(*lead, m * d, d)
+    rows = stack if complements else _eye(d) - stack
     try:
-        _, svals, vh = np.linalg.svd(complements, full_matrices=False)
+        _, svals, vh = np.linalg.svd(rows.reshape(*lead, m * d, d), full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise EigendecompositionFailure(str(exc)) from exc
     null = vh.conj().swapaxes(-1, -2) * (svals <= tol.ord)[..., None, :]
@@ -355,9 +444,12 @@ def _proj_meet_many(stack: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 
 def _proj_join_many(stack: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Projections onto the spans of ranges; same shapes as _proj_meet_many."""
-    eye = _eye(stack.shape[-1])
-    return eye - _proj_meet_many(eye - stack, tol)
+    """Projections onto the spans of ranges; same shapes as _proj_meet_many.
+
+    The span is the complement I - N N^* of the common null space N of
+    the stacked projections, or of any matrices with their row spaces.
+    """
+    return _eye(stack.shape[-1]) - _proj_meet_many(stack, tol, complements=True)
 
 
 def _projection_pair(p, q, tol: Tolerances) -> np.ndarray:
@@ -407,12 +499,36 @@ def logical_leq(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
 
 
 def _measures_leq(ma: SpectralMeasure, mb: SpectralMeasure, tol: Tolerances) -> bool:
-    # unsorted and with repeats: a repeated point repeats its residual,
-    # which leaves the maximum as it is
-    ts = np.concatenate((ma.grid, mb.grid))
-    residual = (_eye(ma.dim) - ma.cumulative_stack_at(ts)) @ mb.cumulative_stack_at(ts)
-    worst = math.sqrt(float(_sq_norms(residual).max()))
+    """The Olson order on measures: the frame residual when both keep
+    eigenframes, the projection stacks otherwise."""
+    _same_dim(ma, mb)
+    if ma._frame is not None and mb._frame is not None:
+        worst = _frames_residual(ma, mb)
+    else:
+        # unsorted and with repeats: a repeated point repeats its residual,
+        # which leaves the maximum as it is
+        ts = np.concatenate((ma.grid, mb.grid))
+        residual = (_eye(ma.dim) - ma.cumulative_stack_at(ts)) @ mb.cumulative_stack_at(ts)
+        worst = math.sqrt(float(_sq_norms(residual).max()))
     return worst <= tol.ord * max(1.0, ma.scale, mb.scale)
+
+
+def _frames_residual(ma: SpectralMeasure, mb: SpectralMeasure) -> float:
+    """The largest ||(I - E_a(t)) E_b(t)||_F over the points of both
+    grids, read from the eigenframes of two framed measures.
+
+    With O = V_a^* V_b, (I - E_a(t)) E_b(t) = V_a[:, i >= n_a] O[i >= n_a,
+    j < n_b] V_b[:, j < n_b]^*, so its squared norm is the sum of |O_ij|^2
+    over that block: one entry of a 2-d cumulative sum of |O|^2.
+    """
+    overlap = ma._frame[3] @ mb._frame[2]
+    sq = (overlap * overlap.conj()).real
+    d = len(sq)
+    # tails[i, j]: the sum over rows >= i and columns < j
+    tails = np.zeros((d + 1, d + 1))
+    tails[:d, 1:] = sq[::-1].cumsum(axis=0)[::-1].cumsum(axis=1)
+    ts = np.concatenate((ma.grid, mb.grid))
+    return math.sqrt(float(tails[ma._counts_at(ts), mb._counts_at(ts)].max()))
 
 
 def spectral_leq(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
@@ -424,8 +540,8 @@ def spectral_leq(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
 
 
 def _effect_measures(operators: Iterable, tol: Tolerances) -> list[SpectralMeasure]:
-    """Measures of a family of effects, every member checked first; the
-    check and the measures read one stacked decomposition."""
+    """Framed measures of a family of effects, every member checked
+    first; the check and the measures read one stacked decomposition."""
     ops = [_as_operator(o, tol) for o in operators]
     if not ops:
         raise EmptyFamily("meet/join needs at least one operator")
@@ -441,17 +557,31 @@ def _effect_measures(operators: Iterable, tol: Tolerances) -> list[SpectralMeasu
 def _lattice_bound(
     measures: Sequence[SpectralMeasure], tol: Tolerances, meet: bool
 ) -> HermitianOperator:
+    """The meet (join) of `measures`, one batched SVD over the merged grid.
+
+    A member's rows at t span E(t) for a meet and I - E(t) for a join:
+    masked eigenvector rows for a framed measure, the projections for
+    any other.  A framed stack of projections is blockdiag(V) times its
+    rows, an isometry, so both give the same singular values and null
+    spaces.
+    """
+    for m in measures[1:]:
+        _same_dim(measures[0], m)
     scale = max(1.0, *(m.scale for m in measures))
     grid, _ = _cluster_means(np.sort(np.concatenate([m.grid for m in measures])), tol.eig * scale)
     k = len(grid)
-    eye = _eye(measures[0].dim)
     # (points, family, d, d): every grid point but the last, where the
     # resolution is I, combined in one call
-    stack = np.stack([m.cumulative_stack_at(grid[:-1]) for m in measures], axis=1)
+    rows = np.stack([m._bound_rows(grid[:-1], meet) for m in measures], axis=1)
+    eye = _eye(rows.shape[-1])
     # row 0 is the zero projection below the grid, as in SpectralMeasure
-    padded = np.zeros((k + 1, *eye.shape), dtype=stack.dtype)
+    padded = np.zeros((k + 1, *eye.shape), dtype=rows.dtype)
     cums = padded[1:]
-    cums[:-1] = (_proj_join_many if meet else _proj_meet_many)(stack, tol)
+    # the meet's resolution spans the members' ranges, the join's is the
+    # null space of their complements
+    cums[:-1] = (
+        _proj_join_many(rows, tol) if meet else _proj_meet_many(rows, tol, complements=True)
+    )
     cums[-1] = eye
     # monotone repair: resolutions must be nondecreasing, so a point whose
     # resolution misses its predecessor's range is joined with it; that
@@ -476,7 +606,8 @@ def spectral_meet(operators: Iterable, tol: Tolerances = DEFAULT_TOLERANCES) -> 
 
     Realized on the merged eigenvalue grid: the meet's cumulative
     projection at t is the projection join of the family's cumulatives
-    at t, with monotone repair, reconstructed as sum t_i (P_i - P_{i-1}).
+    at t, the span of their leading eigenvectors, with monotone repair,
+    reconstructed as sum t_i (P_i - P_{i-1}).
     """
     return _lattice_bound(_effect_measures(operators, tol), tol, meet=True)
 

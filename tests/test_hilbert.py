@@ -361,9 +361,12 @@ _PINNED_COUNTS = {
 
 @pytest.mark.parametrize("zeroed, failing, overrides", [
     ("lat", {"lattice_laws"}, {}),
-    ("ord", {"projection_order_equivalence", "lattice_laws"}, {
-        "spectral_implies_loewner": (20, {"positives": 1}),
-        "greatest_lower_bound_probes": (1997, {"meet3_probes": 100, "independent_probes": 27}),
+    # with a zero rank cutoff a direction is null only at a singular value
+    # of exactly 0.0, so these counts follow the rounding of the SVD input
+    ("ord", {"projection_order_equivalence", "lattice_laws", "commuting_diagonal_min_max",
+             "greatest_lower_bound_probes"}, {
+        "spectral_implies_loewner": (20, {"positives": 4}),
+        "greatest_lower_bound_probes": (1937, {"meet3_probes": 100, "independent_probes": 42}),
     }),
     ("psd", {"projection_order_equivalence"}, {}),
 ])

@@ -7,7 +7,11 @@ one Python list per cluster, clip/where lookups and flags computed at
 construction.  The library computes the same quantities in one numpy
 call per bound or per measure, decomposes a family in one stacked eigh
 per dtype and reads the meet/join effect check from those eigenvalues;
-each test compares the two to 1e-12 with identical flags.
+each test compares the two to 1e-12 with identical flags.  The order
+test and the bounds read the eigenframes that measures keep, and are
+held to the projection stacks of the same measures with the frames
+dropped: the frame order to the stack order, the masked eigenvector rows
+to the singular values of the projections.
 """
 
 from __future__ import annotations
@@ -16,7 +20,13 @@ import numpy as np
 import pytest
 
 import olsonorder.hilbert as H
-from olsonorder.errors import NotAnEffect, NotAProjection
+from olsonorder.errors import (
+    DimensionMismatch,
+    EigendecompositionFailure,
+    NotAnEffect,
+    NotAProjection,
+    ParseError,
+)
 from olsonorder.hilbert import (
     DEFAULT_TOLERANCES,
     HermitianOperator,
@@ -24,7 +34,9 @@ from olsonorder.hilbert import (
     _cluster_means,
     _decompose,
     _effect_measures,
+    _frames_residual,
     _lattice_bound,
+    _measures_leq,
     _proj_join_many,
     _proj_meet_many,
     matrix_from_json,
@@ -240,6 +252,48 @@ def test_spectral_measures_and_lookups_match():
             ref_grid, clusters = ref_cluster_means(images, TOL.eig * measure.scale)
             assert close(image.grid, ref_grid)
             assert np.array_equal(image.cumulative, measure.cumulative[[c[-1] for c in clusters]])
+            assert np.array_equal(measure.eigenprojections(), np.diff(measure._padded, axis=0))
+
+
+def test_public_measures_refuse_malformed_input():
+    grid, cums = np.array([0.25, 0.75]), np.stack([np.diag([1.0, 0.0]), np.eye(2)])
+    SpectralMeasure(grid, cums, 1.0)
+    shapes = [
+        (np.array([0.1, 0.5, 0.9]), cums),  # three points, two projections
+        (grid, np.eye(2)),  # one 2-d array
+        (np.array([[0.25, 0.75]]), cums),
+        (np.array([]), cums[:0]),
+        (grid, np.ones((2, 2, 3))),
+    ]
+    for bad_grid, bad_cums in shapes:
+        with pytest.raises(DimensionMismatch):
+            SpectralMeasure(bad_grid, bad_cums, 1.0)
+    values = [
+        (np.array([0.75, 0.25]), cums, 1.0),  # unsorted
+        (np.array([0.25, 0.25]), cums, 1.0),  # repeated
+        (np.array([0.25, np.nan]), cums, 1.0),
+        (np.array([-np.inf, 0.75]), cums, 1.0),
+        (grid, cums * np.nan, 1.0),
+        (grid, cums, float("inf")),
+        (grid, cums, float("nan")),
+        (grid, cums, -1.0),
+        (["a", "b"], cums, 1.0),
+        (grid + 0j, cums, 1.0),  # a complex array, even with zero imaginary parts
+        (np.array([0.25 + 1e-3j, 0.75]), cums, 1.0),
+        ([0.25 + 1e-3j, 0.75], cums, 1.0),
+    ]
+    for bad_grid, bad_cums, scale in values:
+        with pytest.raises(ParseError):
+            SpectralMeasure(bad_grid, bad_cums, scale)
+    # a 3 x 3 measure beside a 2 x 2 one
+    small = SpectralMeasure(grid, cums, 1.0)
+    large = spectral_measure(np.diag([0.2, 0.5, 0.9]))
+    for pair in ((small, large), (large, small)):
+        with pytest.raises(DimensionMismatch):
+            _measures_leq(*pair, TOL)
+        for meet in (True, False):
+            with pytest.raises(DimensionMismatch):
+                _lattice_bound(pair, TOL, meet)
 
 
 def test_meets_and_joins_match_the_per_point_loop():
@@ -287,6 +341,102 @@ def test_monotone_repair_matches_the_sequential_rule(monkeypatch):
                     assert all(shape[-3] == 2 for shape in calls[int(meet):])
                     total += repairs
     assert total > 20
+
+
+# -- eigenframes -------------------------------------------------------------------
+
+
+def ref_order_residual(ma, mb):
+    """_measures_leq's residual: the largest ||(I - E_a(t)) E_b(t)|| on both grids."""
+    ts = np.concatenate((ma.grid, mb.grid))
+    eye = np.eye(ma.dim)
+    return max(float(np.linalg.norm((eye - pa) @ pb))
+               for pa, pb in zip(ma.cumulative_stack_at(ts), mb.cumulative_stack_at(ts)))
+
+
+def order_pairs():
+    for family in list(families(26)) + list(mixed_families(27)):
+        yield family[0], family[-1]
+    rng = np.random.default_rng(28)
+    for d in (1, *DIMS):
+        for k in range(12):
+            # a monotone image g(t) <= t shares the eigenvectors of its partner
+            lam = np.sort(rng.uniform(size=d))
+            if k % 3 == 2:
+                lam = np.round(lam * 3) / 3
+            image = np.minimum(lam, np.maximum.accumulate(lam * rng.uniform(size=d)))
+            q = rand_unitary(rng, d)
+            b = (q * lam) @ q.conj().T
+            a = (q * image) @ q.conj().T
+            yield (a + a.conj().T) / 2.0, (b + b.conj().T) / 2.0
+        for _ in range(6):
+            yield rand_effect(rng, d), rand_effect(rng, d)
+            yield rand_projection(rng, d), rand_projection(rng, d)
+
+
+def stack_only(measure):
+    """The same measure without its eigenframe, read from its projections."""
+    return SpectralMeasure(measure.grid, measure.cumulative, measure.scale, TOL)
+
+
+def test_frame_order_matches_the_measure_order():
+    verdicts = set()
+    for a, b in order_pairs():
+        ops = [HermitianOperator(m) for m in (a, b)]
+        measures = [spectral_measure(op) for op in ops]
+        for (ma, mb), (oa, ob) in ((measures, ops), (measures[::-1], ops[::-1])):
+            want = _measures_leq(stack_only(ma), stack_only(mb), TOL)
+            assert _measures_leq(ma, mb, TOL) == want
+            assert spectral_leq(oa, ob) == want
+            assert abs(_frames_residual(ma, mb) - ref_order_residual(ma, mb)) <= ATOL
+            verdicts.add((want, ob.dim == 1))
+    assert verdicts == {(True, False), (False, False), (True, True), (False, True)}
+
+
+def test_masked_rows_have_the_projection_singular_values():
+    for family in list(families(29)) + list(mixed_families(30, count=4)):
+        ops = [HermitianOperator(m) for m in family]
+        measures = _effect_measures(ops, TOL)
+        for meet in (True, False):
+            _lattice_bound(measures, TOL, meet)
+        # the bounds read the frames and build no member's projection stack
+        assert all(m._stack is None for m in measures)
+        scale = max(1.0, *(m.scale for m in measures))
+        merged = np.sort(np.concatenate([m.grid for m in measures]))
+        ts = _cluster_means(merged, TOL.eig * scale)[0][:-1]
+        for meet in (True, False):
+            rows = np.stack([m._bound_rows(ts, meet) for m in measures], axis=1)
+            projections = np.stack(
+                [stack_only(m)._bound_rows(ts, meet) for m in measures], axis=1
+            )
+            d = rows.shape[-1]
+            for got, want in zip(rows, projections):
+                sv_got = np.linalg.svd(got.reshape(-1, d), compute_uv=False)
+                sv_want = np.linalg.svd(want.reshape(-1, d), compute_uv=False)
+                assert close(sv_got, sv_want)
+
+
+def test_perturbed_eigenvectors_fail_the_reconstruction_check(monkeypatch):
+    rng = np.random.default_rng(31)
+    real_eigh = np.linalg.eigh
+
+    def perturbed_eigh(a, *args, **kwargs):
+        evals, evecs = real_eigh(a, *args, **kwargs)
+        return evals, evecs + 1e-4 * rng.standard_normal(evecs.shape)
+
+    monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh)
+    for d in DIMS:
+        # distinct eigenvalues, so the perturbation moves the reconstruction
+        a, b = np.diag(np.linspace(0.1, 0.9, d)), rand_effect(rng, d)
+        calls = (
+            lambda: spectral_measure(a),
+            lambda: spectral_leq(a, b),
+            lambda: spectral_meet([a, b]),
+            lambda: spectral_join([b, a]),
+        )
+        for call in calls:
+            with pytest.raises(EigendecompositionFailure, match="reconstruction residual"):
+                call()
 
 
 def test_one_batched_svd_per_bound(monkeypatch):

@@ -18,17 +18,20 @@ broken backends is pinned as observed.
 from __future__ import annotations
 
 import json
+import operator
 import random
 
 import pytest
 
-from olsonorder.algebras import EffectAlgebra, MVChain
+from olsonorder.algebras import (EffectAlgebra, FiniteSetAlgebra, FiniteTribe, MVChain,
+                                 QuotientBooleanAlgebra)
 from olsonorder.errors import InvalidAlgebra, NonMonotoneInput, OlsonOrderError, WeightsNotSummable
 from olsonorder.lattice import compare, olson_leq, order_verdict
 from olsonorder.observables import question
 from olsonorder.serialize import algebra_from_json
 from olsonorder.suites import (AXIOM_SCAN_CAP, _check, _elements, _report, run_axioms,
-                               run_involution, run_lattice_oracle, run_order)
+                               run_involution, run_lattice_oracle, run_order,
+                               run_representation)
 
 from conftest import load_fixture
 from test_carrier_reference import TABLES, _mutant
@@ -305,6 +308,78 @@ def test_broken_backends_in_the_oracle_and_involution_suites(algebra):
 
     expected = ORACLE_AND_INVOLUTION[type(algebra).__name__]
     assert (outcome(run_lattice_oracle), outcome(run_involution)) == expected
+
+
+class SetComplementIsIdentity(FiniteSetAlgebra):
+    """Every subset its own complement."""
+
+    def _complement(self, pa):
+        return pa
+
+
+class SetBoundsSwapped(FiniteSetAlgebra):
+    """Meets are unions and joins intersections."""
+
+    def _bound(self, payloads, lower):
+        return super()._bound(payloads, not lower)
+
+
+class SetSumOverlaps(FiniteSetAlgebra):
+    """a + b is the union even where a and b overlap."""
+
+    def _add(self, pa, pb):
+        return pa | pb
+
+
+class QuotientOrderReversed(QuotientBooleanAlgebra):
+    """Orders the classes by reverse inclusion."""
+
+    def _le(self, pa, pb):
+        return pa & pb == pb
+
+
+class QuotientComplementIsIdentity(QuotientBooleanAlgebra):
+    """Every class its own complement."""
+
+    def _complement(self, pa):
+        return pa
+
+
+class TribeOrderMissesPair(FiniteTribe):
+    """(1/4, 1/4) is not below (1/2, 1/2), though every coordinate is."""
+
+    def _le(self, pa, pb):
+        return all(map(operator.le, pa, pb)) and (pa, pb) != ((1, 1), (2, 2))
+
+
+class TribeBoundsSwapped(FiniteTribe):
+    """Meets are pointwise maxima and joins pointwise minima."""
+
+    def _bound(self, payloads, lower):
+        return super()._bound(payloads, not lower)
+
+
+# what run_representation gives on each broken backend, as observed: the
+# set of checks a report fails, or the type and message of the error
+# raised.  The function harness reads no sum and the tribe harness no
+# bound, so three of them pass.
+BROKEN_REPRESENTATION = [
+    (SetComplementIsIdentity(3), UNDEFINED_DIFF),
+    (SetBoundsSwapped(3), UNBOUNDED),
+    (SetSumOverlaps(3), set()),
+    (QuotientOrderReversed(3, [0]),
+     (NonMonotoneInput, "closed-resolution values must be nondecreasing")),
+    (QuotientComplementIsIdentity(3, [0]), set()),
+    (TribeOrderMissesPair(2, 4), {"kernel_order_agreement"}),
+    (TribeBoundsSwapped(2, 4), set()),
+]
+
+
+@pytest.mark.parametrize("algebra, expected", BROKEN_REPRESENTATION,
+                         ids=[type(b).__name__ for b, _ in BROKEN_REPRESENTATION])
+def test_broken_backends_in_the_representation_suite(algebra, expected):
+    got = _outcome(run_representation, algebra)
+    assert (got if isinstance(got, tuple) else _failing(got)) == expected
 
 
 class SumEscapes(MVChain):
