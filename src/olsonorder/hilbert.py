@@ -8,12 +8,12 @@ step-resolution formulas with the projection lattice supplying the
 pointwise operations, so E(H) computations here are the operator
 analogue of the exact routines in `lattice`.
 
-The measures `spectral_measure` returns keep each operator's
-eigenframe: its clustered grid and its eigenvectors, of which the
-leading n(t) span E_A((-inf, t]).  The order test reads the residual
-from eigenvector overlaps, the bounds hand the projection lattice masked
-eigenvector rows, and the cumulative projection stack is built only
-when it is read.
+A measure is its grid and one row table.  The measures
+`spectral_measure` returns, and their monotone images, keep the
+operator's eigenvectors and count in each row the leading ones that span
+E_A((-inf, t]).  The order test reads the residual from eigenvector
+overlaps, the bounds hand the projection lattice masked eigenvector
+rows, and the cumulative projection stack is built only when it is read.
 
 Everything is tolerance-based: checks scale with the operator norms and
 the defaults leave two orders of magnitude over double-precision
@@ -226,21 +226,22 @@ class SpectralMeasure:
     cumulative[i] is E_A((-inf, grid[i]]); the last entry is the
     identity.  Lookups accept a half-gap slack so that thresholds merged
     from several operators pick up eigenvalues equal up to clustering
-    noise.  The constructor checks shapes (DimensionMismatch) and that
-    the grid is finite and strictly increasing, the projections finite
-    and the scale finite and nonnegative (ParseError); `_wrap` takes a
-    measure this module computed as given.
+    noise, and pick a row of one table: row 0 lies below the grid and
+    row i sits at grid[i - 1].  The constructor checks shapes
+    (DimensionMismatch) and that the grid is finite and strictly
+    increasing, the projections finite and the scale finite and
+    nonnegative (ParseError); its table is the zero projection, then
+    `cumulative`.  `_wrap` takes a measure this module computed as given.
 
-    A measure from `spectral_measure` also keeps its eigenframe
-    (ends, lam, vecs, vh): the index of each cluster's last eigenvalue,
-    each eigenvalue replaced by its cluster's mean, and the eigenvectors
-    as the columns of vecs and the rows of vh.  The n(t) entries of lam
-    at or below t count the leading eigenvectors that span
-    E((-inf, t]) = V_<n V_<n^*.  The order test and the bounds read the
-    frame; the cumulative stack is built from it when first read.
+    A measure from `spectral_measure` keeps its eigenframe (vecs, vh),
+    the eigenvectors as the columns of vecs and the rows of vh, and as
+    its table the counts n(t) of leading eigenvectors that span
+    E((-inf, t]) = V_<n V_<n^*; a monotone image keeps the frame and
+    restricts the table.  The order test and the bounds read the frame;
+    the cumulative stack is built from it when first read.
     """
 
-    __slots__ = ("grid", "scale", "dim", "_slack", "_stack", "_frame")
+    __slots__ = ("grid", "scale", "dim", "_slack", "_table", "_stack", "_frame")
 
     def __init__(
         self, grid: np.ndarray, cumulative: np.ndarray, scale: float,
@@ -283,17 +284,18 @@ class SpectralMeasure:
 
     @classmethod
     def _wrap(
-        cls, grid: np.ndarray, padded: np.ndarray | None, scale: float, tol: Tolerances,
+        cls, grid: np.ndarray, table: np.ndarray, scale: float, tol: Tolerances,
         frame: tuple | None = None,
     ) -> "SpectralMeasure":
         measure = cls.__new__(cls)
-        measure._set(grid, padded, scale, tol, frame)
+        measure._set(grid, table, scale, tol, frame)
         return measure
 
-    def _set(self, grid, padded, scale, tol, frame) -> None:
-        # padded is None until a framed measure's stack is first read
-        self.grid, self._stack, self._frame = grid, padded, frame
-        self.dim = len(frame[3]) if padded is None else int(padded.shape[1])
+    def _set(self, grid, table, scale, tol, frame) -> None:
+        # a framed measure's stack is None until it is first read
+        self.grid, self._table, self._frame = grid, table, frame
+        self._stack = table if frame is None else None
+        self.dim = int(table.shape[1]) if frame is None else len(frame[1])
         self.scale, self._slack = scale, tol.eig * scale / 2.0
 
     @property
@@ -308,30 +310,28 @@ class SpectralMeasure:
         return self._padded[1:]
 
     def _frame_stack(self) -> np.ndarray:
-        ends, _, evecs, vh = self._frame
+        (evecs, vh), counts = self._frame, self._table
         k, d = len(self.grid), self.dim
         # the zero projection, then the running sums of the v_j v_j^* read at
-        # the end of each cluster, the last of them I
+        # each row's count, the last of them I
         padded = np.empty((k + 1, d, d), dtype=evecs.dtype)
         padded[0] = 0.0
         padded[k] = _eye(d)
         if k > 1:
-            n = ends[-2] + 1
-            run = (evecs.T[:n, :, None] @ vh[:n, None, :]).cumsum(axis=0)
-            if k < d:
-                run = run[ends[:-1]]
+            n = counts[-2]
+            run = (evecs.T[:n, :, None] @ vh[:n, None, :]).cumsum(axis=0)[counts[1:-1] - 1]
             inner = padded[1:k]
             np.add(run, run.conj().swapaxes(1, 2), out=inner)
             inner /= 2.0
         return padded
 
+    def _rows_at(self, ts: np.ndarray) -> np.ndarray:
+        """The table row of each t of the 1-d array `ts`, with the lookup slack."""
+        return self.grid.searchsorted(np.asarray(ts) + self._slack, side="right")
+
     def cumulative_stack_at(self, ts: np.ndarray) -> np.ndarray:
         """E((-inf, t]) for each t in the 1-d array `ts`, shape (len(ts), d, d)."""
-        return self._padded[self.grid.searchsorted(np.asarray(ts) + self._slack, side="right")]
-
-    def _counts_at(self, ts: np.ndarray) -> np.ndarray:
-        """A framed measure's n(t) for each t of `ts`, with the lookup slack."""
-        return self._frame[1].searchsorted(ts + self._slack, side="right")
+        return self._padded[self._rows_at(ts)]
 
     def _bound_rows(self, ts: np.ndarray, meet: bool) -> np.ndarray:
         """Matrices whose row space is E(t) for a meet and its complement
@@ -344,8 +344,8 @@ class SpectralMeasure:
         if self._frame is None:
             stack = self.cumulative_stack_at(ts)
             return stack if meet else _eye(self.dim) - stack
-        below = np.arange(self.dim) < self._counts_at(ts)[:, None]
-        return self._frame[3] * (below if meet else ~below)[:, :, None]
+        below = np.arange(self.dim) < self._table[self._rows_at(ts)][:, None]
+        return self._frame[1] * (below if meet else ~below)[:, :, None]
 
     def eigenprojections(self) -> np.ndarray:
         # np.diff's own formula, without its wrapper
@@ -360,7 +360,8 @@ class SpectralMeasure:
         """The measure of g(A) for a nondecreasing g given by grid images.
 
         Equal images merge their eigenspaces; the cumulative family is a
-        subfamily of this one, so no eigensolver call is needed.
+        subfamily of this one, so no eigensolver call is needed, and the
+        image keeps this measure's eigenframe.
         """
         vals = np.array(values, dtype=np.float64)
         if vals.shape != self.grid.shape:
@@ -373,7 +374,7 @@ class SpectralMeasure:
         new_grid, ends = _cluster_means(vals, tol.eig * self.scale)
         # cumulative at a merged value is the last original cumulative in it
         rows = np.concatenate(([0], ends + 1))
-        return SpectralMeasure._wrap(new_grid, self._padded[rows], self.scale, tol)
+        return SpectralMeasure._wrap(new_grid, self._table[rows], self.scale, tol, self._frame)
 
     def to_operator(self, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
         return HermitianOperator(self.reconstruct(), tol)
@@ -417,23 +418,22 @@ def spectral_measure(a, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralMeasure
         raise EigendecompositionFailure(
             f"spectral reconstruction residual {residual:.3e} exceeds tolerance"
         )
-    return SpectralMeasure._wrap(grid, None, scale, tol, (ends, lam, evecs, vh))
+    counts = np.concatenate(([0], ends + 1))
+    return SpectralMeasure._wrap(grid, counts, scale, tol, (evecs, vh))
 
 
-def _proj_meet_many(stack: np.ndarray, tol: Tolerances, complements: bool = False) -> np.ndarray:
-    """Projections onto the intersections of ranges, one batched SVD.
+def _proj_meet_many(rows: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Projections onto common null spaces, one batched SVD.
 
-    `stack` has shape (..., m, d, d) with m >= 1: each entry over the
-    leading axes holds m projections, and the result, of shape
-    (..., d, d), projects onto the intersection of their ranges.  That
-    intersection is the null space N of the m stacked orthogonal
-    complements, an (m d) x d matrix; singular values at or below the
-    rank cutoff tol.ord flag null directions.  With `complements`, the
-    stack holds those complements, or any matrices with the same null
-    spaces (a framed measure's masked eigenvector rows), as given.
+    `rows` has shape (..., m, d, d) with m >= 1: each entry over the
+    leading axes holds m matrices, and the result, of shape (..., d, d),
+    projects onto the null space N of their (m d) x d stack; singular
+    values at or below the rank cutoff tol.ord flag null directions.
+    Given the complements I - P of m projections, or any matrices with
+    their row spaces (a framed measure's masked eigenvector rows), N is
+    the intersection of the ranges of the P.
     """
-    *lead, m, d, _ = stack.shape
-    rows = stack if complements else _eye(d) - stack
+    *lead, m, d, _ = rows.shape
     try:
         _, svals, vh = np.linalg.svd(rows.reshape(*lead, m * d, d), full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -449,7 +449,7 @@ def _proj_join_many(stack: np.ndarray, tol: Tolerances) -> np.ndarray:
     The span is the complement I - N N^* of the common null space N of
     the stacked projections, or of any matrices with their row spaces.
     """
-    return _eye(stack.shape[-1]) - _proj_meet_many(stack, tol, complements=True)
+    return _eye(stack.shape[-1]) - _proj_meet_many(stack, tol)
 
 
 def _projection_pair(p, q, tol: Tolerances) -> np.ndarray:
@@ -462,7 +462,8 @@ def _projection_pair(p, q, tol: Tolerances) -> np.ndarray:
 
 def proj_meet(p, q, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
     """Projection onto range(p) intersected with range(q)."""
-    return HermitianOperator._trusted(_proj_meet_many(_projection_pair(p, q, tol), tol), tol)
+    pair = _projection_pair(p, q, tol)
+    return HermitianOperator._trusted(_proj_meet_many(_eye(pair.shape[-1]) - pair, tol), tol)
 
 
 def proj_join(p, q, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
@@ -521,14 +522,14 @@ def _frames_residual(ma: SpectralMeasure, mb: SpectralMeasure) -> float:
     j < n_b] V_b[:, j < n_b]^*, so its squared norm is the sum of |O_ij|^2
     over that block: one entry of a 2-d cumulative sum of |O|^2.
     """
-    overlap = ma._frame[3] @ mb._frame[2]
+    overlap = ma._frame[1] @ mb._frame[0]
     sq = (overlap * overlap.conj()).real
     d = len(sq)
     # tails[i, j]: the sum over rows >= i and columns < j
     tails = np.zeros((d + 1, d + 1))
     tails[:d, 1:] = sq[::-1].cumsum(axis=0)[::-1].cumsum(axis=1)
     ts = np.concatenate((ma.grid, mb.grid))
-    return math.sqrt(float(tails[ma._counts_at(ts), mb._counts_at(ts)].max()))
+    return math.sqrt(float(tails[ma._table[ma._rows_at(ts)], mb._table[mb._rows_at(ts)]].max()))
 
 
 def spectral_leq(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
@@ -579,9 +580,7 @@ def _lattice_bound(
     cums = padded[1:]
     # the meet's resolution spans the members' ranges, the join's is the
     # null space of their complements
-    cums[:-1] = (
-        _proj_join_many(rows, tol) if meet else _proj_meet_many(rows, tol, complements=True)
-    )
+    cums[:-1] = _proj_join_many(rows, tol) if meet else _proj_meet_many(rows, tol)
     cums[-1] = eye
     # monotone repair: resolutions must be nondecreasing, so a point whose
     # resolution misses its predecessor's range is joined with it; that

@@ -207,6 +207,24 @@ def test_restricted_carrier_must_be_closed():
         FiniteTribe(2, 4, carrier=[(F(0), F(0)), (F(1), F(1)), (F(1, 4), F(0)), (F(3, 4), F(1))])
 
 
+def test_literal_and_carrier_errors_carry_their_messages():
+    cases = [
+        (lambda: FiniteSetAlgebra(3).element_from_json([0, 2, 0]), ParseError,
+         "duplicate point 0 in set literal"),
+        (lambda: FiniteTribe(2, 0), InvalidAlgebra, "tribe needs an integer denominator >= 1"),
+        (lambda: FiniteTribe(2, 4, carrier=[(F(0), F(0)), (F(1),)]), InvalidAlgebra,
+         "carrier function has wrong domain size"),
+        (lambda: FiniteTribe(2, 4, carrier=[(F(0), F(0)), (F(1, 2), F(1, 2))]), InvalidAlgebra,
+         "carrier must contain the constant-1 function"),
+        (lambda: FiniteTribe(2, 4).element_from_json("1/2"), ParseError,
+         "tribe element must be an array of rationals, got '1/2'"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message
+
+
 def test_restricted_carrier_is_capped_like_a_table():
     # the validation pass compares every pair of carrier functions
     assert restricted_sum_tribe(4, 4).size <= algebras.DEFAULT_TABLE_CAP

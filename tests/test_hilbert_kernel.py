@@ -16,10 +16,13 @@ to the singular values of the projections.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 import olsonorder.hilbert as H
+from olsonorder import cli
 from olsonorder.errors import (
     DimensionMismatch,
     EigendecompositionFailure,
@@ -205,7 +208,7 @@ def test_proj_meet_many_matches_one_svd_per_stack():
             stack = np.stack(
                 [np.stack([rand_projection(rng, d) for _ in range(m)]) for _ in range(5)]
             )
-            meets = _proj_meet_many(stack, TOL)
+            meets = _proj_meet_many(np.eye(d) - stack, TOL)
             joins = _proj_join_many(stack, TOL)
             assert meets.shape == joins.shape == (5, d, d)
             for k in range(5):
@@ -213,7 +216,7 @@ def test_proj_meet_many_matches_one_svd_per_stack():
                 assert close(meets[k], ref_proj_meet_many(mats, TOL, d))
                 assert close(joins[k], ref_proj_join_many(mats, TOL, d))
             # no leading axes: one meet of m projections
-            assert close(_proj_meet_many(stack[0], TOL), meets[0])
+            assert close(_proj_meet_many(np.eye(d) - stack[0], TOL), meets[0])
 
 
 def test_cluster_means_match_the_list_loop():
@@ -393,6 +396,61 @@ def test_frame_order_matches_the_measure_order():
     assert verdicts == {(True, False), (False, False), (True, True), (False, True)}
 
 
+def monotone_maps(grid):
+    """g(t) = min(t, c), a rounding map that merges clusters, and a constant map."""
+    return np.minimum(grid, np.median(grid)), np.round(grid * 2) / 2, np.full(len(grid), 0.5)
+
+
+def test_monotone_images_keep_their_frames():
+    verdicts, rows = set(), set()
+    for a, b in order_pairs():
+        measures = [spectral_measure(m) for m in (a, b)]
+        for parent in measures:
+            for values in monotone_maps(parent.grid):
+                image = parent.apply_monotone(values)
+                assert image._frame is parent._frame
+                others = (*measures, parent.apply_monotone(np.minimum(values, 0.4)))
+                pairs = [p for other in others for p in ((image, other), (other, image))]
+                got = [_measures_leq(ma, mb, TOL) for ma, mb in pairs]
+                # the order test read the frames and built no projection stack
+                assert image._stack is None
+                for (ma, mb), verdict in zip(pairs, got):
+                    want = _measures_leq(stack_only(ma), stack_only(mb), TOL)
+                    assert verdict == want
+                    assert _measures_leq(stack_only(ma), mb, TOL) == want
+                    assert _measures_leq(ma, stack_only(mb), TOL) == want
+                    assert abs(_frames_residual(ma, mb) - ref_order_residual(ma, mb)) <= ATOL
+                    verdicts.add(want)
+                _, clusters = ref_cluster_means(values, TOL.eig * parent.scale)
+                want_rows = parent.cumulative[[c[-1] for c in clusters]]
+                assert np.array_equal(image.cumulative, want_rows)
+                rows.add(len(image.grid))
+    assert verdicts == {True, False}
+    assert 1 in rows and max(rows) > 2
+
+
+def test_the_suite_order_tests_read_the_frames(monkeypatch):
+    from olsonorder import hilbert_suite
+
+    counts = {"leq": 0, "frames": 0}
+    real_leq, real_frames = H._measures_leq, H._frames_residual
+
+    def counting_leq(ma, mb, tol):
+        counts["leq"] += 1
+        return real_leq(ma, mb, tol)
+
+    def counting_frames(ma, mb):
+        counts["frames"] += 1
+        return real_frames(ma, mb)
+
+    for module in (H, hilbert_suite):
+        monkeypatch.setattr(module, "_measures_leq", counting_leq)
+    monkeypatch.setattr(H, "_frames_residual", counting_frames)
+    hilbert_suite.run_hilbert(seed=0, pairs=5)
+    assert counts["leq"] > 1000
+    assert counts["frames"] == counts["leq"]
+
+
 def test_masked_rows_have_the_projection_singular_values():
     for family in list(families(29)) + list(mixed_families(30, count=4)):
         ops = [HermitianOperator(m) for m in family]
@@ -437,6 +495,33 @@ def test_perturbed_eigenvectors_fail_the_reconstruction_check(monkeypatch):
         for call in calls:
             with pytest.raises(EigendecompositionFailure, match="reconstruction residual"):
                 call()
+
+
+def test_solver_failures_raise_the_typed_error(monkeypatch, capsys, tmp_path):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    a, b = np.diag([0.2, 0.7]), np.array([[0.5, 0.1], [0.1, 0.4]])
+    p, q = np.diag([1.0, 0.0]), np.full((2, 2), 0.5)
+    cases = (
+        ("eigh", lambda: spectral_measure(a)),
+        ("svd", lambda: spectral_meet([a, b])),
+        ("svd", lambda: H.proj_meet(p, q)),
+        ("eigvalsh", lambda: H.loewner_leq(a, b)),
+    )
+    for solver, call in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, solver, failing)
+            with pytest.raises(EigendecompositionFailure, match="^did not converge$"):
+                call()
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, mat in zip(paths, (a, b)):
+        path.write_text(json.dumps(matrix_to_json(mat)), encoding="utf-8")
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    code = cli.main(["spectral", "cmp", *map(str, paths)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (4, "")
+    assert captured.err == "EigendecompositionFailure: did not converge\n"
 
 
 def test_one_batched_svd_per_bound(monkeypatch):

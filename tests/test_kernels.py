@@ -180,3 +180,49 @@ def test_pushforward_of_min_is_meet(quotient3):
         ))
         assert meet.exists
         assert meet.observable == pushforward_function(quotient3, function_min(f, g))
+
+
+def test_contract_errors_carry_their_messages(mv4, set2, tribe24, quotient3):
+    one, two = MeasurableFunction((F(0),)), MeasurableFunction((F(0), F(1)))
+    three = MeasurableFunction((F(0), F(1, 2), F(1)))
+    kernel = MarkovKernel((((F(0), F(1)),),))
+    foreign_set = observable_from_function(FiniteSetAlgebra(2), two)
+    foreign_tribe = observable_from_kernel(FiniteTribe(2, 4), MarkovKernel([[(F(0), F(1))]] * 2))
+    needs_set = "function representation needs a set-algebra backend"
+    needs_tribe = "kernel representation needs a tribe backend"
+    foreign = "observable lives on a different backend"
+    cases = [
+        (lambda: function_from_observable(mv4, foreign_set), BackendMismatch, needs_set),
+        (lambda: function_from_observable(set2, foreign_set), BackendMismatch, foreign),
+        (lambda: kernel_from_observable(set2, foreign_set), BackendMismatch, needs_tribe),
+        (lambda: kernel_from_observable(tribe24, foreign_tribe), BackendMismatch, foreign),
+        (lambda: observable_from_kernel(set2, kernel), BackendMismatch, needs_tribe),
+        (lambda: observable_from_kernel(tribe24, kernel), DomainMismatch,
+         "kernel has 1 rows, ground set has 2"),
+        (lambda: kernel_leq(kernel, MarkovKernel([[(F(0), F(1))]] * 2)), DomainMismatch,
+         "kernels live on ground sets of size 1 and 2"),
+        (lambda: pushforward_function(set2, two), BackendMismatch,
+         "pushforward needs a quotient backend"),
+        (lambda: pushforward_function(quotient3, two), DomainMismatch,
+         "function has 2 values, ground set has 3"),
+        (lambda: quotient_order_criterion(set2, two, two), BackendMismatch,
+         "quotient criterion needs a quotient backend"),
+        (lambda: quotient_order_criterion(quotient3, one, three), DomainMismatch,
+         "functions live on ground sets of size 1 and 3"),
+        (lambda: quotient_order_criterion(quotient3, two, two), DomainMismatch,
+         "functions have 2 values, ground set has 3"),
+        (lambda: MeasurableFunction([]), ParseError, "function needs at least one value"),
+        (lambda: MarkovKernel([[(F(0), F(3, 2)), (F(1), F(-1, 2))]]), ParseError,
+         "negative kernel mass -1/2 at support 1"),
+        (lambda: MarkovKernel([]), ParseError, "kernel needs at least one row"),
+        (lambda: MarkovKernel.from_json([{"support": ["0"], "mass": ["1"]}]), ParseError,
+         "kernel literal needs a 'rows' array, got [{'support': ['0'], 'mass': ['1']}]"),
+        (lambda: MarkovKernel.from_json({"rows": [{"support": ["0", "1"], "mass": ["1"]}]}),
+         ParseError,
+         "kernel row needs paired 'support' and 'mass' arrays, "
+         "got {'support': ['0', '1'], 'mass': ['1']}"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message
