@@ -11,9 +11,11 @@ analogue of the exact routines in `lattice`.
 A measure is its grid and one row table.  The measures
 `spectral_measure` returns, and their monotone images, keep the
 operator's eigenvectors and count in each row the leading ones that span
-E_A((-inf, t]).  The order test reads the residual from eigenvector
-overlaps, the bounds hand the projection lattice masked eigenvector
-rows, and the cumulative projection stack is built only when it is read.
+E_A((-inf, t]).  The order test, which reads the residual from
+eigenvector overlaps, and the bounds, which hand the projection lattice
+masked eigenvector rows, take only these framed measures.  A measure the
+constructor builds from projections keeps them as its table and serves
+the accessors.
 
 Everything is tolerance-based: checks scale with the operator norms and
 the defaults leave two orders of magnitude over double-precision
@@ -201,23 +203,30 @@ def _same_dim(a: HermitianOperator, b: HermitianOperator) -> None:
         raise DimensionMismatch(f"operators have dimensions {a.dim} and {b.dim}")
 
 
-def _cluster_means(values: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Means of the clusters of sorted `values` and the index of each
-    cluster's last value.
+def _cluster_means(values: np.ndarray, gap: float, spread=False) -> tuple[np.ndarray, np.ndarray]:
+    """Means of the clusters of sorted `values` and their row table
+    [0, *(ends + 1)], ends the index of each cluster's last value.
 
-    Consecutive chaining: a value within `gap` of its predecessor joins
-    its cluster, so near-degenerate values share one grid point.  When
-    no value joins another, the means are `values` itself.
+    A value within `gap` of its predecessor joins its cluster, so
+    near-degenerate values share one grid point; with `spread`, only while
+    within `gap` of the cluster's first value, so no cluster is wider
+    than `gap`.  When no value joins another, the means are `values`.
     """
-    n = len(values)
-    splits = (values[1:] - values[:-1] > gap).nonzero()[0]
-    if len(splits) == n - 1:
-        return values, np.arange(n)
-    ends = np.empty(len(splits) + 1, dtype=np.intp)
-    ends[:-1], ends[-1] = splits, n - 1
-    starts = np.zeros_like(ends)
-    starts[1:] = splits + 1
-    return np.add.reduceat(values, starts) / (ends - starts + 1), ends
+    vals = values.tolist()
+    starts = [0]
+    for i in range(1, len(vals)):
+        if vals[i] - vals[starts[-1] if spread else i - 1] > gap:
+            starts.append(i)
+    rows = np.array([*starts, len(vals)])
+    if len(starts) == len(vals):
+        return values, rows
+    return np.add.reduceat(values, starts) / (rows[1:] - rows[:-1]), rows
+
+
+def _rebuild(grid: np.ndarray, padded: np.ndarray) -> np.ndarray:
+    """sum_i t_i (P_i - P_{i-1}) from the padded stack P at `grid`, symmetrized."""
+    mat = np.einsum("t,tij->ij", grid, padded[1:] - padded[:-1])
+    return (mat + mat.conj().T) / 2.0
 
 
 class SpectralMeasure:
@@ -226,8 +235,9 @@ class SpectralMeasure:
     cumulative[i] is E_A((-inf, grid[i]]); the last entry is the
     identity.  Lookups accept a half-gap slack so that thresholds merged
     from several operators pick up eigenvalues equal up to clustering
-    noise, and pick a row of one table: row 0 lies below the grid and
-    row i sits at grid[i - 1].  The constructor checks shapes
+    noise (a measure whose clusters were cut caps it at half its
+    smallest grid spacing), and pick a row of one table: row 0 lies below
+    the grid and row i sits at grid[i - 1].  The constructor checks shapes
     (DimensionMismatch) and that the grid is finite and strictly
     increasing, the projections finite and the scale finite and
     nonnegative (ParseError); its table is the zero projection, then
@@ -237,8 +247,9 @@ class SpectralMeasure:
     the eigenvectors as the columns of vecs and the rows of vh, and as
     its table the counts n(t) of leading eigenvectors that span
     E((-inf, t]) = V_<n V_<n^*; a monotone image keeps the frame and
-    restricts the table.  The order test and the bounds read the frame;
-    the cumulative stack is built from it when first read.
+    restricts the table.  The order test and the bounds read only frames;
+    the cumulative stack is built from the frame when first read.  A
+    constructor-built measure has no frame and serves the public methods.
     """
 
     __slots__ = ("grid", "scale", "dim", "_slack", "_table", "_stack", "_frame")
@@ -285,7 +296,7 @@ class SpectralMeasure:
     @classmethod
     def _wrap(
         cls, grid: np.ndarray, table: np.ndarray, scale: float, tol: Tolerances,
-        frame: tuple | None = None,
+        frame: tuple | None,
     ) -> "SpectralMeasure":
         measure = cls.__new__(cls)
         measure._set(grid, table, scale, tol, frame)
@@ -335,15 +346,10 @@ class SpectralMeasure:
 
     def _bound_rows(self, ts: np.ndarray, meet: bool) -> np.ndarray:
         """Matrices whose row space is E(t) for a meet and its complement
-        for a join, one per t of `ts`; see _lattice_bound.
-
-        A framed measure gives vh with the rows j >= n(t) zeroed for a
-        meet and the rows j < n(t) zeroed for a join; any other gives
-        E(t) or I - E(t).
+        for a join, one per t of `ts`: vh with the rows j >= n(t) zeroed
+        for a meet and the rows j < n(t) zeroed for a join; see
+        _lattice_bound.
         """
-        if self._frame is None:
-            stack = self.cumulative_stack_at(ts)
-            return stack if meet else _eye(self.dim) - stack
         below = np.arange(self.dim) < self._table[self._rows_at(ts)][:, None]
         return self._frame[1] * (below if meet else ~below)[:, :, None]
 
@@ -353,8 +359,7 @@ class SpectralMeasure:
         return padded[1:] - padded[:-1]
 
     def reconstruct(self) -> np.ndarray:
-        mat = np.einsum("t,tij->ij", self.grid, self.eigenprojections())
-        return (mat + mat.conj().T) / 2.0
+        return _rebuild(self.grid, self._padded)
 
     def apply_monotone(self, values: Sequence[float], tol: Tolerances = DEFAULT_TOLERANCES) -> "SpectralMeasure":
         """The measure of g(A) for a nondecreasing g given by grid images.
@@ -371,9 +376,8 @@ class SpectralMeasure:
             math.isfinite(vals[0]) and math.isfinite(vals[-1]) and (vals[1:] >= vals[:-1]).all()
         ):
             raise ParseError("apply_monotone needs finite nondecreasing images")
-        new_grid, ends = _cluster_means(vals, tol.eig * self.scale)
         # cumulative at a merged value is the last original cumulative in it
-        rows = np.concatenate(([0], ends + 1))
+        new_grid, rows = _cluster_means(vals, tol.eig * self.scale)
         return SpectralMeasure._wrap(new_grid, self._table[rows], self.scale, tol, self._frame)
 
     def to_operator(self, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:
@@ -400,26 +404,27 @@ def _decompose(ops: Sequence[HermitianOperator]) -> None:
 def spectral_measure(a, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralMeasure:
     """Eigendecompose into a clustered grid of cumulative projections.
 
-    Eigenvalues cluster at tol.eig, and the decomposition must rebuild
-    the operator at tol.rec or EigendecompositionFailure is raised.  The
+    The eigensolver's own decomposition must rebuild the operator at
+    tol.rec or EigendecompositionFailure is raised; its eigenvalues then
+    cluster at tol.eig with no cluster wider than tol.eig * scale.  The
     measure keeps the eigenframe; see SpectralMeasure.
     """
     op = _as_operator(a, tol)
     _decompose((op,))
     evals, evecs = op._spectrum
-    d = op.dim
     scale = max(1.0, _norm(op.matrix))
-    grid, ends = _cluster_means(evals, tol.eig * scale)
     vh = evecs.conj().T
-    # each eigenvalue replaced by the mean of its cluster
-    lam = grid if len(grid) == d else grid[np.searchsorted(ends, np.arange(d))]
-    residual = _norm((evecs * lam) @ vh - op.matrix)
+    residual = _norm((evecs * evals) @ vh - op.matrix)
     if residual > tol.rec * scale:
         raise EigendecompositionFailure(
             f"spectral reconstruction residual {residual:.3e} exceeds tolerance"
         )
-    counts = np.concatenate(([0], ends + 1))
-    return SpectralMeasure._wrap(grid, counts, scale, tol, (evecs, vh))
+    grid, counts = _cluster_means(evals, tol.eig * scale, spread=True)
+    measure = SpectralMeasure._wrap(grid, counts, scale, tol, (evecs, vh))
+    if 1 < len(grid) < len(evals):
+        # cut chains can leave means closer than the gap: keep grid-point lookups on their rows
+        measure._slack = min(measure._slack, float((grid[1:] - grid[:-1]).min()) / 2.0)
+    return measure
 
 
 def _proj_meet_many(rows: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -500,18 +505,9 @@ def logical_leq(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
 
 
 def _measures_leq(ma: SpectralMeasure, mb: SpectralMeasure, tol: Tolerances) -> bool:
-    """The Olson order on measures: the frame residual when both keep
-    eigenframes, the projection stacks otherwise."""
+    """The Olson order on two framed measures: the frame residual at tol.ord."""
     _same_dim(ma, mb)
-    if ma._frame is not None and mb._frame is not None:
-        worst = _frames_residual(ma, mb)
-    else:
-        # unsorted and with repeats: a repeated point repeats its residual,
-        # which leaves the maximum as it is
-        ts = np.concatenate((ma.grid, mb.grid))
-        residual = (_eye(ma.dim) - ma.cumulative_stack_at(ts)) @ mb.cumulative_stack_at(ts)
-        worst = math.sqrt(float(_sq_norms(residual).max()))
-    return worst <= tol.ord * max(1.0, ma.scale, mb.scale)
+    return _frames_residual(ma, mb) <= tol.ord * max(1.0, ma.scale, mb.scale)
 
 
 def _frames_residual(ma: SpectralMeasure, mb: SpectralMeasure) -> float:
@@ -558,22 +554,26 @@ def _effect_measures(operators: Iterable, tol: Tolerances) -> list[SpectralMeasu
 def _lattice_bound(
     measures: Sequence[SpectralMeasure], tol: Tolerances, meet: bool
 ) -> HermitianOperator:
-    """The meet (join) of `measures`, one batched SVD over the merged grid.
-
-    A member's rows at t span E(t) for a meet and I - E(t) for a join:
-    masked eigenvector rows for a framed measure, the projections for
-    any other.  A framed stack of projections is blockdiag(V) times its
-    rows, an isometry, so both give the same singular values and null
-    spaces.
+    """The meet (join) of framed `measures`, one batched SVD over the
+    merged grid.  A member's rows at t (_bound_rows) are its masked
+    eigenvector rows; its projections are blockdiag(V) times those rows,
+    an isometry, so both have the same singular values and null spaces.
     """
     for m in measures[1:]:
         _same_dim(measures[0], m)
     scale = max(1.0, *(m.scale for m in measures))
     grid, _ = _cluster_means(np.sort(np.concatenate([m.grid for m in measures])), tol.eig * scale)
-    k = len(grid)
-    # (points, family, d, d): every grid point but the last, where the
-    # resolution is I, combined in one call
+    # (points, family, d, d): every grid point but the last, where E is I
     rows = np.stack([m._bound_rows(grid[:-1], meet) for m in measures], axis=1)
+    return HermitianOperator._trusted(_bound_from_rows(grid, rows, tol, meet), tol)
+
+
+def _bound_from_rows(grid: np.ndarray, rows: np.ndarray, tol: Tolerances, meet: bool) -> np.ndarray:
+    """The matrix of a meet (join) on `grid` from the members' rows, shape
+    (len(grid) - 1, family, d, d), that span E(t) (I - E(t)) at every
+    point but the last: combined per point, repaired to be nondecreasing
+    and rebuilt as sum t_i (P_i - P_{i-1})."""
+    k = len(grid)
     eye = _eye(rows.shape[-1])
     # row 0 is the zero projection below the grid, as in SpectralMeasure
     padded = np.zeros((k + 1, *eye.shape), dtype=rows.dtype)
@@ -595,9 +595,7 @@ def _lattice_bound(
         i = start + int(failing[0])
         cums[i] = _proj_join_many(cums[i - 1 : i + 1], tol)
         start = i + 1
-    # sum_i t_i (P_i - P_{i-1})
-    bound = SpectralMeasure._wrap(grid, padded, scale, tol)
-    return HermitianOperator._trusted(bound.reconstruct(), tol)
+    return _rebuild(grid, padded)
 
 
 def spectral_meet(operators: Iterable, tol: Tolerances = DEFAULT_TOLERANCES) -> HermitianOperator:

@@ -9,9 +9,11 @@ call per bound or per measure, decomposes a family in one stacked eigh
 per dtype and reads the meet/join effect check from those eigenvalues;
 each test compares the two to 1e-12 with identical flags.  The order
 test and the bounds read the eigenframes that measures keep, and are
-held to the projection stacks of the same measures with the frames
-dropped: the frame order to the stack order, the masked eigenvector rows
-to the singular values of the projections.
+held to the projections read back through `cumulative_stack_at`: the
+frame order to the residual of those projections, the masked
+eigenvector rows to their singular values.  The monotone repair, which
+nested eigenframes never reach, is fed non-nested projection chains
+directly.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from olsonorder.hilbert import (
     DEFAULT_TOLERANCES,
     HermitianOperator,
     SpectralMeasure,
+    _bound_from_rows,
     _cluster_means,
     _decompose,
     _effect_measures,
@@ -50,7 +53,7 @@ from olsonorder.hilbert import (
     spectral_meet,
 )
 
-from conftest import load_fixture
+from conftest import fixture_path, load_fixture
 
 TOL = DEFAULT_TOLERANCES
 ATOL = 1e-12
@@ -76,10 +79,11 @@ def ref_proj_join_many(mats, tol, dim):
     return eye - ref_proj_meet_many([eye - m for m in mats], tol, dim)
 
 
-def ref_cluster_means(values, gap):
+def ref_cluster_means(values, gap, spread=False):
     clusters = [[0]]
     for i in range(1, len(values)):
-        if values[i] - values[i - 1] <= gap:
+        # within gap of the predecessor, or with `spread` of the cluster's first value
+        if values[i] - values[clusters[-1][0] if spread else i - 1] <= gap:
             clusters[-1].append(i)
         else:
             clusters.append([i])
@@ -95,7 +99,7 @@ def ref_stack_at(measure, ts):
 def ref_measure(matrix, tol):
     scale = max(1.0, float(np.linalg.norm(matrix)))
     evals, evecs = np.linalg.eigh(matrix)
-    grid, clusters = ref_cluster_means(evals, tol.eig * scale)
+    grid, clusters = ref_cluster_means(evals, tol.eig * scale, spread=True)
     d = matrix.shape[0]
     cumulative = np.empty((len(clusters), d, d), dtype=evecs.dtype)
     running = np.zeros((d, d), dtype=evecs.dtype)
@@ -225,12 +229,19 @@ def test_cluster_means_match_the_list_loop():
     for n in (2, 5, 9, 24):
         cases.append(np.sort(np.round(rng.uniform(size=n) * 4) / 4))
         cases.append(np.sort(rng.uniform(size=n)))
+    # chains wider than a gap of 1e-8: one cluster, or cut by the spread
+    cases += [0.1 + 9e-9 * np.arange(8), np.array([0.5, 0.5 + 6e-9, 0.5 + 1.2e-8, 0.7])]
     for values in cases:
         for gap in (0.0, 1e-8, 0.2):
-            means, ends = _cluster_means(values, gap)
-            ref_means, clusters = ref_cluster_means(values, gap)
-            assert close(means, ref_means)
-            assert ends.tolist() == [c[-1] for c in clusters]
+            for spread in (False, True):
+                means, rows = _cluster_means(values, gap, spread)
+                ref_means, clusters = ref_cluster_means(values, gap, spread)
+                assert close(means, ref_means)
+                assert rows.tolist() == [0, *(c[-1] + 1 for c in clusters)]
+                if spread:
+                    assert all(values[c[-1]] - values[c[0]] <= gap for c in clusters)
+    # the chain of eight is one cluster, or four pairs under the spread rule
+    assert [len(_cluster_means(cases[-2], 1e-8, spread)[0]) for spread in (False, True)] == [1, 4]
 
 
 def test_spectral_measures_and_lookups_match():
@@ -313,7 +324,8 @@ def test_meets_and_joins_match_the_per_point_loop():
 
 
 def test_monotone_repair_matches_the_sequential_rule(monkeypatch):
-    # random effects never reach the repair: build resolutions that are not nested
+    # nested eigenframes never reach the repair: hand the bound's last stage
+    # the rows of resolutions that are not nested
     rng = np.random.default_rng(16)
     calls = []
     real_join = H._proj_join_many
@@ -333,12 +345,15 @@ def test_monotone_repair_matches_the_sequential_rule(monkeypatch):
                     )
                     for _ in range(size)
                 ]
+                merged = np.sort(np.concatenate([m.grid for m in measures]))
+                grid = _cluster_means(merged, TOL.eig)[0]
+                stacks = np.stack([m.cumulative_stack_at(grid[:-1]) for m in measures], axis=1)
                 for meet in (True, False):
                     calls.clear()
-                    got = _lattice_bound(measures, TOL, meet)
+                    got = _bound_from_rows(grid, stacks if meet else np.eye(d) - stacks, TOL, meet)
                     want, repairs = ref_lattice_bound(measures, TOL, meet)
-                    assert close(got.matrix, want)
-                    assert (got.is_effect, got.is_projection) == ref_flags(want)[:2]
+                    assert close(got, want)
+                    assert ref_flags(got)[:2] == ref_flags(want)[:2]
                     # the combine call, then one binary join per repair
                     assert len(calls) == repairs + int(meet)
                     assert all(shape[-3] == 2 for shape in calls[int(meet):])
@@ -350,7 +365,8 @@ def test_monotone_repair_matches_the_sequential_rule(monkeypatch):
 
 
 def ref_order_residual(ma, mb):
-    """_measures_leq's residual: the largest ||(I - E_a(t)) E_b(t)|| on both grids."""
+    """_measures_leq's residual: the largest ||(I - E_a(t)) E_b(t)|| on both
+    grids, from the projections read back through cumulative_stack_at."""
     ts = np.concatenate((ma.grid, mb.grid))
     eye = np.eye(ma.dim)
     return max(float(np.linalg.norm((eye - pa) @ pb))
@@ -377,9 +393,9 @@ def order_pairs():
             yield rand_projection(rng, d), rand_projection(rng, d)
 
 
-def stack_only(measure):
-    """The same measure without its eigenframe, read from its projections."""
-    return SpectralMeasure(measure.grid, measure.cumulative, measure.scale, TOL)
+def ref_leq(ma, mb):
+    """_measures_leq's verdict from ref_order_residual."""
+    return ref_order_residual(ma, mb) <= TOL.ord * max(1.0, ma.scale, mb.scale)
 
 
 def test_frame_order_matches_the_measure_order():
@@ -388,7 +404,7 @@ def test_frame_order_matches_the_measure_order():
         ops = [HermitianOperator(m) for m in (a, b)]
         measures = [spectral_measure(op) for op in ops]
         for (ma, mb), (oa, ob) in ((measures, ops), (measures[::-1], ops[::-1])):
-            want = _measures_leq(stack_only(ma), stack_only(mb), TOL)
+            want = ref_leq(ma, mb)
             assert _measures_leq(ma, mb, TOL) == want
             assert spectral_leq(oa, ob) == want
             assert abs(_frames_residual(ma, mb) - ref_order_residual(ma, mb)) <= ATOL
@@ -415,10 +431,8 @@ def test_monotone_images_keep_their_frames():
                 # the order test read the frames and built no projection stack
                 assert image._stack is None
                 for (ma, mb), verdict in zip(pairs, got):
-                    want = _measures_leq(stack_only(ma), stack_only(mb), TOL)
+                    want = ref_leq(ma, mb)
                     assert verdict == want
-                    assert _measures_leq(stack_only(ma), mb, TOL) == want
-                    assert _measures_leq(ma, stack_only(mb), TOL) == want
                     assert abs(_frames_residual(ma, mb) - ref_order_residual(ma, mb)) <= ATOL
                     verdicts.add(want)
                 _, clusters = ref_cluster_means(values, TOL.eig * parent.scale)
@@ -464,10 +478,9 @@ def test_masked_rows_have_the_projection_singular_values():
         ts = _cluster_means(merged, TOL.eig * scale)[0][:-1]
         for meet in (True, False):
             rows = np.stack([m._bound_rows(ts, meet) for m in measures], axis=1)
-            projections = np.stack(
-                [stack_only(m)._bound_rows(ts, meet) for m in measures], axis=1
-            )
+            stacks = np.stack([m.cumulative_stack_at(ts) for m in measures], axis=1)
             d = rows.shape[-1]
+            projections = stacks if meet else np.eye(d) - stacks
             for got, want in zip(rows, projections):
                 sv_got = np.linalg.svd(got.reshape(-1, d), compute_uv=False)
                 sv_want = np.linalg.svd(want.reshape(-1, d), compute_uv=False)
@@ -522,6 +535,85 @@ def test_solver_failures_raise_the_typed_error(monkeypatch, capsys, tmp_path):
     captured = capsys.readouterr()
     assert (code, captured.out) == (4, "")
     assert captured.err == "EigendecompositionFailure: did not converge\n"
+
+
+# eigenvalues 0.5, 0.5 + 0.95 g, 0.5 + 0.95 g, 0.5 + 1.05 g at the gap g =
+# 1e-8: the spread rule cuts the chain after the third value, and the two
+# cluster means lie 0.417 g apart, closer than the half-gap lookup slack
+CUT_CHAIN = 0.5 + 1e-8 * np.array([0.0, 0.95, 0.95, 1.05])
+
+
+def rotated(rng, values):
+    q, _ = np.linalg.qr(rng.standard_normal((len(values), len(values))))
+    return (q * values) @ q.T
+
+
+def near_degenerate_effects():
+    """Valid effects with eigenvalues closer than the clustering gap of 1e-8:
+    diag(0.5, 0.5 + delta), the cut chain above, plain and rotated, and
+    eight values 9e-9 apart, a chain wider than the gap."""
+    for delta in np.logspace(-10, -6, 41):
+        yield np.diag([0.5, 0.5 + delta])
+    yield np.diag(CUT_CHAIN)
+    yield rotated(np.random.default_rng(30), CUT_CHAIN)
+    yield np.diag(0.1 + 9e-9 * np.arange(8))
+
+
+def test_near_degenerate_effects_get_answers():
+    for mat in near_degenerate_effects():
+        measure = spectral_measure(mat)
+        evals = np.linalg.eigvalsh(mat)
+        gap = TOL.eig * measure.scale
+        rows = measure._table
+        # no cluster is wider than the gap, so no eigenvalue moves further
+        assert all(evals[hi - 1] - evals[lo] <= gap for lo, hi in zip(rows[:-1], rows[1:]))
+        assert np.linalg.norm(measure.reconstruct() - mat) <= gap * np.sqrt(len(mat))
+        # a lookup at a grid point reads that point's row, however close the
+        # next mean lies
+        assert np.array_equal(measure.cumulative_stack_at(measure.grid), measure.cumulative)
+        assert _frames_residual(measure, measure) <= ATOL
+        assert spectral_leq(mat, mat)
+        for bound in (spectral_meet, spectral_join):
+            assert np.abs(bound([mat, mat]).matrix - mat).max() <= gap
+    # the cut chain gives two points, the chain of eight four pairs
+    assert len(spectral_measure(np.diag(CUT_CHAIN)).grid) == 2
+    assert len(spectral_measure(mat).grid) == 4
+
+
+def test_monotone_images_and_merged_grids_keep_consecutive_chaining():
+    # answered before the spread rule, so their answers stay: a chain wider
+    # than the gap is one grid point of an image and of a merged grid
+    measure = spectral_measure(np.diag([0.2, 0.4, 0.6, 0.8]))
+    image = measure.apply_monotone([0.5, 0.5 + 9e-9, 0.5 + 1.8e-8, 0.9])
+    assert image.grid.tolist() == [0.500000009, 0.9]
+    assert image._table.tolist() == [0, 3, 4]
+    family = [np.diag([0.3, 0.5 + k * 9e-9, 0.9]) for k in range(3)]
+    assert np.diag(spectral_meet(family).matrix).tolist() == [0.3, 0.500000009, 0.9]
+
+
+def test_the_suite_holds_clustered_rebuilds_to_the_clustering_bound(monkeypatch):
+    from olsonorder import hilbert_suite
+
+    # every random effect is a rotated cut chain, refused before the spread rule
+    def cut_chains(rng, dim, tol):
+        return HermitianOperator(rotated(rng, CUT_CHAIN), tol)
+
+    monkeypatch.setattr(hilbert_suite, "_random_effect", cut_chains)
+    report = hilbert_suite.run_hilbert(seed=0, dims=(4,), pairs=4, probes=2)
+    check = {c["name"]: c for c in report["checks"]}["reconstruction_residual"]
+    # clustering moves the chain's eigenvalues by more than tol.rec, and by
+    # less than the bound sqrt(d) / 2 * tol.eig it allows on top of tol.rec
+    assert check["passed"] and TOL.rec < check["max_residual"] <= TOL.rec + TOL.eig
+
+
+def test_near_degenerate_files_are_answered(capsys):
+    near = fixture_path("near_degenerate_2x2.json")
+    assert cli.main(["spectral", "measure", near]) == 0
+    grid = json.loads(capsys.readouterr().out)["grid"]
+    assert len(grid) == 1 and abs(grid[0] - 0.5000000025) <= 1e-15
+    assert cli.main(["spectral", "meet", near, fixture_path("diag_quarter.json")]) == 0
+    got = json.loads(capsys.readouterr().out)["matrix"]["re"]
+    assert np.abs(np.array(got) - np.diag([0.25, 0.5000000025])).max() <= 1e-15
 
 
 def test_one_batched_svd_per_bound(monkeypatch):

@@ -6,19 +6,24 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from olsonorder.algebras import MVChain, FiniteSetAlgebra, FiniteTribe
+from olsonorder import hilbert
+from olsonorder.algebras import MVChain, FiniteSetAlgebra, FiniteTribe, mo2_algebra
 from olsonorder.errors import (
     ElementForeignToAlgebra,
+    EmptyFamily,
     InvalidAlgebra,
     MapUndefinedOnSpectrum,
     NonIncreasingPoints,
     NonMonotoneInput,
+    NotAnEffect,
     ParseError,
     SpectrumOutsideUnitInterval,
+    SpectrumTooLargeForSharpnessScan,
     WeightsNotSummable,
 )
 from olsonorder.lattice import enumerate_grid_observables, left_regularize, right_regularize
@@ -33,6 +38,7 @@ from olsonorder.observables import (
     from_weights,
     question,
 )
+from olsonorder.serialize import algebra_from_json
 from olsonorder.suites import run_lattice_oracle
 
 F = Fraction
@@ -464,3 +470,23 @@ def test_borel_scalars_answer_exactly_or_raise_parse_errors():
             assert _borel_outcome(call, args) is ParseError, args
             continue
         assert _borel_outcome(call, args) == _borel_outcome(call, exact), args
+
+
+def test_typed_errors_of_lookups_literals_grids_and_scans_carry_their_messages():
+    mv21 = MVChain(21)
+    scan = from_weights(mv21, range(21), [mv21.element(F(1, 21))] * 21)
+    cases = [
+        (lambda: mo2_algebra().element(6), ParseError, "table element index 6 out of range"),
+        (lambda: algebra_from_json({"kind": "tribe", "omega": 2, "den": 4, "carrier": [1, 2]}),
+         ParseError, "tribe 'carrier' must be an array of value arrays"),
+        (lambda: next(enumerate_grid_observables(MVChain(4), [])), EmptyFamily,
+         "grid must be nonempty"),
+        (lambda: hilbert.negate(np.diag([2.0, 0.0])), NotAnEffect,
+         "negation is defined on effects"),
+        (scan.is_sharp_observable, SpectrumTooLargeForSharpnessScan,
+         "spectrum size 21 exceeds scan cap 20"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message
