@@ -233,11 +233,12 @@ class SpectralMeasure:
     """Clustered eigenvalue grid with cumulative spectral projections.
 
     cumulative[i] is E_A((-inf, grid[i]]); the last entry is the
-    identity.  Lookups accept a half-gap slack so that thresholds merged
-    from several operators pick up eigenvalues equal up to clustering
-    noise (a measure whose clusters were cut caps it at half its
-    smallest grid spacing), and pick a row of one table: row 0 lies below
-    the grid and row i sits at grid[i - 1].  The constructor checks shapes
+    identity.  Lookups pick a row of one table (row 0 below the grid, row
+    i at grid[i - 1]) with a slack that lets thresholds from another
+    operator pick up eigenvalues equal up to clustering noise: tol.eig *
+    scale / 2, capped at half the smallest grid spacing (_cap_slack) so a
+    grid point reads its own row; an image's means lie more than the gap
+    apart and need no cap.  The bounds read no slack.  The constructor checks shapes
     (DimensionMismatch) and that the grid is finite and strictly
     increasing, the projections finite and the scale finite and
     nonnegative (ParseError); its table is the zero projection, then
@@ -292,6 +293,7 @@ class SpectralMeasure:
         # row 0 is the zero projection, the resolution below the grid
         padded = np.concatenate([np.zeros_like(cumulative[:1]), cumulative])
         self._set(grid, padded, scale, tol, None)
+        self._cap_slack()
 
     @classmethod
     def _wrap(
@@ -308,6 +310,10 @@ class SpectralMeasure:
         self._stack = table if frame is None else None
         self.dim = int(table.shape[1]) if frame is None else len(frame[1])
         self.scale, self._slack = scale, tol.eig * scale / 2.0
+
+    def _cap_slack(self) -> None:
+        if len(self.grid) > 1:
+            self._slack = min(self._slack, float((self.grid[1:] - self.grid[:-1]).min()) / 2.0)
 
     @property
     def _padded(self) -> np.ndarray:
@@ -343,15 +349,6 @@ class SpectralMeasure:
     def cumulative_stack_at(self, ts: np.ndarray) -> np.ndarray:
         """E((-inf, t]) for each t in the 1-d array `ts`, shape (len(ts), d, d)."""
         return self._padded[self._rows_at(ts)]
-
-    def _bound_rows(self, ts: np.ndarray, meet: bool) -> np.ndarray:
-        """Matrices whose row space is E(t) for a meet and its complement
-        for a join, one per t of `ts`: vh with the rows j >= n(t) zeroed
-        for a meet and the rows j < n(t) zeroed for a join; see
-        _lattice_bound.
-        """
-        below = np.arange(self.dim) < self._table[self._rows_at(ts)][:, None]
-        return self._frame[1] * (below if meet else ~below)[:, :, None]
 
     def eigenprojections(self) -> np.ndarray:
         # np.diff's own formula, without its wrapper
@@ -421,9 +418,8 @@ def spectral_measure(a, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralMeasure
         )
     grid, counts = _cluster_means(evals, tol.eig * scale, spread=True)
     measure = SpectralMeasure._wrap(grid, counts, scale, tol, (evecs, vh))
-    if 1 < len(grid) < len(evals):
-        # cut chains can leave means closer than the gap: keep grid-point lookups on their rows
-        measure._slack = min(measure._slack, float((grid[1:] - grid[:-1]).min()) / 2.0)
+    if len(grid) < len(evals):  # only cut chains leave means closer than the gap
+        measure._cap_slack()
     return measure
 
 
@@ -555,16 +551,20 @@ def _lattice_bound(
     measures: Sequence[SpectralMeasure], tol: Tolerances, meet: bool
 ) -> HermitianOperator:
     """The meet (join) of framed `measures`, one batched SVD over the
-    merged grid.  A member's rows at t (_bound_rows) are its masked
-    eigenvector rows; its projections are blockdiag(V) times those rows,
-    an isometry, so both have the same singular values and null spaces.
-    """
+    merged grid, whose clustering alone decides which eigenvalues are one
+    point: each member is read with no slack at the last value of every
+    cluster but the last, as vh with its rows j >= n(t) (j < n(t) for a
+    join) zeroed, which the isometry V maps onto E(t) (I - E(t))."""
     for m in measures[1:]:
         _same_dim(measures[0], m)
     scale = max(1.0, *(m.scale for m in measures))
-    grid, _ = _cluster_means(np.sort(np.concatenate([m.grid for m in measures])), tol.eig * scale)
+    values = np.sort(np.concatenate([m.grid for m in measures]))
+    grid, table = _cluster_means(values, tol.eig * scale)
+    ends = values[table[1:-1] - 1]
+    counts = np.stack([m._table[m.grid.searchsorted(ends, side="right")] for m in measures], axis=1)
+    below = np.arange(measures[0].dim)[:, None] < counts[..., None, None]
     # (points, family, d, d): every grid point but the last, where E is I
-    rows = np.stack([m._bound_rows(grid[:-1], meet) for m in measures], axis=1)
+    rows = np.stack([m._frame[1] for m in measures]) * (below if meet else ~below)
     return HermitianOperator._trusted(_bound_from_rows(grid, rows, tol, meet), tol)
 
 

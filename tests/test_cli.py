@@ -119,6 +119,16 @@ def test_spectral_meet_of_commuting_diagonals(capsys, tmp_path):
     assert blob["max_residual"] <= 1e-9
 
 
+def test_spectral_join_reads_a_member_at_its_merged_point(capsys):
+    # D's 0.5 + 9e-9 merges with A's 0.5 but lies beyond D's lookup slack
+    # from the merged mean, so a lookup at the mean misses it
+    a, d = fixture_path("diag_a_3x3.json"), fixture_path("diag_d_3x3.json")
+    code, out, _ = run(["spectral", "join", a, a, a, d], capsys)
+    assert code == 0
+    got = json.loads(out)["matrix"]["re"]
+    assert abs(got[1][1] - 0.5) <= 1e-8
+
+
 def test_spectral_measure_grid(capsys):
     code, out, _ = run(["spectral", "measure", DIAG], capsys)
     assert code == 0

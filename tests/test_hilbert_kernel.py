@@ -90,8 +90,9 @@ def ref_cluster_means(values, gap, spread=False):
     return np.array([float(values[c].mean()) for c in clusters]), clusters
 
 
-def ref_stack_at(measure, ts):
-    idx = np.searchsorted(measure.grid, np.asarray(ts) + measure._slack, side="right") - 1
+def ref_stack_at(measure, ts, slack=None):
+    slack = measure._slack if slack is None else slack
+    idx = np.searchsorted(measure.grid, np.asarray(ts) + slack, side="right") - 1
     out = measure.cumulative[np.clip(idx, 0, len(measure.grid) - 1)]
     return np.where((idx >= 0)[:, None, None], out, np.zeros_like(out[0]))
 
@@ -115,8 +116,9 @@ def ref_lattice_bound(measures, tol, meet):
     dim = measures[0].dim
     scale = max(1.0, *(m.scale for m in measures))
     merged = np.sort(np.concatenate([m.grid for m in measures]))
-    grid, _ = ref_cluster_means(merged, tol.eig * scale)
-    stacks = [ref_stack_at(m, grid) for m in measures]
+    grid, clusters = ref_cluster_means(merged, tol.eig * scale)
+    # every member read with no slack at the last value of each merged cluster
+    stacks = [ref_stack_at(m, merged[[c[-1] for c in clusters]], slack=0.0) for m in measures]
     combine = ref_proj_join_many if meet else ref_proj_meet_many
     eye = np.eye(dim)
     cums, prev, repairs = [], None, 0
@@ -170,7 +172,11 @@ def rand_effect(rng, d, degenerate=False):
     if degenerate:
         # a few distinct values, so clusters hold several eigenvalues
         lam = np.round(lam * 3) / 3
-    q = rand_unitary(rng, d)
+    return framed_effect(rand_unitary(rng, d), lam)
+
+
+def framed_effect(q, lam):
+    """q diag(lam) q^*, symmetrized."""
     m = (q * lam) @ q.conj().T
     return (m + m.conj().T) / 2.0
 
@@ -465,20 +471,37 @@ def test_the_suite_order_tests_read_the_frames(monkeypatch):
     assert counts["frames"] == counts["leq"]
 
 
-def test_masked_rows_have_the_projection_singular_values():
+def cluster_ends(measures):
+    """The last value of every merged cluster but the last: where the
+    bounds read their members."""
+    scale = max(1.0, *(m.scale for m in measures))
+    merged = np.sort(np.concatenate([m.grid for m in measures]))
+    _, clusters = ref_cluster_means(merged, TOL.eig * scale)
+    return merged[[c[-1] for c in clusters[:-1]]]
+
+
+def test_masked_rows_have_the_projection_singular_values(monkeypatch):
+    captured = []
+    real_from_rows = H._bound_from_rows
+
+    def spy(grid, rows, tol, meet):
+        captured.append((meet, rows))
+        return real_from_rows(grid, rows, tol, meet)
+
+    monkeypatch.setattr(H, "_bound_from_rows", spy)
     for family in list(families(29)) + list(mixed_families(30, count=4)):
         ops = [HermitianOperator(m) for m in family]
         measures = _effect_measures(ops, TOL)
+        captured.clear()
         for meet in (True, False):
             _lattice_bound(measures, TOL, meet)
         # the bounds read the frames and build no member's projection stack
         assert all(m._stack is None for m in measures)
-        scale = max(1.0, *(m.scale for m in measures))
-        merged = np.sort(np.concatenate([m.grid for m in measures]))
-        ts = _cluster_means(merged, TOL.eig * scale)[0][:-1]
-        for meet in (True, False):
-            rows = np.stack([m._bound_rows(ts, meet) for m in measures], axis=1)
-            stacks = np.stack([m.cumulative_stack_at(ts) for m in measures], axis=1)
+        ts = cluster_ends(measures)
+        stacks = np.stack([m.cumulative_stack_at(ts) for m in measures], axis=1)
+        assert [meet for meet, _ in captured] == [True, False]
+        for meet, rows in captured:
+            assert rows.shape == stacks.shape
             d = rows.shape[-1]
             projections = stacks if meet else np.eye(d) - stacks
             for got, want in zip(rows, projections):
@@ -589,6 +612,71 @@ def test_monotone_images_and_merged_grids_keep_consecutive_chaining():
     assert image._table.tolist() == [0, 3, 4]
     family = [np.diag([0.3, 0.5 + k * 9e-9, 0.9]) for k in range(3)]
     assert np.diag(spectral_meet(family).matrix).tolist() == [0.3, 0.500000009, 0.9]
+
+
+def shared_value_families(seed):
+    """(unmoved, moved, beyond): 2-4 rotated effects at d in {2, 3, 4} that
+    share the eigenvalue 1/2, the others on eighths, and the same family
+    with that eigenvalue of one member moved up by delta in (gap/2, gap);
+    beyond tells whether it then lies more than its member's lookup slack
+    above the merged cluster's mean."""
+    rng = np.random.default_rng(seed)
+    others = [k / 8 for k in range(9) if k != 4]
+    for d in (2, 3, 4):
+        for size in (2, 3, 4):
+            for _ in range(8):
+                lams = [np.array([0.5, *rng.choice(others, size=d - 1)]) for _ in range(size)]
+                frames = [rand_unitary(rng, d) for _ in range(size)]
+                unmoved = [framed_effect(q, lam) for q, lam in zip(frames, lams)]
+                gap = TOL.eig * max(spectral_measure(m).scale for m in unmoved)
+                k, delta = int(rng.integers(size)), rng.uniform(gap / 2, gap)
+                lams[k][0] += delta
+                moved = [framed_effect(q, lam) for q, lam in zip(frames, lams)]
+                beyond = delta * (1 - 1 / size) > spectral_measure(moved[k])._slack
+                yield unmoved, moved, beyond
+
+
+def test_a_member_eigenvalue_beyond_the_slack_is_read_at_its_merged_point():
+    # the merged mean moves by delta / size, so the bound stays within
+    # tol.eig of the unmoved one; a member read at the next point moves it
+    # by a distance between eigenvalues instead
+    beyond = 0
+    for unmoved, moved, far in shared_value_families(33):
+        beyond += far
+        for bound in (spectral_meet, spectral_join):
+            assert np.abs(bound(moved).matrix - bound(unmoved).matrix).max() <= TOL.eig
+    assert beyond > 30
+
+
+def test_constructor_measures_read_their_own_grid_points():
+    m = SpectralMeasure([0.0, 1e-9], np.stack([np.diag([1.0, 0.0]), np.eye(2)]), 1.0)
+    assert np.array_equal(m.cumulative_stack_at([0.0]), [np.diag([1.0, 0.0])])
+    rng = np.random.default_rng(34)
+    for d in DIMS:
+        for n in (2, 3, 5):
+            # spacings from 1e-12 to 3e-9, below the gap of 1e-8
+            grid = 0.3 + np.cumsum([0.0, *10 ** rng.uniform(-12, -8.5, size=n - 1)])
+            m = SpectralMeasure(grid, rand_subspace_chain(rng, d, n - 1), 1.0)
+            assert np.array_equal(m.cumulative_stack_at(m.grid), m.cumulative)
+
+
+def test_monotone_images_keep_their_points_more_than_the_gap_apart():
+    # what lets an image keep the uncapped slack tol.eig * scale / 2
+    rng = np.random.default_rng(35)
+
+    def near_chain(n):
+        return 0.2 + np.cumsum([0.0, *10 ** rng.uniform(-12, -6, size=n - 1)])
+
+    images = 0
+    for d in DIMS:
+        for _ in range(8):
+            measure = spectral_measure(rotated(rng, near_chain(d)))
+            for values in (measure.grid, near_chain(len(measure.grid)), *monotone_maps(measure.grid)):
+                image = measure.apply_monotone(values)
+                assert (image.grid[1:] - image.grid[:-1] > TOL.eig * image.scale).all()
+                assert np.array_equal(image.cumulative_stack_at(image.grid), image.cumulative)
+                images += len(image.grid) > 1
+    assert images > 40
 
 
 def test_the_suite_holds_clustered_rebuilds_to_the_clustering_bound(monkeypatch):

@@ -312,3 +312,20 @@ def test_spectral_kernels_match_the_exact_subspace_lattice():
             images += 1
     assert verdicts == {True, False}
     assert images == 3 * (3 * PER_DIM + 1)
+
+
+def test_a_member_eigenvalue_beyond_the_slack_keeps_the_exact_bound():
+    # A = diag(3/10, 1/2, 9/10) three times and D with 1/2 + 9e-9: the
+    # merged mean is 1/2 + 2.25e-9, and D's value lies 6.75e-9 above it,
+    # beyond D's lookup slack of 5.35e-9, so only the merged clustering
+    # puts it on the point of A's 1/2
+    alg = RationalSubspaces(3)
+    unit = [[F(int(i == j)) for j in range(3)] for i in range(3)]
+    x = Operator(alg, unit, [F(3, 10), F(1, 2), F(9, 10)])
+    a, d = x.matrix, np.diag([0.3, 0.5 + 9e-9, 0.9])
+    for exact_bound, bound in ((olson_meet, spectral_meet), (olson_join, spectral_join)):
+        want = exact_bound([x.observable] * 4)
+        assert want.exists and want.observable == x.observable
+        got = bound([a, a, a, d]).matrix
+        assert np.abs(got - observable_matrix(want.observable, 3)).max() <= 1e-8
+        assert spectral_leq(got, a) and spectral_leq(a, got)
