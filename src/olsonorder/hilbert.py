@@ -13,9 +13,10 @@ A measure is its grid and one row table.  The measures
 operator's eigenvectors and count in each row the leading ones that span
 E_A((-inf, t]).  The order test, which reads the residual from
 eigenvector overlaps, and the bounds, which hand the projection lattice
-masked eigenvector rows, take only these framed measures.  A measure the
-constructor builds from projections keeps them as its table and serves
-the accessors.
+masked eigenvector rows, take only these framed measures and read them
+at the cluster ends of their merged grid with no slack; the lookup slack
+serves only `cumulative_stack_at`.  A measure the constructor builds
+from projections keeps them as its table and serves the accessors.
 
 Everything is tolerance-based: checks scale with the operator norms and
 the defaults leave two orders of magnitude over double-precision
@@ -198,9 +199,18 @@ def _as_operator(obj, tol: Tolerances) -> HermitianOperator:
     return HermitianOperator(obj, tol)
 
 
-def _same_dim(a: HermitianOperator, b: HermitianOperator) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"operators have dimensions {a.dim} and {b.dim}")
+def _same_dim(items: Sequence) -> None:
+    """DimensionMismatch unless all operators or measures of `items` share one dimension."""
+    for item in items[1:]:
+        if item.dim != items[0].dim:
+            raise DimensionMismatch(f"operators have dimensions {items[0].dim} and {item.dim}")
+
+
+def _operators(objs: Iterable, tol: Tolerances) -> list[HermitianOperator]:
+    """Each of `objs` as an operator, then their dimensions checked."""
+    ops = [_as_operator(o, tol) for o in objs]
+    _same_dim(ops)
+    return ops
 
 
 def _cluster_means(values: np.ndarray, gap: float, spread=False) -> tuple[np.ndarray, np.ndarray]:
@@ -233,16 +243,16 @@ class SpectralMeasure:
     """Clustered eigenvalue grid with cumulative spectral projections.
 
     cumulative[i] is E_A((-inf, grid[i]]); the last entry is the
-    identity.  Lookups pick a row of one table (row 0 below the grid, row
-    i at grid[i - 1]) with a slack that lets thresholds from another
-    operator pick up eigenvalues equal up to clustering noise: tol.eig *
-    scale / 2, capped at half the smallest grid spacing (_cap_slack) so a
-    grid point reads its own row; an image's means lie more than the gap
-    apart and need no cap.  The bounds read no slack.  The constructor checks shapes
-    (DimensionMismatch) and that the grid is finite and strictly
-    increasing, the projections finite and the scale finite and
-    nonnegative (ParseError); its table is the zero projection, then
-    `cumulative`.  `_wrap` takes a measure this module computed as given.
+    identity.  `cumulative_stack_at` picks a row of one table (row 0 below
+    the grid, row i at grid[i - 1]) with a slack that lets thresholds from
+    another operator pick up eigenvalues equal up to clustering noise:
+    tol.eig * scale / 2, capped at half the smallest grid spacing so a grid
+    point reads its own row.  The order test and the bounds read no slack
+    (_merged_reading).  The constructor checks shapes (DimensionMismatch)
+    and that the grid is finite and strictly increasing, the projections
+    finite and the scale finite and nonnegative (ParseError); its table is
+    the zero projection, then `cumulative`.  `_wrap` takes a measure this
+    module computed as given.
 
     A measure from `spectral_measure` keeps its eigenframe (vecs, vh),
     the eigenvectors as the columns of vecs and the rows of vh, and as
@@ -293,7 +303,6 @@ class SpectralMeasure:
         # row 0 is the zero projection, the resolution below the grid
         padded = np.concatenate([np.zeros_like(cumulative[:1]), cumulative])
         self._set(grid, padded, scale, tol, None)
-        self._cap_slack()
 
     @classmethod
     def _wrap(
@@ -310,10 +319,6 @@ class SpectralMeasure:
         self._stack = table if frame is None else None
         self.dim = int(table.shape[1]) if frame is None else len(frame[1])
         self.scale, self._slack = scale, tol.eig * scale / 2.0
-
-    def _cap_slack(self) -> None:
-        if len(self.grid) > 1:
-            self._slack = min(self._slack, float((self.grid[1:] - self.grid[:-1]).min()) / 2.0)
 
     @property
     def _padded(self) -> np.ndarray:
@@ -342,13 +347,11 @@ class SpectralMeasure:
             inner /= 2.0
         return padded
 
-    def _rows_at(self, ts: np.ndarray) -> np.ndarray:
-        """The table row of each t of the 1-d array `ts`, with the lookup slack."""
-        return self.grid.searchsorted(np.asarray(ts) + self._slack, side="right")
-
     def cumulative_stack_at(self, ts: np.ndarray) -> np.ndarray:
         """E((-inf, t]) for each t in the 1-d array `ts`, shape (len(ts), d, d)."""
-        return self._padded[self._rows_at(ts)]
+        grid = self.grid
+        slack = min(self._slack, float((grid[1:] - grid[:-1]).min(initial=math.inf)) / 2.0)
+        return self._padded[grid.searchsorted(np.asarray(ts) + slack, side="right")]
 
     def eigenprojections(self) -> np.ndarray:
         # np.diff's own formula, without its wrapper
@@ -417,10 +420,7 @@ def spectral_measure(a, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralMeasure
             f"spectral reconstruction residual {residual:.3e} exceeds tolerance"
         )
     grid, counts = _cluster_means(evals, tol.eig * scale, spread=True)
-    measure = SpectralMeasure._wrap(grid, counts, scale, tol, (evecs, vh))
-    if len(grid) < len(evals):  # only cut chains leave means closer than the gap
-        measure._cap_slack()
-    return measure
+    return SpectralMeasure._wrap(grid, counts, scale, tol, (evecs, vh))
 
 
 def _proj_meet_many(rows: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -454,8 +454,7 @@ def _proj_join_many(stack: np.ndarray, tol: Tolerances) -> np.ndarray:
 
 
 def _projection_pair(p, q, tol: Tolerances) -> np.ndarray:
-    op_p, op_q = _as_operator(p, tol), _as_operator(q, tol)
-    _same_dim(op_p, op_q)
+    op_p, op_q = _operators((p, q), tol)
     if not (op_p.is_projection and op_q.is_projection):
         raise NotAProjection("operation needs orthogonal projections")
     return np.array([op_p.matrix, op_q.matrix])
@@ -480,8 +479,7 @@ def range_leq(p, q, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
 
 def loewner_leq(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Standard operator order: b - a positive semidefinite at tolerance."""
-    op_a, op_b = _as_operator(a, tol), _as_operator(b, tol)
-    _same_dim(op_a, op_b)
+    op_a, op_b = _operators((a, b), tol)
     scale = max(1.0, _norm(op_a.matrix), _norm(op_b.matrix))
     try:
         low = float(np.linalg.eigvalsh(op_b.matrix - op_a.matrix)[0])
@@ -492,8 +490,7 @@ def loewner_leq(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
 
 def logical_leq(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Gudder order: a b = a^2 at tolerance."""
-    op_a, op_b = _as_operator(a, tol), _as_operator(b, tol)
-    _same_dim(op_a, op_b)
+    op_a, op_b = _operators((a, b), tol)
     na, nb = _norm(op_a.matrix), _norm(op_b.matrix)
     scale = max(1.0, na * max(1.0, nb))
     residual = _norm(op_a.matrix @ op_b.matrix - op_a.matrix @ op_a.matrix)
@@ -502,32 +499,30 @@ def logical_leq(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
 
 def _measures_leq(ma: SpectralMeasure, mb: SpectralMeasure, tol: Tolerances) -> bool:
     """The Olson order on two framed measures: the frame residual at tol.ord."""
-    _same_dim(ma, mb)
-    return _frames_residual(ma, mb) <= tol.ord * max(1.0, ma.scale, mb.scale)
+    return _frames_residual(ma, mb, tol) <= tol.ord * max(1.0, ma.scale, mb.scale)
 
 
-def _frames_residual(ma: SpectralMeasure, mb: SpectralMeasure) -> float:
-    """The largest ||(I - E_a(t)) E_b(t)||_F over the points of both
-    grids, read from the eigenframes of two framed measures.
+def _frames_residual(ma: SpectralMeasure, mb: SpectralMeasure, tol: Tolerances) -> float:
+    """The largest ||(I - E_a(t)) E_b(t)||_F over the merged grid of two
+    framed measures (_merged_reading), read from their eigenframes.
 
     With O = V_a^* V_b, (I - E_a(t)) E_b(t) = V_a[:, i >= n_a] O[i >= n_a,
     j < n_b] V_b[:, j < n_b]^*, so its squared norm is the sum of |O_ij|^2
     over that block: one entry of a 2-d cumulative sum of |O|^2.
     """
+    _, (na, nb) = _merged_reading((ma, mb), tol)
     overlap = ma._frame[1] @ mb._frame[0]
     sq = (overlap * overlap.conj()).real
     d = len(sq)
     # tails[i, j]: the sum over rows >= i and columns < j
     tails = np.zeros((d + 1, d + 1))
     tails[:d, 1:] = sq[::-1].cumsum(axis=0)[::-1].cumsum(axis=1)
-    ts = np.concatenate((ma.grid, mb.grid))
-    return math.sqrt(float(tails[ma._table[ma._rows_at(ts)], mb._table[mb._rows_at(ts)]].max()))
+    return math.sqrt(float(tails[na, nb].max()))
 
 
 def spectral_leq(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
     """Olson order: every E_b((-inf,t]) range-contained in E_a((-inf,t])."""
-    op_a, op_b = _as_operator(a, tol), _as_operator(b, tol)
-    _same_dim(op_a, op_b)
+    op_a, op_b = _operators((a, b), tol)
     _decompose((op_a, op_b))
     return _measures_leq(spectral_measure(op_a, tol), spectral_measure(op_b, tol), tol)
 
@@ -535,11 +530,9 @@ def spectral_leq(a, b, tol: Tolerances = DEFAULT_TOLERANCES) -> bool:
 def _effect_measures(operators: Iterable, tol: Tolerances) -> list[SpectralMeasure]:
     """Framed measures of a family of effects, every member checked
     first; the check and the measures read one stacked decomposition."""
-    ops = [_as_operator(o, tol) for o in operators]
+    ops = _operators(operators, tol)
     if not ops:
         raise EmptyFamily("meet/join needs at least one operator")
-    for op in ops[1:]:
-        _same_dim(ops[0], op)
     _decompose(ops)
     for op in ops:
         if not op.is_effect:
@@ -547,22 +540,29 @@ def _effect_measures(operators: Iterable, tol: Tolerances) -> list[SpectralMeasu
     return [spectral_measure(op, tol) for op in ops]
 
 
-def _lattice_bound(
-    measures: Sequence[SpectralMeasure], tol: Tolerances, meet: bool
-) -> HermitianOperator:
-    """The meet (join) of framed `measures`, one batched SVD over the
-    merged grid, whose clustering alone decides which eigenvalues are one
-    point: each member is read with no slack at the last value of every
-    cluster but the last, as vh with its rows j >= n(t) (j < n(t) for a
-    join) zeroed, which the isometry V maps onto E(t) (I - E(t))."""
-    for m in measures[1:]:
-        _same_dim(measures[0], m)
+def _merged_reading(measures: Sequence[SpectralMeasure], tol: Tolerances) -> tuple:
+    """The merged grid of framed `measures` and each member's counts n(t)
+    on it.  The members' sorted grid values cluster at tol.eig times the
+    largest scale, chaining consecutive values, and that clustering alone
+    decides which eigenvalues are one point: each member is read with no
+    slack at the last value of every cluster."""
+    _same_dim(measures)
     scale = max(1.0, *(m.scale for m in measures))
     values = np.sort(np.concatenate([m.grid for m in measures]))
     grid, table = _cluster_means(values, tol.eig * scale)
-    ends = values[table[1:-1] - 1]
-    counts = np.stack([m._table[m.grid.searchsorted(ends, side="right")] for m in measures], axis=1)
-    below = np.arange(measures[0].dim)[:, None] < counts[..., None, None]
+    ends = values[table[1:] - 1]
+    return grid, [m._table[m.grid.searchsorted(ends, side="right")] for m in measures]
+
+
+def _lattice_bound(
+    measures: Sequence[SpectralMeasure], tol: Tolerances, meet: bool
+) -> HermitianOperator:
+    """The meet (join) of framed `measures`, one batched SVD over their
+    merged reading (_merged_reading): at every point but the last, each
+    member is vh with its rows j >= n(t) (j < n(t) for a join) zeroed,
+    which the isometry V maps onto E(t) (I - E(t))."""
+    grid, counts = _merged_reading(measures, tol)
+    below = np.arange(measures[0].dim)[:, None] < np.stack(counts, axis=1)[:-1, :, None, None]
     # (points, family, d, d): every grid point but the last, where E is I
     rows = np.stack([m._frame[1] for m in measures]) * (below if meet else ~below)
     return HermitianOperator._trusted(_bound_from_rows(grid, rows, tol, meet), tol)

@@ -129,6 +129,14 @@ def test_spectral_join_reads_a_member_at_its_merged_point(capsys):
     assert abs(got[1][1] - 0.5) <= 1e-8
 
 
+def test_spectral_cmp_reads_the_pair_at_its_merged_point(capsys):
+    # the same 0.5 and 0.5 + 9e-9 that the join takes as one point
+    a, d = fixture_path("diag_a_3x3.json"), fixture_path("diag_d_3x3.json")
+    code, out, _ = run(["spectral", "cmp", a, d], capsys)
+    assert code == 0
+    assert json.loads(out)["verdict"] == "equal"
+
+
 def test_spectral_measure_grid(capsys):
     code, out, _ = run(["spectral", "measure", DIAG], capsys)
     assert code == 0

@@ -9,8 +9,8 @@ call per bound or per measure, decomposes a family in one stacked eigh
 per dtype and reads the meet/join effect check from those eigenvalues;
 each test compares the two to 1e-12 with identical flags.  The order
 test and the bounds read the eigenframes that measures keep, and are
-held to the projections read back through `cumulative_stack_at`: the
-frame order to the residual of those projections, the masked
+held to the projections read at the cluster ends of their merged grid:
+the frame order to the residual of those projections, the masked
 eigenvector rows to their singular values.  The monotone repair, which
 nested eigenframes never reach, is fed non-nested projection chains
 directly.
@@ -91,7 +91,9 @@ def ref_cluster_means(values, gap, spread=False):
 
 
 def ref_stack_at(measure, ts, slack=None):
-    slack = measure._slack if slack is None else slack
+    if slack is None:
+        # the half-gap slack, capped at half the smallest grid spacing
+        slack = min([measure._slack, *np.diff(measure.grid) / 2])
     idx = np.searchsorted(measure.grid, np.asarray(ts) + slack, side="right") - 1
     out = measure.cumulative[np.clip(idx, 0, len(measure.grid) - 1)]
     return np.where((idx >= 0)[:, None, None], out, np.zeros_like(out[0]))
@@ -371,12 +373,12 @@ def test_monotone_repair_matches_the_sequential_rule(monkeypatch):
 
 
 def ref_order_residual(ma, mb):
-    """_measures_leq's residual: the largest ||(I - E_a(t)) E_b(t)|| on both
-    grids, from the projections read back through cumulative_stack_at."""
-    ts = np.concatenate((ma.grid, mb.grid))
+    """_measures_leq's residual: the largest ||(I - E_a(t)) E_b(t)|| at the
+    merged cluster ends, from the projections read there with no slack."""
+    ts = cluster_ends((ma, mb))
     eye = np.eye(ma.dim)
-    return max(float(np.linalg.norm((eye - pa) @ pb))
-               for pa, pb in zip(ma.cumulative_stack_at(ts), mb.cumulative_stack_at(ts)))
+    stacks = zip(ref_stack_at(ma, ts, slack=0.0), ref_stack_at(mb, ts, slack=0.0))
+    return max(float(np.linalg.norm((eye - pa) @ pb)) for pa, pb in stacks)
 
 
 def order_pairs():
@@ -413,7 +415,7 @@ def test_frame_order_matches_the_measure_order():
             want = ref_leq(ma, mb)
             assert _measures_leq(ma, mb, TOL) == want
             assert spectral_leq(oa, ob) == want
-            assert abs(_frames_residual(ma, mb) - ref_order_residual(ma, mb)) <= ATOL
+            assert abs(_frames_residual(ma, mb, TOL) - ref_order_residual(ma, mb)) <= ATOL
             verdicts.add((want, ob.dim == 1))
     assert verdicts == {(True, False), (False, False), (True, True), (False, True)}
 
@@ -439,7 +441,7 @@ def test_monotone_images_keep_their_frames():
                 for (ma, mb), verdict in zip(pairs, got):
                     want = ref_leq(ma, mb)
                     assert verdict == want
-                    assert abs(_frames_residual(ma, mb) - ref_order_residual(ma, mb)) <= ATOL
+                    assert abs(_frames_residual(ma, mb, TOL) - ref_order_residual(ma, mb)) <= ATOL
                     verdicts.add(want)
                 _, clusters = ref_cluster_means(values, TOL.eig * parent.scale)
                 want_rows = parent.cumulative[[c[-1] for c in clusters]]
@@ -459,9 +461,9 @@ def test_the_suite_order_tests_read_the_frames(monkeypatch):
         counts["leq"] += 1
         return real_leq(ma, mb, tol)
 
-    def counting_frames(ma, mb):
+    def counting_frames(ma, mb, tol):
         counts["frames"] += 1
-        return real_frames(ma, mb)
+        return real_frames(ma, mb, tol)
 
     for module in (H, hilbert_suite):
         monkeypatch.setattr(module, "_measures_leq", counting_leq)
@@ -472,12 +474,12 @@ def test_the_suite_order_tests_read_the_frames(monkeypatch):
 
 
 def cluster_ends(measures):
-    """The last value of every merged cluster but the last: where the
-    bounds read their members."""
+    """The last value of every merged cluster: where the order test reads
+    its members, and the bounds at all but the last."""
     scale = max(1.0, *(m.scale for m in measures))
     merged = np.sort(np.concatenate([m.grid for m in measures]))
     _, clusters = ref_cluster_means(merged, TOL.eig * scale)
-    return merged[[c[-1] for c in clusters[:-1]]]
+    return merged[[c[-1] for c in clusters]]
 
 
 def test_masked_rows_have_the_projection_singular_values(monkeypatch):
@@ -497,7 +499,7 @@ def test_masked_rows_have_the_projection_singular_values(monkeypatch):
             _lattice_bound(measures, TOL, meet)
         # the bounds read the frames and build no member's projection stack
         assert all(m._stack is None for m in measures)
-        ts = cluster_ends(measures)
+        ts = cluster_ends(measures)[:-1]
         stacks = np.stack([m.cumulative_stack_at(ts) for m in measures], axis=1)
         assert [meet for meet, _ in captured] == [True, False]
         for meet, rows in captured:
@@ -594,7 +596,7 @@ def test_near_degenerate_effects_get_answers():
         # a lookup at a grid point reads that point's row, however close the
         # next mean lies
         assert np.array_equal(measure.cumulative_stack_at(measure.grid), measure.cumulative)
-        assert _frames_residual(measure, measure) <= ATOL
+        assert _frames_residual(measure, measure, TOL) <= ATOL
         assert spectral_leq(mat, mat)
         for bound in (spectral_meet, spectral_join):
             assert np.abs(bound([mat, mat]).matrix - mat).max() <= gap
@@ -648,6 +650,35 @@ def test_a_member_eigenvalue_beyond_the_slack_is_read_at_its_merged_point():
     assert beyond > 30
 
 
+def test_the_order_test_reads_the_merged_clustering_of_the_bounds():
+    # 0.5, 0.5 + 6e-9 and 0.5 + 1.2e-8 chain into one merged point of the
+    # bounds, which a reading at the union of two grids with a half-gap
+    # slack splits; alone, 6e-9 apart is one point and 1.2e-8 two
+    family = [np.diag([0.5 + k * 6e-9, 0.9]) for k in range(3)]
+    meet, join = spectral_meet(family), spectral_join(family)
+    for m in family:
+        assert spectral_leq(meet, m) and spectral_leq(m, join)
+    for a, b in zip(family, family[1:]):
+        assert spectral_leq(a, b) and spectral_leq(b, a)
+    assert spectral_leq(family[0], family[2]) and not spectral_leq(family[2], family[0])
+
+
+def test_a_member_eigenvalue_within_the_gap_compares_equal_and_the_bounds_stay_ordered():
+    # delta is drawn against the family's largest scale, so a moved member
+    # can lie beyond the gap of its own pair: then it is a point of its own
+    within = []
+    for unmoved, moved, _ in shared_value_families(33):
+        for a, b in zip(unmoved, moved):
+            if not np.array_equal(a, b):
+                gap = TOL.eig * max(spectral_measure(a).scale, spectral_measure(b).scale)
+                within.append(np.abs(np.linalg.eigvalsh(a) - np.linalg.eigvalsh(b)).max() <= gap)
+                assert (spectral_leq(a, b) and spectral_leq(b, a)) == within[-1]
+        meet, join = spectral_meet(moved), spectral_join(moved)
+        for m in moved:
+            assert spectral_leq(meet, m) and spectral_leq(m, join)
+    assert len(within) == 72 and sum(within) > 50
+
+
 def test_constructor_measures_read_their_own_grid_points():
     m = SpectralMeasure([0.0, 1e-9], np.stack([np.diag([1.0, 0.0]), np.eye(2)]), 1.0)
     assert np.array_equal(m.cumulative_stack_at([0.0]), [np.diag([1.0, 0.0])])
@@ -661,7 +692,8 @@ def test_constructor_measures_read_their_own_grid_points():
 
 
 def test_monotone_images_keep_their_points_more_than_the_gap_apart():
-    # what lets an image keep the uncapped slack tol.eig * scale / 2
+    # half an image's smallest spacing exceeds tol.eig * scale / 2, so the
+    # cap cumulative_stack_at puts on its slack changes no image lookup
     rng = np.random.default_rng(35)
 
     def near_chain(n):

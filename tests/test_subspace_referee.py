@@ -295,7 +295,7 @@ def test_spectral_kernels_match_the_exact_subspace_lattice():
                 # the exact residual is 0 or far from the float tolerance
                 assert want == (residual == 0.0) and (want or residual > 1e-6)
                 assert spectral_leq(mats[i], b) == want
-                assert abs(_frames_residual(mx, my) - residual) <= ATOL
+                assert abs(_frames_residual(mx, my, TOL) - residual) <= ATOL
                 verdicts.add(want)
         # the images of the first member, against every member and their own source
         op, measure = ops[0], measures[0]
@@ -308,7 +308,7 @@ def test_spectral_kernels_match_the_exact_subspace_lattice():
             for y, my in zip(xs, measures):
                 for (u, mu), (v, mv) in (((gx, got), (y, my)), ((y, my), (gx, got))):
                     assert _measures_leq(mu, mv, TOL) == olson_leq(u, v)
-                    assert abs(_frames_residual(mu, mv) - exact_residual(u, v, d)) <= ATOL
+                    assert abs(_frames_residual(mu, mv, TOL) - exact_residual(u, v, d)) <= ATOL
             images += 1
     assert verdicts == {True, False}
     assert images == 3 * (3 * PER_DIM + 1)
@@ -318,7 +318,8 @@ def test_a_member_eigenvalue_beyond_the_slack_keeps_the_exact_bound():
     # A = diag(3/10, 1/2, 9/10) three times and D with 1/2 + 9e-9: the
     # merged mean is 1/2 + 2.25e-9, and D's value lies 6.75e-9 above it,
     # beyond D's lookup slack of 5.35e-9, so only the merged clustering
-    # puts it on the point of A's 1/2
+    # puts it on the point of A's 1/2; the order test reads the pair D, A
+    # at its own merged clustering, so D compares with A as A with itself
     alg = RationalSubspaces(3)
     unit = [[F(int(i == j)) for j in range(3)] for i in range(3)]
     x = Operator(alg, unit, [F(3, 10), F(1, 2), F(9, 10)])
@@ -329,3 +330,5 @@ def test_a_member_eigenvalue_beyond_the_slack_keeps_the_exact_bound():
         got = bound([a, a, a, d]).matrix
         assert np.abs(got - observable_matrix(want.observable, 3)).max() <= 1e-8
         assert spectral_leq(got, a) and spectral_leq(a, got)
+    assert olson_leq(x.observable, x.observable)
+    assert spectral_leq(d, a) and spectral_leq(a, d)
